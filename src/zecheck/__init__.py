@@ -15,9 +15,7 @@ from .channel import (
     apply_n,
     build_channel,
     cq_overlap,
-    load_block_state,
     random_block_state,
-    save_block_state,
 )
 from .designs import (
     DesignCacheError,
@@ -53,7 +51,6 @@ from .ppt import (
     PPTWitness,
     build_ppt_witness,
     constraint_score,
-    counterexample_search,
     is_ppt,
     isotropic_twirl_n,
     ppt_search,
@@ -66,12 +63,10 @@ from .report import TOOLKIT_VERSION as __version__
 from .suites import case_rng, execute
 from .zero_error import (
     CodePairCheck,
-    OrthogonalityReport,
     averaged_output_overlap,
     code_pair_conditions,
     design_average_overlap_operator,
     disjoint_support,
-    orthogonality_report,
     overlap_operator,
     overlap_support_projector,
     pairing_vector,

@@ -17,18 +17,17 @@ For an input sum_i |i>|a_i> and flag j the receiver branch is
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from .designs import UnitaryFamily
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, tensor
 
-_BSV_MAGIC = b"ZECBSV\0\0"
-_BSV_VERSION = 1
+# Flag tuples per kernel block.  A block's intermediates hold
+# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes; larger blocks buy no speed
+# and raise peak memory.
+_FLAG_BLOCK = 256
 
 
 @dataclass
@@ -68,9 +67,6 @@ class BlockStateVector:
         for i in label:
             idx = idx * self.d + int(i)
         return idx
-
-    def block(self, label) -> np.ndarray:
-        return self.blocks[self.flat_index(label)]
 
     def block_norms(self) -> np.ndarray:
         return np.linalg.norm(self.blocks, axis=1)
@@ -124,52 +120,36 @@ def build_channel(d: int, family: UnitaryFamily) -> FlaggedPhaseChannel:
     return FlaggedPhaseChannel(d=d, design=family, phase_gate=phase, z_powers=z_powers)
 
 
-def _zg_stack(channel: FlaggedPhaseChannel) -> np.ndarray:
-    # zg[j, l] = Z^l @ g_j
-    return np.einsum("lab,jbc->jlac", channel.z_powers, channel.design.members)
-
-
 def _branch_matrices(channel, psi, complementary: bool):
     d = channel.d
     if psi.d != d:
         raise ValueError(f"state dimension {psi.d} does not match channel d={d}")
     n, ref, m = psi.n, psi.ref_dim, len(channel.design)
-    zg = _zg_stack(channel)
-    w = channel.design.weights
-    ctrl = d**n
-
-    if n == 1:
-        b = psi.blocks.reshape(d, d, ref)
-        v = np.einsum("jits,isr->jitr", zg, b).reshape(m, d, d * ref)
+    side = d**n
+    g = channel.design.members
+    labels = np.indices((m,) * n).reshape(n, -1).T
+    weights = np.prod(channel.design.weights[labels], axis=1)
+    # P is diagonal, so for flags j the n uses send control tuple i with data
+    # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
+    # on the data for all i, then the n-fold phase table phase[i, a].
+    phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
+    # data digits as rows, (control, reference) as columns
+    b = psi.blocks.reshape(side, side, ref).transpose(1, 0, 2).reshape(side, side * ref)
+    out_side = psi.block_len if complementary else side
+    mats = np.empty((len(labels), out_side, out_side), dtype=complex)
+    for start in range(0, len(labels), _FLAG_BLOCK):
+        block = labels[start : start + _FLAG_BLOCK]
+        k = len(block)
+        kron = g[block[:, 0]]
+        for t in range(1, n):
+            kron = np.einsum("fac,fbd->fabcd", kron, g[block[:, t]])
+            kron = kron.reshape(k, d ** (t + 1), d ** (t + 1))
+        w = (kron.reshape(k * side, side) @ b).reshape(k, side, side, ref)
+        v = (w.transpose(0, 2, 1, 3) * phase[:, :, None]).reshape(k, side, side * ref)
         if complementary:
-            mats = np.einsum("jis,jit->jst", v, v.conj())
+            mats[start : start + k] = np.matmul(v.transpose(0, 2, 1), v.conj())
         else:
-            mats = np.einsum("jis,jks->jik", v, v.conj())
-        labels = np.arange(m, dtype=int).reshape(m, 1)
-        return labels, w.copy(), mats
-
-    labels = np.array(list(product(range(m), repeat=n)), dtype=int)
-    weights = np.prod(w[labels], axis=1)
-    side = psi.block_len if complementary else ctrl
-    mats = np.empty((len(labels), side, side), dtype=complex)
-    if n == 2:
-        b = psi.blocks.reshape(d, d, d, d, ref)
-        for idx, (j1, j2) in enumerate(labels):
-            v = np.einsum("ats,buv,absvr->abtur", zg[j1], zg[j2], b)
-            v = v.reshape(ctrl, ctrl * ref)
-            mats[idx] = v.T @ v.conj() if complementary else v @ v.conj().T
-    else:
-        shape = (d,) * n + (ref,)
-        for idx, jvec in enumerate(labels):
-            v = np.empty((ctrl, ctrl * ref), dtype=complex)
-            for flat, ivec in enumerate(product(range(d), repeat=n)):
-                vec = psi.blocks[flat].reshape(shape)
-                for t in range(n):
-                    vec = np.moveaxis(
-                        np.tensordot(zg[jvec[t], ivec[t]], vec, axes=(1, t)), 0, t
-                    )
-                v[flat] = vec.ravel()
-            mats[idx] = v.T @ v.conj() if complementary else v @ v.conj().T
+            mats[start : start + k] = np.matmul(v, v.conj().transpose(0, 2, 1))
     return labels, weights, mats
 
 
@@ -221,40 +201,4 @@ def random_block_state(
     norm = psi.total_norm()
     if norm > 0:
         psi.blocks /= norm
-    return psi
-
-
-def save_block_state(psi: BlockStateVector, path) -> None:
-    """Serialize as records: control tuple, then the block's complex pairs."""
-    if psi.ref_dim != 1:
-        raise ValueError("only states without a reference register are serialized")
-    d, n = psi.d, psi.n
-    chunks = [_BSV_MAGIC + struct.pack("<III", _BSV_VERSION, d, n)]
-    for label in product(range(d), repeat=n):
-        block = psi.block(label)
-        buf = np.empty(2 * block.size, dtype="<f8")
-        buf[0::2] = block.real
-        buf[1::2] = block.imag
-        chunks.append(struct.pack(f"<{n}I", *label) + buf.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def load_block_state(path) -> BlockStateVector:
-    raw = Path(path).read_bytes()
-    head = len(_BSV_MAGIC) + 12
-    if len(raw) < head or raw[: len(_BSV_MAGIC)] != _BSV_MAGIC:
-        raise ValueError(f"not a block-state file: {path}")
-    version, d, n = struct.unpack("<III", raw[len(_BSV_MAGIC) : head])
-    if version != _BSV_VERSION:
-        raise ValueError(f"unsupported block-state format version {version}")
-    psi = BlockStateVector.zero(d, n)
-    rec_len = 4 * n + 16 * d**n
-    payload = raw[head:]
-    if len(payload) != rec_len * d**n:
-        raise ValueError("block-state payload has the wrong length")
-    for i in range(d**n):
-        rec = payload[i * rec_len : (i + 1) * rec_len]
-        label = struct.unpack(f"<{n}I", rec[: 4 * n])
-        buf = np.frombuffer(rec[4 * n :], dtype="<f8")
-        psi.blocks[psi.flat_index(label)] = buf[0::2] + 1j * buf[1::2]
     return psi

@@ -8,6 +8,7 @@ projector and its complement.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -246,7 +247,11 @@ def find_minimal_subdesign(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> U
 
 
 def save_design_cache(family: UnitaryFamily, path) -> None:
-    """Write one record per member: d, index, interleaved re/im float64 LE."""
+    """Write one record per member: d, index, interleaved re/im float64 LE.
+
+    The file is written beside `path` and renamed over it, so an
+    interrupted write leaves any earlier cache intact.
+    """
     d = family.d
     chunks = []
     for idx, g in enumerate(family.members):
@@ -258,7 +263,13 @@ def save_design_cache(family: UnitaryFamily, path) -> None:
     header = _CACHE_MAGIC + struct.pack(
         "<IIII", _CACHE_VERSION, d, len(family), zlib.crc32(payload)
     )
-    Path(path).write_bytes(header + payload)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_design_cache(path) -> UnitaryFamily:

@@ -21,10 +21,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def basis_state(dim: int, k: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
@@ -85,7 +81,6 @@ class Subspace:
     """Orthonormal basis stored as columns of a single matrix."""
 
     basis: np.ndarray
-    ambient_dims: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -104,7 +99,7 @@ def support_null(m: np.ndarray, dims=None, tol: float = DEFAULT_TOL) -> tuple[Su
     m = np.asarray(m, dtype=complex)
     if dims is None:
         dims = (m.shape[0],)
-    dims = _check_square(m, dims)
+    _check_square(m, dims)
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if np.abs(m - m.conj().T).max() > tol * scale:
         raise ValueError("operator is not Hermitian within tolerance")
@@ -113,8 +108,8 @@ def support_null(m: np.ndarray, dims=None, tol: float = DEFAULT_TOL) -> tuple[Su
     if norm > 0 and w.min() < -tol * norm:
         raise ValueError(f"negative eigenvalue {w.min():.3e} below tolerance")
     keep = w > tol * norm
-    support = Subspace(np.ascontiguousarray(v[:, keep]), dims)
-    null = Subspace(np.ascontiguousarray(v[:, ~keep]), dims)
+    support = Subspace(np.ascontiguousarray(v[:, keep]))
+    null = Subspace(np.ascontiguousarray(v[:, ~keep]))
     return support, null
 
 

@@ -274,11 +274,3 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
         skipped=skipped,
         min_value=min_value,
     )
-
-
-def counterexample_search(d: int, n: int, trials: int, seed: int) -> float:
-    """Minimum observed tr(M (I-Phi)^{(x)n}) over accepted PPT candidates."""
-    result = ppt_search(d, n, trials, seed)
-    if result.min_value is None:
-        raise RuntimeError("no candidate survived the PPT projection")
-    return result.min_value

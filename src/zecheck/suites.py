@@ -6,9 +6,11 @@ records.  All randomness comes from counter-based generators keyed by
 full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
-`trials` pairs, the orthogonality equivalence 2*trials random plus
-trials/2 structured pairs, the code-impossibility sweep 5*trials
-candidate pairs, and the PPT search 10*trials projections.
+`trials` pairs (max(3, trials // 4) at d=3, n=2, where each pair
+enumerates 216^2 flag tuples per output), the orthogonality equivalence
+2*trials random plus trials/2 structured pairs, the code-impossibility
+sweep 5*trials candidate pairs, and the PPT search 10*trials
+projections.
 """
 
 from __future__ import annotations
@@ -271,8 +273,8 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
     def central_identity():
         pairs = cfg.trials
         if (d, n) == (3, 2):
-            # 216^2 flags per output; each pair costs seconds, so sample fewer
-            pairs = max(3, cfg.trials // 32)
+            # 216^2 flag tuples per output, 81 times as many as at (2, 2)
+            pairs = max(3, cfg.trials // 4)
         worst = 0.0
         for case in range(pairs):
             rng = case_rng(cfg.seed, "channel", case)

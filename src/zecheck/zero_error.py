@@ -9,12 +9,11 @@ vanishes iff no control tuple carries both inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BlockStateVector, FlaggedPhaseChannel, apply_n, cq_overlap
+from .channel import BlockStateVector
 from .designs import UnitaryFamily
 from .linalg import max_entangled_projector, projector
 
@@ -135,35 +134,3 @@ def code_pair_conditions(
         <= tol
     )
     return CodePairCheck(bool(first), bool(second), bool(degenerate))
-
-
-@dataclass
-class OrthogonalityReport:
-    """Dual-route overlap record for one input pair."""
-
-    overlap_value: float  # flag-branch route, normalized to the quadratic form
-    a_form_value: float  # closed-form quadratic form
-    disjoint_support: bool
-    agree: bool
-
-
-def orthogonality_report(
-    channel: FlaggedPhaseChannel,
-    psi1: BlockStateVector,
-    psi2: BlockStateVector,
-    tol: float = BLOCK_ZERO_TOL,
-) -> OrthogonalityReport:
-    """Compute the overlap by branch enumeration and by the closed form."""
-    m = len(channel.design)
-    branch_value = (m**psi1.n) * cq_overlap(apply_n(channel, psi1), apply_n(channel, psi2))
-    form_value = averaged_output_overlap(psi1, psi2)
-    disjoint = disjoint_support(psi1, psi2, tol)
-    agree = ((abs(branch_value) <= tol) == disjoint) and abs(
-        branch_value - form_value
-    ) <= tol
-    return OrthogonalityReport(
-        overlap_value=float(branch_value),
-        a_form_value=float(form_value),
-        disjoint_support=disjoint,
-        agree=bool(agree),
-    )

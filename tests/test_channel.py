@@ -7,12 +7,10 @@ from zecheck.channel import (
     apply_n,
     build_channel,
     cq_overlap,
-    load_block_state,
     random_block_state,
-    save_block_state,
 )
 from zecheck.designs import UnitaryFamily
-from zecheck.linalg import basis_state, projector
+from zecheck.linalg import basis_state, partial_trace, projector, tensor
 from zecheck.zero_error import averaged_output_overlap
 
 
@@ -30,6 +28,27 @@ def branch_entry_oracle(members, d, n, blocks, jvec, row, col):
         flat_row = flat_row * d + row[t]
         flat_col = flat_col * d + col[t]
     return blocks[flat_col].conj() @ op @ blocks[flat_row]
+
+
+def dense_branch(ch, psi, jvec):
+    """Receiver and environment branch from the dense per-use unitaries P (I (x) g_j)."""
+    d, n, ref = ch.d, psi.n, psi.ref_dim
+    uses = [ch.phase_gate @ np.kron(np.eye(d), ch.design.members[j]) for j in jvec]
+    # amplitudes from (c_1..c_n, s_1..s_n, r) to use-major (c_1, s_1, .., c_n, s_n, r)
+    order = [k for t in range(n) for k in (t, n + t)] + [2 * n]
+    vec = psi.blocks.reshape((d,) * (2 * n) + (ref,)).transpose(order).ravel()
+    rho = projector(tensor(*uses, np.eye(ref)) @ vec)
+
+    def keep(factors):
+        dims, out = [d] * (2 * n) + [ref], rho
+        for f in reversed(range(2 * n + 1)):
+            if f not in factors:
+                out = partial_trace(out, dims, f)
+                del dims[f]
+        return out
+
+    controls = [2 * t for t in range(n)]
+    return keep(controls), keep([f for f in range(2 * n + 1) if f not in controls])
 
 
 def test_phase_gate_d2(channel_d2):
@@ -73,6 +92,24 @@ def test_branch_entries_match_oracle(d, n, channel_d2, channel_d3):
                 flat_row = psi.flat_index(row)
                 flat_col = psi.flat_index(col)
                 assert out.matrices[b][flat_row, flat_col] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("ref", [1, 2])
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3)])
+def test_branches_match_dense_reference(d, n, ref, channel_d2, channel_d3):
+    ch = channel_d2 if d == 2 else channel_d3
+    m = len(ch.design)
+    rng = np.random.default_rng(59)
+    psi = random_block_state(d, n, rng, ref_dim=ref)
+    bob = apply_n(ch, psi)
+    eve = apply_complementary_n(ch, psi)
+    for k in [0, m**n - 1, *rng.integers(0, m**n, size=3)]:
+        jvec = np.unravel_index(k, (m,) * n)
+        assert tuple(bob.labels[k]) == tuple(eve.labels[k]) == jvec
+        assert bob.weights[k] == pytest.approx(np.prod(ch.design.weights[list(jvec)]), abs=1e-15)
+        rho_bob, rho_eve = dense_branch(ch, psi, jvec)
+        np.testing.assert_allclose(bob.matrices[k], rho_bob, atol=1e-12)
+        np.testing.assert_allclose(eve.matrices[k], rho_eve, atol=1e-12)
 
 
 def test_mixture_input_reproduces_message(channel_d3):
@@ -150,7 +187,7 @@ def test_cq_overlap_label_mismatch(channel_d2, channel_d3):
         cq_overlap(a, b)
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_central_identity(d, n, channel_d2, channel_d3):
     ch = channel_d2 if d == 2 else channel_d3
     m = len(ch.design)
@@ -161,33 +198,6 @@ def test_central_identity(d, n, channel_d2, channel_d3):
         lhs = (m**n) * cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
         rhs = averaged_output_overlap(p1, p2)
         assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
-def test_central_identity_generic_path(channel_d3):
-    # exercises the generic n-fold branch loop at (d=3, n=2): 216^2 flags
-    rng = np.random.default_rng(43)
-    p1 = random_block_state(3, 2, rng)
-    p2 = random_block_state(3, 2, rng)
-    m = len(channel_d3.design)
-    lhs = (m**2) * cq_overlap(apply_n(channel_d3, p1), apply_n(channel_d3, p2))
-    assert lhs == pytest.approx(averaged_output_overlap(p1, p2), abs=1e-8)
-
-
-def test_block_state_roundtrip(tmp_path):
-    rng = np.random.default_rng(47)
-    psi = random_block_state(2, 2, rng)
-    path = tmp_path / "state.bsv"
-    save_block_state(psi, path)
-    back = load_block_state(path)
-    assert (back.d, back.n) == (2, 2)
-    np.testing.assert_allclose(back.blocks, psi.blocks, atol=0)
-
-
-def test_block_state_reference_not_serializable(tmp_path):
-    rng = np.random.default_rng(53)
-    psi = random_block_state(2, 1, rng, ref_dim=2)
-    with pytest.raises(ValueError):
-        save_block_state(psi, tmp_path / "state.bsv")
 
 
 def test_block_state_shape_validation():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,25 @@ def test_cache_detects_corruption(tmp_path, family_d2):
     path.write_bytes(bytes(raw))
     with pytest.raises(DesignCacheError):
         load_design_cache(path)
+
+
+def test_cache_write_failure_keeps_old_file(tmp_path, family_d2, monkeypatch):
+    path = tmp_path / "f.design"
+    save_design_cache(family_d2, path)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def torn(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("simulated full disk")
+
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    with pytest.raises(OSError):
+        save_design_cache(family_d2, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert len(load_design_cache(path)) == 24
+    assert [p.name for p in tmp_path.iterdir()] == ["f.design"]
 
 
 def test_enumerate_uses_cache(tmp_path):

@@ -13,7 +13,6 @@ from zecheck.zero_error import (
     code_pair_conditions,
     design_average_overlap_operator,
     disjoint_support,
-    orthogonality_report,
     overlap_operator,
     overlap_support_projector,
     pairing_vector,
@@ -169,13 +168,3 @@ def test_code_conditions_zero_pair():
     z2 = BlockStateVector.zero(2, 1)
     check = code_pair_conditions(z1, z2)
     assert check == (True, True, True)
-
-
-def test_orthogonality_report_agreement(channel_d2):
-    rng = np.random.default_rng(23)
-    for support in (None, [(0,)]):
-        p1 = random_block_state(2, 1, rng, support=support)
-        p2 = random_block_state(2, 1, rng, support=[(1,)] if support else None)
-        rep = orthogonality_report(channel_d2, p1, p2)
-        assert rep.agree
-        assert rep.overlap_value == pytest.approx(rep.a_form_value, abs=1e-8)
