@@ -18,7 +18,6 @@ from .channel import (
     random_block_state,
 )
 from .designs import (
-    DesignCacheError,
     UnitaryFamily,
     canonical_phase,
     clifford_generators,
@@ -28,8 +27,6 @@ from .designs import (
     find_minimal_subdesign,
     fourier,
     frame_potential,
-    load_design_cache,
-    save_design_cache,
     shift,
     verify_two_design,
 )

@@ -97,10 +97,6 @@ class CQState:
     weights: np.ndarray  # (N,)
     matrices: np.ndarray  # (N, D, D)
 
-    def branches(self):
-        for label, w, mat in zip(self.labels, self.weights, self.matrices):
-            yield tuple(int(x) for x in label), float(w), mat
-
 
 def build_channel(d: int, family: UnitaryFamily) -> FlaggedPhaseChannel:
     """Assemble the channel for dimension d from a verified 2-design."""

@@ -1,9 +1,14 @@
 """Command-line interface: flag/env parsing and report emission.
 
+    zecheck verify [--d D] [--n N] [--suite NAME ...] [--trials T]
+                   [--seed S] [--output PATH] [--format json|text]
+
 Exit codes: 0 all claims pass, 1 at least one claim fails, 2 usage
 error, 3 internal error.  Every flag has a ZEC_-prefixed environment
-fallback; explicit flags win over the environment, which wins over the
-defaults.
+fallback (ZEC_D, ZEC_N, ZEC_SUITE, ZEC_TRIALS, ZEC_SEED, ZEC_OUTPUT,
+ZEC_FORMAT); explicit flags win over the environment, which wins over
+the defaults.  Claim tolerances are fixed per claim, and the Clifford
+family is enumerated in-process on every run.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trials", type=int, default=None, help="sample-count base (default 100)")
     verify.add_argument("--seed", type=int, default=None, help="unsigned 64-bit master seed")
-    verify.add_argument("--tol", type=float, default=None, help="base numeric tolerance")
-    verify.add_argument("--cache-dir", default=None, help="design cache directory")
     verify.add_argument("--output", default=None, help="report path (default: stdout)")
     verify.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
     return parser
@@ -95,8 +98,6 @@ def parse_config(argv, env=None) -> RunConfig:
             suites=tuple(suites),
             trials=pick(ns.trials, "TRIALS", int, 100),
             seed=pick(ns.seed, "SEED", int, 1),
-            tol=pick(ns.tol, "TOL", float, 1e-9),
-            cache_dir=pick(ns.cache_dir, "CACHE_DIR", str, None),
             output=pick(ns.output, "OUTPUT", str, None),
             fmt=pick(ns.fmt, "FORMAT", str, "json"),
         )

@@ -8,11 +8,7 @@ projector and its complement.
 
 from __future__ import annotations
 
-import os
-import struct
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,13 +17,6 @@ from .linalg import DEFAULT_TOL, max_entangled_projector
 SUPPORTED_DIMS = (2, 3)
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
-
-_CACHE_MAGIC = b"ZECDSGN\0"
-_CACHE_VERSION = 1
-
-
-class DesignCacheError(ValueError):
-    """Raised when a design cache file is malformed or corrupted."""
 
 
 @dataclass
@@ -89,26 +78,14 @@ def _dedup_key(u: np.ndarray) -> bytes:
     return re.tobytes() + im.tobytes()
 
 
-def enumerate_clifford(d: int, cache_dir=None, size_cap: int = SIZE_CAP) -> UnitaryFamily:
+def enumerate_clifford(d: int, size_cap: int = SIZE_CAP) -> UnitaryFamily:
     """Close the generator set {F, S, X, Z} under products modulo phase.
 
     The result carries uniform weights and is verified as an exact
-    2-design before being returned (and, if `cache_dir` is given,
-    written to or read from a binary cache file).
+    2-design before being returned.
     """
     if d not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported qudit dimension {d}; expected one of {SUPPORTED_DIMS}")
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"clifford_d{d}.design"
-        if cache_path.exists():
-            family = load_design_cache(cache_path)
-            if family.d != d:
-                raise DesignCacheError(f"cache holds d={family.d}, expected d={d}")
-            if not verify_two_design(family):
-                raise DesignCacheError("cached family fails 2-design verification")
-            return family
-
     gens = [canonical_phase(g) for g in clifford_generators(d)]
     ident = np.eye(d, dtype=complex)
     members: dict[bytes, np.ndarray] = {_dedup_key(ident): ident}
@@ -134,9 +111,6 @@ def enumerate_clifford(d: int, cache_dir=None, size_cap: int = SIZE_CAP) -> Unit
     )
     if not verify_two_design(family):
         raise RuntimeError("enumerated family failed 2-design verification")
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        save_design_cache(family, cache_path)
     return family
 
 
@@ -245,53 +219,3 @@ def find_minimal_subdesign(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> U
     verify_two_design(sub)
     return sub
 
-
-def save_design_cache(family: UnitaryFamily, path) -> None:
-    """Write one record per member: d, index, interleaved re/im float64 LE.
-
-    The file is written beside `path` and renamed over it, so an
-    interrupted write leaves any earlier cache intact.
-    """
-    d = family.d
-    chunks = []
-    for idx, g in enumerate(family.members):
-        buf = np.empty(2 * d * d, dtype="<f8")
-        buf[0::2] = g.real.ravel()
-        buf[1::2] = g.imag.ravel()
-        chunks.append(struct.pack("<II", d, idx) + buf.tobytes())
-    payload = b"".join(chunks)
-    header = _CACHE_MAGIC + struct.pack(
-        "<IIII", _CACHE_VERSION, d, len(family), zlib.crc32(payload)
-    )
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(header + payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_design_cache(path) -> UnitaryFamily:
-    raw = Path(path).read_bytes()
-    head_len = len(_CACHE_MAGIC) + 16
-    if len(raw) < head_len or raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise DesignCacheError(f"not a design cache file: {path}")
-    version, d, count, crc = struct.unpack("<IIII", raw[len(_CACHE_MAGIC) : head_len])
-    if version != _CACHE_VERSION:
-        raise DesignCacheError(f"unsupported cache format version {version}")
-    payload = raw[head_len:]
-    if zlib.crc32(payload) != crc:
-        raise DesignCacheError(f"design cache checksum mismatch: {path}")
-    rec_len = 8 + 16 * d * d
-    if len(payload) != count * rec_len:
-        raise DesignCacheError("design cache payload has the wrong length")
-    members = np.empty((count, d, d), dtype=complex)
-    for i in range(count):
-        rec = payload[i * rec_len : (i + 1) * rec_len]
-        rec_d, idx = struct.unpack("<II", rec[:8])
-        if rec_d != d or idx != i:
-            raise DesignCacheError("design cache record header is inconsistent")
-        buf = np.frombuffer(rec[8:], dtype="<f8")
-        members[i] = (buf[0::2] + 1j * buf[1::2]).reshape(d, d)
-    return UnitaryFamily(d=d, members=members, weights=np.full(count, 1.0 / count))

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 TOOLKIT_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SUITE_NAMES = ("design", "channel", "zero-error", "theorem2", "privacy", "ppt", "ncgraph")
 SUPPORTED_D = (2, 3)
@@ -21,8 +21,6 @@ class RunConfig:
     suites: tuple[str, ...] = SUITE_NAMES
     trials: int = 100
     seed: int = 1
-    tol: float = 1e-9
-    cache_dir: str | None = None
     output: str | None = None
     fmt: str = "json"
 
@@ -41,8 +39,6 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
 
@@ -53,8 +49,6 @@ class RunConfig:
             "suites": list(self.suites),
             "trials": self.trials,
             "seed": self.seed,
-            "tol": self.tol,
-            "cache_dir": self.cache_dir,
             "output": self.output,
             "format": self.fmt,
         }
@@ -67,8 +61,6 @@ class RunConfig:
             suites=tuple(data["suites"]),
             trials=data["trials"],
             seed=data["seed"],
-            tol=data["tol"],
-            cache_dir=data.get("cache_dir"),
             output=data.get("output"),
             fmt=data.get("format", "json"),
         )

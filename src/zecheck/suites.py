@@ -100,7 +100,7 @@ class _Context:
 
     def family(self):
         if self._family is None:
-            self._family = enumerate_clifford(self.config.d, cache_dir=self.config.cache_dir)
+            self._family = enumerate_clifford(self.config.d)
         return self._family
 
     def channel(self):
@@ -152,7 +152,7 @@ def _design_suite(ctx: _Context) -> list[ClaimResult]:
     def members():
         eye = np.eye(d)
         worst = max(float(np.abs(g.conj().T @ g - eye).max()) for g in fam.members)
-        return worst, cfg.tol, worst <= cfg.tol and fam.verified, f"members={len(fam)}"
+        return worst, 1e-9, worst <= 1e-9 and fam.verified, f"members={len(fam)}"
 
     _claim(claims, "design", "design.members",
            "every family member is unitary and phase-distinct", members)
@@ -380,7 +380,7 @@ def _zero_error_suite(ctx: _Context) -> list[ClaimResult]:
            "the overlap operator is positive semidefinite", psd)
 
     def support_form():
-        support, null = support_null(op, (d, d, d), tol=cfg.tol)
+        support, null = support_null(op, (d, d, d))
         worst = float(np.abs(support.projector() - overlap_support_projector(d)).max())
         return worst, 1e-9, worst <= 1e-9, f"null dim={null.dim}"
 
@@ -388,7 +388,7 @@ def _zero_error_suite(ctx: _Context) -> list[ClaimResult]:
            "the support projector equals I (x) (I-Phi) + |nu><nu| (x) Phi", support_form)
 
     def null_dim():
-        _, null = support_null(op, (d, d, d), tol=cfg.tol)
+        _, null = support_null(op, (d, d, d))
         return null.dim, None, null.dim == d - 1, f"expected {d - 1}"
 
     _claim(claims, "zero-error", "zero_error.null_dimension",
@@ -627,9 +627,8 @@ def _ppt_suite(ctx: _Context) -> list[ClaimResult]:
            "the maximally mixed state scores ((d^2-1)/d^2)^n on the complement product",
            uniform_score)
 
-    search = ppt_search(d, n, 10 * cfg.trials, cfg.seed)
-
     def search_floor():
+        search = ppt_search(d, n, 10 * cfg.trials, cfg.seed)
         value = search.min_value
         detail = f"accepted={search.accepted} skipped={search.skipped}"
         return value, None, value is not None and value > 1e-9, detail

@@ -71,7 +71,7 @@ def test_basis_input_branches(channel_d2):
     psi = BlockStateVector.from_blocks(2, 1, {(0,): basis_state(2, 0)})
     out = apply_n(channel_d2, psi)
     target = projector(basis_state(2, 0))
-    for _, _, mat in out.branches():
+    for _, _, mat in zip(out.labels, out.weights, out.matrices):
         np.testing.assert_allclose(mat, target, atol=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_mixture_input_reproduces_message(channel_d3):
 def test_complementary_basis_input(channel_d2):
     psi = BlockStateVector.from_blocks(2, 1, {(0,): basis_state(2, 0)})
     out = apply_complementary_n(channel_d2, psi)
-    for (j,), _, mat in out.branches():
+    for (j,), _, mat in zip(out.labels, out.weights, out.matrices):
         g = channel_d2.design.members[j]
         np.testing.assert_allclose(mat, g @ projector(basis_state(2, 0)) @ g.conj().T, atol=1e-12)
 

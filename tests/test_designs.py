@@ -1,10 +1,7 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from zecheck.designs import (
-    DesignCacheError,
     UnitaryFamily,
     canonical_phase,
     conjugate_twirl,
@@ -12,9 +9,7 @@ from zecheck.designs import (
     fourier,
     frame_potential,
     isotropic_projection,
-    load_design_cache,
     multiplication_table,
-    save_design_cache,
     verify_two_design,
 )
 from zecheck.linalg import max_entangled_projector, random_psd
@@ -137,52 +132,6 @@ def test_subdesign_search(subdesign_d2):
     assert len(subdesign_d2) == 12
     assert subdesign_d2.verified
     assert abs(frame_potential(subdesign_d2) - 2.0) <= 1e-9
-
-
-def test_cache_roundtrip(tmp_path, family_d2):
-    path = tmp_path / "f.design"
-    save_design_cache(family_d2, path)
-    loaded = load_design_cache(path)
-    assert loaded.d == 2 and len(loaded) == 24
-    np.testing.assert_allclose(loaded.members, family_d2.members, atol=0)
-    np.testing.assert_allclose(loaded.weights, family_d2.weights, atol=0)
-
-
-def test_cache_detects_corruption(tmp_path, family_d2):
-    path = tmp_path / "f.design"
-    save_design_cache(family_d2, path)
-    raw = bytearray(path.read_bytes())
-    raw[-3] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DesignCacheError):
-        load_design_cache(path)
-
-
-def test_cache_write_failure_keeps_old_file(tmp_path, family_d2, monkeypatch):
-    path = tmp_path / "f.design"
-    save_design_cache(family_d2, path)
-    before = path.read_bytes()
-    write_bytes = Path.write_bytes
-
-    def torn(self, data):
-        write_bytes(self, data[: len(data) // 2])
-        raise OSError("simulated full disk")
-
-    monkeypatch.setattr(Path, "write_bytes", torn)
-    with pytest.raises(OSError):
-        save_design_cache(family_d2, path)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert len(load_design_cache(path)) == 24
-    assert [p.name for p in tmp_path.iterdir()] == ["f.design"]
-
-
-def test_enumerate_uses_cache(tmp_path):
-    fam = enumerate_clifford(2, cache_dir=tmp_path)
-    assert (tmp_path / "clifford_d2.design").exists()
-    again = enumerate_clifford(2, cache_dir=tmp_path)
-    np.testing.assert_allclose(fam.members, again.members, atol=0)
-    assert again.verified
 
 
 def test_closure_size_cap():

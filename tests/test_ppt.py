@@ -20,6 +20,8 @@ from zecheck.ppt import (
     recursion_certificate,
     recursion_trace,
 )
+from zecheck.report import RunConfig
+from zecheck.suites import execute
 
 
 def test_witness_d2():
@@ -173,3 +175,16 @@ def test_search_reproducible():
 def test_search_rejects_zero_trials():
     with pytest.raises(ValueError):
         ppt_search(2, 1, 0, 1)
+
+
+def test_search_failure_fails_only_search_floor(monkeypatch):
+    def broken(d, n, trials, seed):
+        raise RuntimeError("search diverged")
+
+    monkeypatch.setattr("zecheck.suites.ppt_search", broken)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
+    assert "ppt.panic" not in claims
+    floor = claims.pop("ppt.search_floor")
+    assert not floor.passed
+    assert "RuntimeError: search diverged" in floor.detail
+    assert len(claims) == 7 and all(c.passed for c in claims.values())

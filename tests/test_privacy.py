@@ -40,7 +40,8 @@ def test_eve_branches_are_maximally_mixed(channel_d2):
     d = 2
     for message in range(d):
         t = run_protocol(channel_d2, message)
-        for _, _, mat in t.eve_branches.branches():
+        eve = t.eve_branches
+        for _, _, mat in zip(eve.labels, eve.weights, eve.matrices):
             np.testing.assert_allclose(mat, np.eye(d) / d, atol=1e-12)
 
 
@@ -65,7 +66,8 @@ def test_skewed_input_leaks(channel_d2):
     skew[:: d + 1] = np.sqrt(lam)
     transcripts = [run_protocol(channel_d2, m, data_register_state=skew) for m in range(d)]
     for t in transcripts:
-        for (j,), _, mat in t.eve_branches.branches():
+        eve = t.eve_branches
+        for (j,), _, mat in zip(eve.labels, eve.weights, eve.matrices):
             g = channel_d2.design.members[j]
             z = channel_d2.z_powers[t.message]
             expected = z @ g @ np.diag(lam) @ g.conj().T @ z.conj().T
