@@ -15,6 +15,7 @@ from .channel import (
     apply_n,
     build_channel,
     cq_overlap,
+    output_overlap,
     random_block_state,
 )
 from .designs import (

@@ -25,8 +25,8 @@ from .designs import UnitaryFamily
 from .linalg import DEFAULT_TOL, tensor
 
 # Flag tuples per kernel block.  A block's intermediates hold
-# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes; larger blocks buy no speed
-# and raise peak memory.
+# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger
+# blocks buy no speed and raise peak memory.
 _FLAG_BLOCK = 256
 
 
@@ -116,23 +116,35 @@ def build_channel(d: int, family: UnitaryFamily) -> FlaggedPhaseChannel:
     return FlaggedPhaseChannel(d=d, design=family, phase_gate=phase, z_powers=z_powers)
 
 
-def _branch_matrices(channel, psi, complementary: bool):
+def _flag_tuples(channel, n):
+    """All m^n flag tuples in row-major order and their product weights."""
+    labels = np.indices((len(channel.design),) * n).reshape(n, -1).T
+    return labels, np.prod(channel.design.weights[labels], axis=1)
+
+
+def _branch_factors(channel, labels, states):
+    """Yield (start, v) per block of flag tuples, for all given states at once.
+
+    v[s, f] is the (control) x (data, reference) amplitude matrix V of
+    states[s] under flag tuple labels[start + f]: the receiver branch is
+    V V^dag and the environment branch V^T conj(V).
+    """
     d = channel.d
-    if psi.d != d:
-        raise ValueError(f"state dimension {psi.d} does not match channel d={d}")
-    n, ref, m = psi.n, psi.ref_dim, len(channel.design)
+    n, ref = states[0].n, states[0].ref_dim
+    for psi in states:
+        if psi.d != d:
+            raise ValueError(f"state dimension {psi.d} does not match channel d={d}")
+        if psi.n != n or psi.ref_dim != ref:
+            raise ValueError("states differ in channel uses or reference dimension")
     side = d**n
     g = channel.design.members
-    labels = np.indices((m,) * n).reshape(n, -1).T
-    weights = np.prod(channel.design.weights[labels], axis=1)
     # P is diagonal, so for flags j the n uses send control tuple i with data
     # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
     # on the data for all i, then the n-fold phase table phase[i, a].
     phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
-    # data digits as rows, (control, reference) as columns
-    b = psi.blocks.reshape(side, side, ref).transpose(1, 0, 2).reshape(side, side * ref)
-    out_side = psi.block_len if complementary else side
-    mats = np.empty((len(labels), out_side, out_side), dtype=complex)
+    # data digits as rows, (state, control, reference) as columns
+    b = np.stack([psi.blocks for psi in states]).reshape(len(states), side, side, ref)
+    b = b.transpose(2, 0, 1, 3).reshape(side, len(states) * side * ref)
     for start in range(0, len(labels), _FLAG_BLOCK):
         block = labels[start : start + _FLAG_BLOCK]
         k = len(block)
@@ -140,12 +152,20 @@ def _branch_matrices(channel, psi, complementary: bool):
         for t in range(1, n):
             kron = np.einsum("fac,fbd->fabcd", kron, g[block[:, t]])
             kron = kron.reshape(k, d ** (t + 1), d ** (t + 1))
-        w = (kron.reshape(k * side, side) @ b).reshape(k, side, side, ref)
-        v = (w.transpose(0, 2, 1, 3) * phase[:, :, None]).reshape(k, side, side * ref)
+        w = (kron.reshape(k * side, side) @ b).reshape(k, side, len(states), side, ref)
+        v = w.transpose(2, 0, 3, 1, 4) * phase[:, :, None]
+        yield start, v.reshape(len(states), k, side, side * ref)
+
+
+def _branch_matrices(channel, psi, complementary: bool):
+    labels, weights = _flag_tuples(channel, psi.n)
+    out_side = psi.block_len if complementary else psi.d**psi.n
+    mats = np.empty((len(labels), out_side, out_side), dtype=complex)
+    for start, (v,) in _branch_factors(channel, labels, (psi,)):
         if complementary:
-            mats[start : start + k] = np.matmul(v.transpose(0, 2, 1), v.conj())
+            mats[start : start + len(v)] = np.matmul(v.transpose(0, 2, 1), v.conj())
         else:
-            mats[start : start + k] = np.matmul(v, v.conj().transpose(0, 2, 1))
+            mats[start : start + len(v)] = np.matmul(v, v.conj().transpose(0, 2, 1))
     return labels, weights, mats
 
 
@@ -175,6 +195,25 @@ def cq_overlap(x: CQState, y: CQState) -> float:
         "j,jab,jab->", x.weights * y.weights, x.matrices.conj(), y.matrices
     )
     return float(val.real)
+
+
+def output_overlap(
+    channel: FlaggedPhaseChannel, x: BlockStateVector, y: BlockStateVector
+) -> float:
+    """cq_overlap(apply_n(channel, x), apply_n(channel, y)) without the outputs.
+
+    Per flag tuple j, tr(V_x V_x^dag V_y V_y^dag) = ||V_x^dag V_y||_F^2, so
+    the overlap is sum_j w_j^2 ||V_{x,j}^dag V_{y,j}||_F^2, one batched
+    product per block of flags and no branch matrix.
+    """
+    labels, weights = _flag_tuples(channel, x.n)
+    total = 0.0
+    for start, (vx, vy) in _branch_factors(channel, labels, (x, y)):
+        k = len(vx)
+        # V_x^T conj(V_y) is the conjugate of V_x^dag V_y: same Frobenius norm
+        prod = np.matmul(vx.transpose(0, 2, 1), vy.conj()).reshape(k, -1).view(float)
+        total += float(weights[start : start + k] ** 2 @ np.einsum("fa,fa->f", prod, prod))
+    return total
 
 
 def random_block_state(

@@ -8,7 +8,9 @@ error, 3 internal error.  Every flag has a ZEC_-prefixed environment
 fallback (ZEC_D, ZEC_N, ZEC_SUITE, ZEC_TRIALS, ZEC_SEED, ZEC_OUTPUT,
 ZEC_FORMAT); explicit flags win over the environment, which wins over
 the defaults.  Claim tolerances are fixed per claim, and the Clifford
-family is enumerated in-process on every run.
+family is enumerated in-process on every run; the removed --tol and
+--cache-dir flags and their ZEC_TOL and ZEC_CACHE_DIR variables are
+usage errors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 ENV_PREFIX = "ZEC_"
+# removed settings, so that a script still setting one gets a usage error
+REMOVED_ENV = {
+    "TOL": "each claim carries its own fixed tolerance",
+    "CACHE_DIR": "the design is enumerated in-process on every run",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,6 +86,9 @@ def parse_config(argv, env=None) -> RunConfig:
     env = os.environ if env is None else env
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
+    for key, why in REMOVED_ENV.items():
+        if ENV_PREFIX + key in env:
+            parser.error(f"{ENV_PREFIX + key} was removed: {why}")
 
     def pick(flag, key, cast, default):
         if flag is not None:

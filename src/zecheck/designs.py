@@ -62,20 +62,28 @@ def clifford_generators(d: int) -> list[np.ndarray]:
 
 def canonical_phase(u: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     """Rescale so the first nonzero entry (row-major) is real positive."""
-    u = np.asarray(u, dtype=complex)
-    flat = u.ravel()
-    idx = np.flatnonzero(np.abs(flat) > zero_tol)
-    if idx.size == 0:
+    return _canonical_phases(np.asarray(u, dtype=complex)[None], zero_tol)[0]
+
+
+def _canonical_phases(us: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+    """canonical_phase of every matrix in the stack us."""
+    flat = us.reshape(len(us), -1)
+    nonzero = np.abs(flat) > zero_tol
+    if not nonzero.any(axis=1).all():
         raise ValueError("zero matrix has no canonical phase")
-    pivot = flat[idx[0]]
-    return u * (np.abs(pivot) / pivot)
+    pivot = flat[np.arange(len(flat)), nonzero.argmax(axis=1)]
+    return us * (np.abs(pivot) / pivot).reshape((-1,) + (1,) * (us.ndim - 1))
 
 
 def _dedup_key(u: np.ndarray) -> bytes:
+    return _dedup_keys(u[None])[0]
+
+
+def _dedup_keys(us: np.ndarray) -> list[bytes]:
     # +0.0 folds -0.0 into +0.0 so rounding is byte-stable
-    re = np.round(u.real, DEDUP_DECIMALS) + 0.0
-    im = np.round(u.imag, DEDUP_DECIMALS) + 0.0
-    return re.tobytes() + im.tobytes()
+    re = np.round(us.real, DEDUP_DECIMALS) + 0.0
+    im = np.round(us.imag, DEDUP_DECIMALS) + 0.0
+    return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
 
 
 def enumerate_clifford(d: int, size_cap: int = SIZE_CAP) -> UnitaryFamily:
@@ -86,24 +94,23 @@ def enumerate_clifford(d: int, size_cap: int = SIZE_CAP) -> UnitaryFamily:
     """
     if d not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported qudit dimension {d}; expected one of {SUPPORTED_DIMS}")
-    gens = [canonical_phase(g) for g in clifford_generators(d)]
+    gens = _canonical_phases(np.stack(clifford_generators(d)))
     ident = np.eye(d, dtype=complex)
     members: dict[bytes, np.ndarray] = {_dedup_key(ident): ident}
-    frontier = [ident]
-    while frontier:
+    frontier = ident[None]
+    while len(frontier):
+        # products u g in frontier-major, generator-minor order
+        prods = _canonical_phases(np.matmul(frontier[:, None], gens[None]).reshape(-1, d, d))
         grown = []
-        for u in frontier:
-            for g in gens:
-                v = canonical_phase(u @ g)
-                key = _dedup_key(v)
-                if key not in members:
-                    if len(members) >= size_cap:
-                        raise RuntimeError(
-                            "closure exceeded the size cap; phase canonicalization is broken"
-                        )
-                    members[key] = v
-                    grown.append(v)
-        frontier = grown
+        for key, v in zip(_dedup_keys(prods), prods):
+            if key not in members:
+                if len(members) >= size_cap:
+                    raise RuntimeError(
+                        "closure exceeded the size cap; phase canonicalization is broken"
+                    )
+                members[key] = v
+                grown.append(v)
+        frontier = np.array(grown).reshape(-1, d, d)
 
     stack = np.stack(list(members.values()))
     family = UnitaryFamily(
@@ -135,7 +142,7 @@ def verify_two_design(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> bool:
     unitary = max(
         float(np.abs(u.conj().T @ u - eye).max()) for u in g
     )
-    distinct = len({_dedup_key(canonical_phase(u)) for u in g}) == m
+    distinct = len(set(_dedup_keys(_canonical_phases(g)))) == m
     w = family.weights
     weights_ok = w.min() >= -tol and abs(w.sum() - 1.0) <= tol
     fp_ok = abs(frame_potential(family) - 2.0) <= max(tol, 1e-9)
@@ -173,13 +180,10 @@ def isotropic_projection(d: int, m: np.ndarray) -> np.ndarray:
 
 def multiplication_table(family: UnitaryFamily) -> np.ndarray:
     """Index table of pairwise products modulo phase; -1 marks a missing product."""
-    index = {_dedup_key(canonical_phase(g)): i for i, g in enumerate(family.members)}
-    m = len(family)
-    table = np.full((m, m), -1, dtype=int)
-    for i, a in enumerate(family.members):
-        for j, b in enumerate(family.members):
-            table[i, j] = index.get(_dedup_key(canonical_phase(a @ b)), -1)
-    return table
+    g, m, d = family.members, len(family), family.d
+    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
+    prods = _canonical_phases(np.matmul(g[:, None], g[None, :]).reshape(m * m, d, d))
+    return np.array([index.get(key, -1) for key in _dedup_keys(prods)]).reshape(m, m)
 
 
 def find_minimal_subdesign(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> UnitaryFamily | None:

@@ -225,8 +225,9 @@ def project_to_ppt(
     cur = (cur + cur.conj().T) / 2
     cur = cur / np.trace(cur).real
     for _ in range(max_rounds):
-        w, v = np.linalg.eigh(cur)
-        if w.min() < -tol:
+        # eigenvectors only for a clip: in practice the direct side is PSD
+        if np.linalg.eigvalsh(cur).min() < -tol:
+            w, v = np.linalg.eigh(cur)
             cur = (v * np.clip(w, 0.0, None)) @ v.conj().T
             cur = cur / np.trace(cur).real
         g = pairwise_partial_transpose(cur, d, n)

@@ -6,8 +6,8 @@ records.  All randomness comes from counter-based generators keyed by
 full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
-`trials` pairs (max(3, trials // 4) at d=3, n=2, where each pair
-enumerates 216^2 flag tuples per output), the orthogonality equivalence
+`trials` pairs (max(3, trials // 4) at d=3, n=2, where each pair is
+one fused pass over 216^2 flag tuples), the orthogonality equivalence
 2*trials random plus trials/2 structured pairs, the code-impossibility
 sweep 5*trials candidate pairs, and the PPT search 10*trials
 projections.
@@ -25,7 +25,7 @@ from .channel import (
     apply_complementary_n,
     apply_n,
     build_channel,
-    cq_overlap,
+    output_overlap,
     random_block_state,
 )
 from .designs import (
@@ -256,13 +256,16 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
         for case in range(5):
             rng = case_rng(cfg.seed, "channel", 100_000 + case)
             psi = random_block_state(d, n, rng)
-            for out in (apply_n(ch, psi), apply_complementary_n(ch, psi)):
+            # one output alive at a time: at (3, 2) each is 46,656 matrices
+            for apply in (apply_n, apply_complementary_n):
+                out = apply(ch, psi)
                 total = float(
                     np.einsum("j,jaa->", out.weights, out.matrices).real
                 )
                 worst_trace = max(worst_trace, abs(total - 1.0))
                 eigs = np.linalg.eigvalsh(out.matrices)
                 worst_eig = max(worst_eig, max(0.0, -float(eigs.min())))
+                del out
         worst = max(worst_trace, worst_eig)
         return worst, 1e-9, worst <= 1e-9, ""
 
@@ -280,7 +283,7 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
             rng = case_rng(cfg.seed, "channel", case)
             p1 = random_block_state(d, n, rng)
             p2 = random_block_state(d, n, rng)
-            lhs = (m**n) * cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+            lhs = (m**n) * output_overlap(ch, p1, p2)
             rhs = averaged_output_overlap(p1, p2)
             worst = max(worst, abs(lhs - rhs))
         return worst, 1e-8, worst <= 1e-8, f"pairs={pairs}"
@@ -305,7 +308,7 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
                     rng = case_rng(cfg.seed, "channel", 200_000 + case)
                     p1 = random_block_state(d, n, rng)
                     p2 = random_block_state(d, n, rng)
-                    lhs = (ma**n) * cq_overlap(apply_n(alt_ch, p1), apply_n(alt_ch, p2))
+                    lhs = (ma**n) * output_overlap(alt_ch, p1, p2)
                     rhs = averaged_output_overlap(p1, p2)
                     worst = max(worst, abs(lhs - rhs))
                 return worst, 1e-8, worst <= 1e-8, f"alt size={ma}"

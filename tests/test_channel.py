@@ -7,6 +7,7 @@ from zecheck.channel import (
     apply_n,
     build_channel,
     cq_overlap,
+    output_overlap,
     random_block_state,
 )
 from zecheck.designs import UnitaryFamily
@@ -195,9 +196,58 @@ def test_central_identity(d, n, channel_d2, channel_d3):
     for _ in range(5):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
-        lhs = (m**n) * cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+        lhs = (m**n) * output_overlap(ch, p1, p2)
         rhs = averaged_output_overlap(p1, p2)
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+@pytest.mark.parametrize("ref", [1, 2])
+@pytest.mark.parametrize("d,n,pairs", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 1), (2, 3, 3)])
+def test_output_overlap_matches_cq_overlap(d, n, pairs, ref, channel_d2, channel_d3):
+    ch = channel_d2 if d == 2 else channel_d3
+    scale = len(ch.design) ** n  # the central identity's normalization
+    rng = np.random.default_rng(43)
+    for _ in range(pairs):
+        p1 = random_block_state(d, n, rng, ref_dim=ref)
+        p2 = random_block_state(d, n, rng, ref_dim=ref)
+        expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+        assert abs(scale * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+
+
+def test_output_overlap_special_states(channel_d2):
+    d, n = 2, 2
+    scale = len(channel_d2.design) ** n
+    rng = np.random.default_rng(47)
+    psi = random_block_state(d, n, rng)
+    zero = BlockStateVector.zero(d, n)
+    assert abs(output_overlap(channel_d2, zero, psi)) <= 1e-12
+    assert abs(output_overlap(channel_d2, psi, zero)) <= 1e-12
+
+    def single(label):
+        vec = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        return BlockStateVector.from_blocks(d, n, {label: vec})
+
+    for a, b in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 0))]:
+        x, y = single(a), single(b)
+        expected = cq_overlap(apply_n(channel_d2, x), apply_n(channel_d2, y))
+        assert abs(scale * (output_overlap(channel_d2, x, y) - expected)) <= 1e-12
+    x = random_block_state(d, n, rng, support=[(0, 0), (1, 1)])
+    y = random_block_state(d, n, rng, support=[(0, 1), (1, 0)])
+    assert abs(output_overlap(channel_d2, x, y)) <= 1e-12
+
+
+def test_output_overlap_rejects_mismatched_inputs(channel_d2):
+    rng = np.random.default_rng(53)
+    psi = random_block_state(2, 1, rng)
+    for other in (
+        random_block_state(3, 1, rng),  # d
+        random_block_state(2, 2, rng),  # n
+        random_block_state(2, 1, rng, ref_dim=2),  # ref_dim
+    ):
+        with pytest.raises(ValueError):
+            output_overlap(channel_d2, psi, other)
+        with pytest.raises(ValueError):
+            output_overlap(channel_d2, other, psi)
 
 
 def test_block_state_shape_validation():

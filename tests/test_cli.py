@@ -71,6 +71,16 @@ def test_removed_flags_are_usage_errors(argv):
     assert main(["verify", *argv]) == 2
 
 
+@pytest.mark.parametrize("key", ["ZEC_TOL", "ZEC_CACHE_DIR"])
+def test_removed_env_is_usage_error(key, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as err:
+        parse_config(["verify"], env={key: "1e-6"})
+    assert err.value.code == 2
+    assert f"{key} was removed" in capsys.readouterr().err
+    monkeypatch.setenv(key, "x")
+    assert main(["verify", "--suite", "privacy"]) == 2
+
+
 def test_env_bad_value_is_usage_error():
     with pytest.raises(SystemExit) as err:
         parse_config(["verify"], env={"ZEC_TRIALS": "many"})

@@ -3,6 +3,7 @@ import pytest
 
 from zecheck.designs import (
     UnitaryFamily,
+    _dedup_key,
     canonical_phase,
     conjugate_twirl,
     enumerate_clifford,
@@ -13,6 +14,8 @@ from zecheck.designs import (
     verify_two_design,
 )
 from zecheck.linalg import max_entangled_projector, random_psd
+from zecheck.report import RunConfig
+from zecheck.suites import execute
 
 
 def phase_key(u):
@@ -57,6 +60,36 @@ def test_group_closure(family_d2, family_d3):
     for fam in (family_d2, family_d3):
         table = multiplication_table(fam)
         assert (table >= 0).all()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_multiplication_table_matches_pairwise_reference(d, family_d2, family_d3):
+    fam = family_d2 if d == 2 else family_d3
+    g = fam.members
+    rows = range(0, len(g), 1 if d == 2 else 6)  # 36 of the 216 rows at d=3
+    index = {_dedup_key(canonical_phase(u)): i for i, u in enumerate(g)}
+    expected = np.array(
+        [[index.get(_dedup_key(canonical_phase(g[i] @ b)), -1) for b in g] for i in rows]
+    )
+    np.testing.assert_array_equal(multiplication_table(fam)[list(rows)], expected)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_fails_without_a_member(d, family_d2, family_d3, monkeypatch):
+    full = family_d2 if d == 2 else family_d3
+    m = len(full)
+    keep = np.arange(m) != m // 2  # member 0 is the identity
+    fam = UnitaryFamily(d, full.members[keep], np.full(m - 1, 1.0 / (m - 1)), verified=True)
+    table = multiplication_table(fam)
+    # g_i g_j hits the deleted member for exactly one j in every non-identity row i
+    assert (table[0] >= 0).all()
+    assert ((table < 0).sum(axis=1)[1:] == 1).all()
+
+    monkeypatch.setattr("zecheck.suites.enumerate_clifford", lambda d: fam)
+    report = execute(RunConfig(d=d, suites=("design",), trials=5))
+    closure = next(c for c in report.claims if c.claim_id == "design.closure")
+    assert not closure.passed
+    assert closure.value == m - 2
 
 
 def test_canonical_phase_normalizes():

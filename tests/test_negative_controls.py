@@ -8,7 +8,7 @@ on the 2-design property must miss by a clear margin.
 import numpy as np
 import pytest
 
-from zecheck.channel import apply_n, build_channel, cq_overlap, random_block_state
+from zecheck.channel import build_channel, output_overlap, random_block_state
 from zecheck.designs import (
     UnitaryFamily,
     canonical_phase,
@@ -64,6 +64,6 @@ def test_pauli_group_breaks_central_identity(n):
         rng = case_rng(1, "channel", case)
         p1 = random_block_state(2, n, rng)
         p2 = random_block_state(2, n, rng)
-        lhs = (len(fam) ** n) * cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+        lhs = (len(fam) ** n) * output_overlap(ch, p1, p2)
         worst = max(worst, abs(lhs - averaged_output_overlap(p1, p2)))
     assert worst > 0.05

@@ -160,6 +160,22 @@ def test_projection_produces_ppt():
         assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_projection_clips_the_direct_side():
+    # Phi^Gamma = SWAP/2 is trace one with eigenvalue -1/2 and its partial
+    # transpose Phi is PSD, so only the direct-side clip can make it PSD
+    swap = partial_transpose(max_entangled_projector(2), (2, 2), 0)
+    u = random_unitary(4, np.random.default_rng(13))
+    mixed = u @ np.diag([0.6, 0.5, 0.2, -0.3]) @ u.conj().T
+    for m in (swap, mixed):
+        assert np.trace(m).real == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(m).min() < -0.1
+        cand = project_to_ppt(m, 2, 1)
+        assert cand is not None
+        assert np.linalg.eigvalsh(cand).min() >= -1e-8
+        assert is_ppt(cand, 2, 1, tol=1e-8)
+        assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
+
+
 def test_search_floor_and_fields():
     res = ppt_search(2, 1, 200, 7)
     assert res.accepted + res.skipped == 200
