@@ -14,6 +14,7 @@ from .channel import (
     apply_complementary_n,
     apply_n,
     build_channel,
+    conservation_residuals,
     cq_overlap,
     output_overlap,
     random_block_state,
@@ -49,7 +50,6 @@ from .ppt import (
     PPTWitness,
     build_ppt_witness,
     constraint_score,
-    is_ppt,
     isotropic_twirl_n,
     ppt_search,
     project_to_ppt,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import UnitaryFamily
-from .linalg import DEFAULT_TOL, tensor
+from .linalg import DEFAULT_TOL, psd_deficit, tensor
 
 # Flag tuples per kernel block.  A block's intermediates hold
 # _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger
@@ -157,15 +157,19 @@ def _branch_factors(channel, labels, states):
         yield start, v.reshape(len(states), k, side, side * ref)
 
 
+def _gram(v, complementary: bool):
+    """Branch matrices of a factor stack: environment V^T conj(V), receiver V V^dag."""
+    if complementary:
+        return np.matmul(v.transpose(0, 2, 1), v.conj())
+    return np.matmul(v, v.conj().transpose(0, 2, 1))
+
+
 def _branch_matrices(channel, psi, complementary: bool):
     labels, weights = _flag_tuples(channel, psi.n)
     out_side = psi.block_len if complementary else psi.d**psi.n
     mats = np.empty((len(labels), out_side, out_side), dtype=complex)
     for start, (v,) in _branch_factors(channel, labels, (psi,)):
-        if complementary:
-            mats[start : start + len(v)] = np.matmul(v.transpose(0, 2, 1), v.conj())
-        else:
-            mats[start : start + len(v)] = np.matmul(v, v.conj().transpose(0, 2, 1))
+        mats[start : start + len(v)] = _gram(v, complementary)
     return labels, weights, mats
 
 
@@ -179,6 +183,27 @@ def apply_complementary_n(channel: FlaggedPhaseChannel, psi: BlockStateVector) -
     """Environment-side output (data register plus any reference) per flag tuple."""
     labels, weights, mats = _branch_matrices(channel, psi, complementary=True)
     return CQState(channel.d, psi.n, labels, weights, mats)
+
+
+def conservation_residuals(
+    channel: FlaggedPhaseChannel, psi: BlockStateVector
+) -> tuple[float, float]:
+    """Trace and positivity residuals of apply_n and apply_complementary_n.
+
+    Returns the larger of |sum_j w_j tr rho_j - 1| over the two outputs
+    and the largest psd_deficit of any branch of either, from one pass
+    over the flag blocks; neither output is built.
+    """
+    labels, weights = _flag_tuples(channel, psi.n)
+    totals = [0.0, 0.0]  # receiver, environment
+    deficit = 0.0
+    for start, (v,) in _branch_factors(channel, labels, (psi,)):
+        w = weights[start : start + len(v)]
+        for side, complementary in enumerate((False, True)):
+            mats = _gram(v, complementary)
+            totals[side] += float(w @ np.einsum("faa->f", mats).real)
+            deficit = max(deficit, psd_deficit(mats))
+    return max(abs(t - 1.0) for t in totals), deficit
 
 
 def cq_overlap(x: CQState, y: CQState) -> float:

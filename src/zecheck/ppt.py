@@ -19,6 +19,7 @@ from .linalg import (
     max_entangled_projector,
     partial_trace,
     partial_transpose,
+    psd_deficit,
     tensor,
     trace_inner,
 )
@@ -89,14 +90,6 @@ def pairwise_partial_transpose(m: np.ndarray, d: int, n: int) -> np.ndarray:
     for t in range(n):
         out = partial_transpose(out, dims, 2 * t)
     return out
-
-
-def is_ppt(m: np.ndarray, d: int, n: int, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if np.linalg.eigvalsh(m).min() < -tol:
-        return False
-    g = pairwise_partial_transpose(m, d, n)
-    return bool(np.linalg.eigvalsh(g).min() >= -tol)
 
 
 def isotropic_twirl_n(
@@ -219,21 +212,26 @@ def project_to_ppt(
     """Alternating eigenvalue clipping on m and its pairwise transpose.
 
     Returns a trace-one PPT matrix, or None when the alternation does
-    not converge within `max_rounds`.
+    not converge within `max_rounds`.  The matrix returned is the one
+    its last round checked, unchanged: its psd_deficit and the negated
+    least eigenvalue of its pairwise transpose were both at most tol.
+    A round that clips the direct side leaves the check of the clipped
+    matrix to the next round, so callers need not check the result.
     """
     cur = np.asarray(m, dtype=complex)
     cur = (cur + cur.conj().T) / 2
     cur = cur / np.trace(cur).real
     for _ in range(max_rounds):
-        # eigenvectors only for a clip: in practice the direct side is PSD
-        if np.linalg.eigvalsh(cur).min() < -tol:
+        # eigenvectors only for a clip: in practice the direct side is PSD,
+        # and psd_deficit certifies that by Cholesky, without eigenvalues
+        if psd_deficit(cur) > tol:
             w, v = np.linalg.eigh(cur)
             cur = (v * np.clip(w, 0.0, None)) @ v.conj().T
             cur = cur / np.trace(cur).real
+            continue
         g = pairwise_partial_transpose(cur, d, n)
         wg, vg = np.linalg.eigh(g)
         if wg.min() >= -tol:
-            # the direct side is PSD here, either originally or after the clip
             return cur
         g = (vg * np.clip(wg, 0.0, None)) @ vg.conj().T
         cur = pairwise_partial_transpose(g, d, n)
@@ -260,7 +258,7 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
         g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         m = g @ g.conj().T
         candidate = project_to_ppt(m / np.trace(m).real, d, n)
-        if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
+        if candidate is None:
             skipped += 1
             continue
         accepted += 1

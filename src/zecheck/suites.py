@@ -6,7 +6,7 @@ records.  All randomness comes from counter-based generators keyed by
 full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
-`trials` pairs (max(3, trials // 4) at d=3, n=2, where each pair is
+`trials` pairs (max(3, trials // 2) at d=3, n=2, where each pair is
 one fused pass over 216^2 flag tuples), the orthogonality equivalence
 2*trials random plus trials/2 structured pairs, the code-impossibility
 sweep 5*trials candidate pairs, and the PPT search 10*trials
@@ -22,9 +22,9 @@ import numpy as np
 
 from .channel import (
     BlockStateVector,
-    apply_complementary_n,
     apply_n,
     build_channel,
+    conservation_residuals,
     output_overlap,
     random_block_state,
 )
@@ -252,21 +252,11 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
            "the channel maps |i><i| (x) I/d to |i><i| for every i", basis_messages)
 
     def conservation():
-        worst_trace, worst_eig = 0.0, 0.0
+        worst = 0.0
         for case in range(5):
             rng = case_rng(cfg.seed, "channel", 100_000 + case)
             psi = random_block_state(d, n, rng)
-            # one output alive at a time: at (3, 2) each is 46,656 matrices
-            for apply in (apply_n, apply_complementary_n):
-                out = apply(ch, psi)
-                total = float(
-                    np.einsum("j,jaa->", out.weights, out.matrices).real
-                )
-                worst_trace = max(worst_trace, abs(total - 1.0))
-                eigs = np.linalg.eigvalsh(out.matrices)
-                worst_eig = max(worst_eig, max(0.0, -float(eigs.min())))
-                del out
-        worst = max(worst_trace, worst_eig)
+            worst = max(worst, *conservation_residuals(ch, psi))
         return worst, 1e-9, worst <= 1e-9, ""
 
     _claim(claims, "channel", "channel.conservation",
@@ -277,7 +267,7 @@ def _channel_suite(ctx: _Context) -> list[ClaimResult]:
         pairs = cfg.trials
         if (d, n) == (3, 2):
             # 216^2 flag tuples per output, 81 times as many as at (2, 2)
-            pairs = max(3, cfg.trials // 4)
+            pairs = max(3, cfg.trials // 2)
         worst = 0.0
         for case in range(pairs):
             rng = case_rng(cfg.seed, "channel", case)

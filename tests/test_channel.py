@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+import zecheck.channel
 from zecheck.channel import (
     BlockStateVector,
     apply_complementary_n,
     apply_n,
     build_channel,
+    conservation_residuals,
     cq_overlap,
     output_overlap,
     random_block_state,
 )
 from zecheck.designs import UnitaryFamily
 from zecheck.linalg import basis_state, partial_trace, projector, tensor
+from zecheck.report import RunConfig
+from zecheck.suites import execute
 from zecheck.zero_error import averaged_output_overlap
 
 
@@ -148,6 +152,61 @@ def test_conservation(d, n, channel_d2, channel_d3):
         assert abs(total - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(out.matrices).min() >= -1e-9
         assert abs(out.weights.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d,n,ref", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2)]
+)
+def test_conservation_residuals_match_outputs(d, n, ref, channel_d2, channel_d3):
+    ch = channel_d2 if d == 2 else channel_d3
+    psi = random_block_state(d, n, np.random.default_rng(61), ref_dim=ref)
+    traces, eigs = [], []
+    for out in (apply_n(ch, psi), apply_complementary_n(ch, psi)):
+        traces.append(abs(np.einsum("j,jaa->", out.weights, out.matrices).real - 1.0))
+        eigs.append(max(0.0, -np.linalg.eigvalsh(out.matrices).min()))
+    trace_res, deficit = conservation_residuals(ch, psi)
+    assert abs(trace_res - max(traces)) <= 1e-12
+    assert abs(deficit - max(eigs)) <= 1e-12
+
+
+def test_rank_deficient_environment_takes_the_eigenvalue_fallback(channel_d2, monkeypatch):
+    # with a reference qubit the environment Gram V^T conj(V) is 4x4 of rank 2,
+    # so Cholesky cannot certify it and the eigenvalues decide
+    psi = random_block_state(2, 1, np.random.default_rng(67), ref_dim=2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(apply_complementary_n(channel_d2, psi).matrices)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    trace_res, deficit = conservation_residuals(channel_d2, psi)
+    assert calls == [(len(channel_d2.design), 4, 4)]
+    assert trace_res <= 1e-12 and deficit <= 1e-12
+
+
+def test_conservation_claim_fails_on_a_non_psd_branch(monkeypatch):
+    # one environment branch keeps its eigenvectors and trace but gets
+    # least eigenvalue -3e-3; the receiver side alone would not notice
+    gram = zecheck.channel._gram
+
+    def corrupted(v, complementary):
+        mats = gram(v, complementary)
+        if complementary:
+            w, u = np.linalg.eigh(mats[0])
+            w[-1] += w[0] + 3e-3
+            w[0] = -3e-3
+            mats[0] = (u * w) @ u.conj().T
+        return mats
+
+    monkeypatch.setattr(zecheck.channel, "_gram", corrupted)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=2, n=1, suites=("channel",), trials=3)).claims}
+    claim = claims["channel.conservation"]
+    assert not claim.passed
+    assert claim.value == pytest.approx(3e-3, abs=1e-12)
 
 
 def test_permutation_covariance(channel_d2):

@@ -10,9 +10,9 @@ from zecheck.linalg import (
 )
 from zecheck.ppt import (
     IsotropicDecomposition,
+    PPTSearchResult,
     build_ppt_witness,
     constraint_score,
-    is_ppt,
     isotropic_twirl_n,
     pairwise_partial_transpose,
     ppt_search,
@@ -22,6 +22,14 @@ from zecheck.ppt import (
 )
 from zecheck.report import RunConfig
 from zecheck.suites import execute
+
+
+def is_ppt(m, d, n, tol):
+    """Reference check: m and its pairwise transpose both have eigenvalues >= -tol."""
+    m = np.asarray(m, dtype=complex)
+    if np.linalg.eigvalsh(m).min() < -tol:
+        return False
+    return bool(np.linalg.eigvalsh(pairwise_partial_transpose(m, d, n)).min() >= -tol)
 
 
 def test_witness_d2():
@@ -55,8 +63,8 @@ def test_pairwise_transpose_involution():
 
 
 def test_entangled_projector_is_not_ppt():
-    assert not is_ppt(max_entangled_projector(2), 2, 1)
-    assert not is_ppt(max_entangled_projector(3), 3, 1)
+    assert not is_ppt(max_entangled_projector(2), 2, 1, tol=1e-9)
+    assert not is_ppt(max_entangled_projector(3), 3, 1, tol=1e-9)
 
 
 def test_isotropic_twirl_fixed_points():
@@ -172,8 +180,34 @@ def test_projection_clips_the_direct_side():
         cand = project_to_ppt(m, 2, 1)
         assert cand is not None
         assert np.linalg.eigvalsh(cand).min() >= -1e-8
-        assert is_ppt(cand, 2, 1, tol=1e-8)
+        # the returned matrix itself passed both checks at project_to_ppt's tol
+        assert is_ppt(cand, 2, 1, tol=1e-10)
         assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
+
+
+def rechecking_search(d, n, trials, seed):
+    """ppt_search as it was with an is_ppt re-check of every accepted candidate."""
+    side = d ** (2 * n)
+    accepted = skipped = 0
+    min_value = None
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
+        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        m = g @ g.conj().T
+        candidate = project_to_ppt(m / np.trace(m).real, d, n)
+        if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
+            skipped += 1
+            continue
+        accepted += 1
+        score = constraint_score(candidate, d, n)
+        min_value = score if min_value is None else min(min_value, score)
+    return PPTSearchResult(d, n, trials, seed, accepted, skipped, min_value)
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+def test_search_matches_rechecking_reference(d, n, seed):
+    assert ppt_search(d, n, 20, seed) == rechecking_search(d, n, 20, seed)
 
 
 def test_search_floor_and_fields():
