@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,14 @@ def test_subdesign_search(subdesign_d2):
 def test_closure_size_cap():
     with pytest.raises(RuntimeError):
         enumerate_clifford(3, size_cap=50)
+
+
+def test_family_enumeration_is_charged_to_the_first_claim(family_d2, monkeypatch):
+    def slow(d):
+        time.sleep(0.2)
+        return family_d2
+
+    monkeypatch.setattr("zecheck.suites.enumerate_clifford", slow)
+    first = execute(RunConfig(d=2, suites=("design",), trials=5)).claims[0]
+    assert first.claim_id == "design.members" and first.passed
+    assert first.runtime_ms >= 200

@@ -11,6 +11,8 @@ from zecheck.ncgraph import (
     graph_span,
     operator_span,
 )
+from zecheck.report import RunConfig
+from zecheck.suites import execute
 
 
 def unit_block_span(family, k, l):
@@ -98,3 +100,29 @@ def test_unit_projector_twirl(d, family_d2, family_d3):
 def test_design_independence(subdesign_d2, channel_d2):
     alt_channel = build_channel(2, subdesign_d2)
     assert graph_span(alt_channel).dim == graph_span(channel_d2).dim
+
+
+def test_graph_span_failure_fails_only_the_claims_that_read_it(monkeypatch):
+    def broken(channel):
+        raise RuntimeError("span unavailable")
+
+    monkeypatch.setattr("zecheck.suites.graph_span", broken)
+    report = execute(RunConfig(d=2, suites=("ncgraph",), trials=5))
+    readers = {
+        "ncgraph.total_dim",
+        "ncgraph.membership",
+        "ncgraph.conditions",
+        "ncgraph.adjoint_closed",
+        "ncgraph.design_independence",
+    }
+    assert {c.claim_id for c in report.claims} - readers == {
+        "ncgraph.block_dims",
+        "ncgraph.control",
+        "ncgraph.twirl_units",
+    }
+    for claim in report.claims:
+        if claim.claim_id in readers:
+            assert not claim.passed
+            assert "RuntimeError: span unavailable" in claim.detail
+        else:
+            assert claim.passed

@@ -238,3 +238,12 @@ def test_search_failure_fails_only_search_floor(monkeypatch):
     assert not floor.passed
     assert "RuntimeError: search diverged" in floor.detail
     assert len(claims) == 7 and all(c.passed for c in claims.values())
+
+
+def test_twirl_checks_fail_when_no_candidate_converges(monkeypatch):
+    monkeypatch.setattr("zecheck.suites.project_to_ppt", lambda *args, **kwargs: None)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
+    for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
+        assert not claims.pop(cid).passed
+    # ppt_search calls ppt.project_to_ppt, which the patch leaves alone
+    assert len(claims) == 6 and all(c.passed for c in claims.values())

@@ -4,6 +4,8 @@ import pytest
 from zecheck.designs import fourier
 from zecheck.linalg import basis_state, projector, trace_distance
 from zecheck.privacy import run_protocol, transpose_trick_residual, verify_secrecy
+from zecheck.report import RunConfig
+from zecheck.suites import execute
 
 
 def test_transpose_trick_identity():
@@ -91,3 +93,18 @@ def test_bob_still_decodes_under_skew(channel_d3):
     for message in range(d):
         t = run_protocol(channel_d3, message, data_register_state=skew)
         assert t.decoded == message
+
+
+def test_protocol_failure_keeps_transpose_trick(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("protocol aborted")
+
+    monkeypatch.setattr("zecheck.suites.run_protocol", broken)
+    report = execute(RunConfig(d=2, suites=("privacy",), trials=5))
+    claims = {c.claim_id: c for c in report.claims}
+    assert not any(cid.endswith(".panic") for cid in claims)
+    assert claims.pop("privacy.transpose_trick").passed
+    assert len(claims) == 4
+    for claim in claims.values():
+        assert not claim.passed
+        assert "RuntimeError: protocol aborted" in claim.detail
