@@ -24,9 +24,10 @@ import numpy as np
 from .designs import UnitaryFamily
 from .linalg import DEFAULT_TOL, psd_deficit, tensor
 
-# Flag tuples per kernel block.  A block's intermediates hold
-# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger
-# blocks buy no speed and raise peak memory.
+# Flag tuples per kernel block, rounded down to whole first-use rows of
+# m^(n-1) tuples but at least one row.  A block's factors hold about
+# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger blocks
+# buy no speed and raise peak memory.
 _FLAG_BLOCK = 256
 
 
@@ -122,12 +123,20 @@ def _flag_tuples(channel, n):
     return labels, np.prod(channel.design.weights[labels], axis=1)
 
 
-def _branch_factors(channel, labels, states):
+def _branch_factors(channel, states):
     """Yield (start, v) per block of flag tuples, for all given states at once.
 
     v[s, f] is the (control) x (data, reference) amplitude matrix V of
-    states[s] under flag tuple labels[start + f]: the receiver branch is
-    V V^dag and the environment branch V^T conj(V).
+    states[s] under flag tuple labels[start + f], where labels are the
+    row-major _flag_tuples: the receiver branch is V V^dag and the
+    environment branch V^T conj(V).
+
+    Uses 2..n are applied once per call, one use at a time, for all
+    m^(n-1) sub-tuples (j_2..j_n); that data stays held for the whole
+    call, m^(n-1) * d^(2n) * ref_dim amplitudes per state.  A block is then
+    a run of whole first-use rows j_1, one GEMM with their d x d members,
+    and its factors hold about _FLAG_BLOCK * d^(2n) * ref_dim amplitudes
+    per state.
     """
     d = channel.d
     n, ref = states[0].n, states[0].ref_dim
@@ -138,23 +147,39 @@ def _branch_factors(channel, labels, states):
             raise ValueError("states differ in channel uses or reference dimension")
     side = d**n
     g = channel.design.members
+    m = len(g)
     # P is diagonal, so for flags j the n uses send control tuple i with data
     # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
     # on the data for all i, then the n-fold phase table phase[i, a].
     phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
+    phase = phase[:, :, None]  # control, data, reference
     # data digits as rows, (state, control, reference) as columns
     b = np.stack([psi.blocks for psi in states]).reshape(len(states), side, side, ref)
-    b = b.transpose(2, 0, 1, 3).reshape(side, len(states) * side * ref)
-    for start in range(0, len(labels), _FLAG_BLOCK):
-        block = labels[start : start + _FLAG_BLOCK]
-        k = len(block)
-        kron = g[block[:, 0]]
-        for t in range(1, n):
-            kron = np.einsum("fac,fbd->fabcd", kron, g[block[:, t]])
-            kron = kron.reshape(k, d ** (t + 1), d ** (t + 1))
-        w = (kron.reshape(k * side, side) @ b).reshape(k, side, len(states), side, ref)
-        v = w.transpose(2, 0, 3, 1, 4) * phase[:, :, None]
-        yield start, v.reshape(len(states), k, side, side * ref)
+    cols = len(states) * side * ref
+    # inner[(a_1..a_t), (j_t+1..j_n), (a_t+1..a_n), cols] once uses t+1..n
+    # are applied; each pass applies use t to the last untouched digit a_t
+    inner = b.transpose(2, 0, 1, 3).reshape(side, 1, 1, cols)
+    for _ in range(n - 1):
+        lead, flags, done, _ = inner.shape
+        digit = inner.reshape(lead // d, d, flags * done * cols).transpose(1, 0, 2)
+        out = g.reshape(m * d, d) @ digit.reshape(d, -1)
+        out = out.reshape(m, d, lead // d, flags, done, cols).transpose(2, 0, 3, 1, 4, 5)
+        inner = out.reshape(lead // d, m * flags, d * done, cols)
+    flags = inner.shape[1]
+    inner = inner.reshape(d, -1)
+    rows = max(1, _FLAG_BLOCK // flags)
+    for first in range(0, m, rows):
+        k = min(rows, m - first)
+        w = (g[first : first + k].reshape(k * d, d) @ inner).reshape(
+            k, d, flags, side // d, len(states), side, ref
+        )
+        # to (state, j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference);
+        # the phase multiplies the contiguous copy, not the strided view,
+        # which took about twice as long at (3,2)
+        v = np.ascontiguousarray(w.transpose(4, 0, 2, 5, 1, 3, 6))
+        v = v.reshape(len(states), k * flags, side, side, ref)
+        v *= phase
+        yield first * flags, v.reshape(len(states), k * flags, side, side * ref)
 
 
 def _gram(v, complementary: bool):
@@ -168,7 +193,7 @@ def _branch_matrices(channel, psi, complementary: bool):
     labels, weights = _flag_tuples(channel, psi.n)
     out_side = psi.block_len if complementary else psi.d**psi.n
     mats = np.empty((len(labels), out_side, out_side), dtype=complex)
-    for start, (v,) in _branch_factors(channel, labels, (psi,)):
+    for start, (v,) in _branch_factors(channel, (psi,)):
         mats[start : start + len(v)] = _gram(v, complementary)
     return labels, weights, mats
 
@@ -194,10 +219,10 @@ def conservation_residuals(
     and the largest psd_deficit of any branch of either, from one pass
     over the flag blocks; neither output is built.
     """
-    labels, weights = _flag_tuples(channel, psi.n)
+    _, weights = _flag_tuples(channel, psi.n)
     totals = [0.0, 0.0]  # receiver, environment
     deficit = 0.0
-    for start, (v,) in _branch_factors(channel, labels, (psi,)):
+    for start, (v,) in _branch_factors(channel, (psi,)):
         w = weights[start : start + len(v)]
         for side, complementary in enumerate((False, True)):
             mats = _gram(v, complementary)
@@ -231,9 +256,9 @@ def output_overlap(
     the overlap is sum_j w_j^2 ||V_{x,j}^dag V_{y,j}||_F^2, one batched
     product per block of flags and no branch matrix.
     """
-    labels, weights = _flag_tuples(channel, x.n)
+    _, weights = _flag_tuples(channel, x.n)
     total = 0.0
-    for start, (vx, vy) in _branch_factors(channel, labels, (x, y)):
+    for start, (vx, vy) in _branch_factors(channel, (x, y)):
         k = len(vx)
         # V_x^T conj(V_y) is the conjugate of V_x^dag V_y: same Frobenius norm
         prod = np.matmul(vx.transpose(0, 2, 1), vy.conj()).reshape(k, -1).view(float)

@@ -116,6 +116,27 @@ def parse_config(argv, env=None) -> RunConfig:
         raise AssertionError("unreachable")  # parser.error raises SystemExit
 
 
+def _write_report(path, payload: str) -> None:
+    """Replace the file at path with payload, leaving it intact if the write fails.
+
+    The payload goes to a temporary file next to the target, which then
+    replaces it in one rename.  A target that exists but is not a regular
+    file (a device such as /dev/stdout, or a FIFO) is written in place.
+    """
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        target.write_text(payload, encoding="utf-8")
+        return
+    target = Path(os.path.realpath(target))  # a symlink keeps pointing at the report
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(payload, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -127,7 +148,7 @@ def main(argv=None) -> int:
         report = execute(config)
         payload = emit_report(report, config.fmt)
         if config.output:
-            Path(config.output).write_text(payload, encoding="utf-8")
+            _write_report(config.output, payload)
         else:
             sys.stdout.write(payload)
     except Exception as exc:

@@ -99,8 +99,16 @@ def test_branch_entries_match_oracle(d, n, channel_d2, channel_d3):
                 assert out.matrices[b][flat_row, flat_col] == pytest.approx(expected, abs=1e-12)
 
 
+def block_edges(m, n):
+    """First and last flag of every kernel block of whole first-use rows."""
+    flags = m ** (n - 1)
+    rows = max(1, zecheck.channel._FLAG_BLOCK // flags)
+    starts = range(0, m**n, rows * flags)
+    return sorted({k for s in starts for k in (s, min(s + rows * flags, m**n) - 1)})
+
+
 @pytest.mark.parametrize("ref", [1, 2])
-@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
 def test_branches_match_dense_reference(d, n, ref, channel_d2, channel_d3):
     ch = channel_d2 if d == 2 else channel_d3
     m = len(ch.design)
@@ -108,7 +116,9 @@ def test_branches_match_dense_reference(d, n, ref, channel_d2, channel_d3):
     psi = random_block_state(d, n, rng, ref_dim=ref)
     bob = apply_n(ch, psi)
     eve = apply_complementary_n(ch, psi)
-    for k in [0, m**n - 1, *rng.integers(0, m**n, size=3)]:
+    edges = block_edges(m, n)
+    assert edges[0] == 0 and edges[-1] == m**n - 1
+    for k in [*edges, *rng.integers(0, m**n, size=3)]:
         jvec = np.unravel_index(k, (m,) * n)
         assert tuple(bob.labels[k]) == tuple(eve.labels[k]) == jvec
         assert bob.weights[k] == pytest.approx(np.prod(ch.design.weights[list(jvec)]), abs=1e-15)

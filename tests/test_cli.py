@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 
@@ -242,6 +243,37 @@ def test_main_internal_error_on_unwritable_output(tmp_path):
     code = main(["verify", "--d", "2", "--suite", "privacy", "--trials", "5",
                  "--output", str(missing)])
     assert code == 3
+
+
+def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("old report", encoding="utf-8")
+    # a lone surrogate cannot be encoded, so the write raises midway
+    monkeypatch.setattr("zecheck.cli.emit_report", lambda report, fmt: '{"a": "\ud800"}')
+    code = main(["verify", "--d", "2", "--suite", "privacy", "--trials", "5",
+                 "--output", str(out)])
+    assert code == 3
+    assert out.read_text(encoding="utf-8") == "old report"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_main_replaces_the_old_report(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("old report", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    code = main(["verify", "--d", "2", "--suite", "privacy", "--trials", "5",
+                 "--output", str(link)])
+    assert code == 0
+    assert link.is_symlink()
+    assert json.loads(out.read_text())["overall_pass"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+def test_main_writes_a_device_in_place():
+    code = main(["verify", "--d", "2", "--suite", "privacy", "--trials", "5",
+                 "--output", os.devnull])
+    assert code == 0
 
 
 def test_failing_claim_exit_code_and_anchor(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import pytest
 from zecheck.linalg import (
     max_entangled_projector,
     partial_transpose,
+    psd_deficit,
     random_psd,
     random_unitary,
     tensor,
@@ -185,16 +186,102 @@ def test_projection_clips_the_direct_side():
         assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
 
 
+def two_eigh_project_to_ppt(m, d, n, max_rounds=200, tol=1e-10):
+    """project_to_ppt as it was, deciding the transpose side by eigh alone."""
+    cur = np.asarray(m, dtype=complex)
+    cur = (cur + cur.conj().T) / 2
+    cur = cur / np.trace(cur).real
+    for _ in range(max_rounds):
+        if psd_deficit(cur) > tol:
+            w, v = np.linalg.eigh(cur)
+            cur = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            cur = cur / np.trace(cur).real
+            continue
+        g = pairwise_partial_transpose(cur, d, n)
+        wg, vg = np.linalg.eigh(g)
+        if wg.min() >= -tol:
+            return cur
+        g = (vg * np.clip(wg, 0.0, None)) @ vg.conj().T
+        cur = pairwise_partial_transpose(g, d, n)
+        cur = (cur + cur.conj().T) / 2
+        cur = cur / np.trace(cur).real
+    return None
+
+
+def search_candidate(d, n, seed, t):
+    """The Wishart matrix ppt_search draws as its candidate t."""
+    side = d ** (2 * n)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("d,n,count", [(2, 1, 30), (2, 2, 20), (3, 1, 30), (3, 2, 8)])
+def test_projection_matches_two_eigh_rule(d, n, count):
+    for t in range(count):
+        m = search_candidate(d, n, 7, t)
+        got, want = project_to_ppt(m, d, n), two_eigh_project_to_ppt(m, d, n)
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+
+
+def transpose_edge_input(d, n, lam, rng):
+    """Trace-one matrix with PD direct side whose pairwise transpose has least eigenvalue lam.
+
+    An isotropic pair state p Phi + (1-p)(I-Phi)/(d^2-1) has a transpose with
+    least eigenvalue (1 - d p) / (d (d-1)); the other n-1 pairs are maximally
+    mixed, which scales it by d^(2(1-n)), and a local unitary hides the basis.
+    """
+    target = lam * d ** (2 * (n - 1))
+    p = (1 - target * d * (d - 1)) / d
+    phi = max_entangled_projector(d)
+    pair = p * phi + (1 - p) * (np.eye(d * d) - phi) / (d * d - 1)
+    local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+    pair = local @ pair @ local.conj().T
+    return tensor(pair, *[np.eye(d * d) / (d * d)] * (n - 1))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("scale,certified,clipped", [
+    (0.25, True, False),  # g + (tol/2) I is PD: Cholesky accepts
+    (0.75, False, False),  # Cholesky fails, eigh accepts
+    (2.0, False, True),
+])
+def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, monkeypatch):
+    tol = 1e-10
+    m = transpose_edge_input(d, n, -scale * tol, np.random.default_rng(31))
+    start = (m + m.conj().T) / 2
+    start = start / np.trace(start).real
+    assert np.linalg.eigvalsh(start).min() > 0.01
+    lam = np.linalg.eigvalsh(pairwise_partial_transpose(start, d, n)).min()
+    assert lam == pytest.approx(-scale * tol, rel=1e-3)
+    want = two_eigh_project_to_ppt(m, d, n)
+    eigh_calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    one_round = project_to_ppt(m, d, n, max_rounds=1, tol=tol)
+    assert len(eigh_calls) == (0 if certified else 1)
+    got = project_to_ppt(m, d, n, tol=tol)
+    assert got is not None and np.array_equal(got, want)
+    if clipped:
+        assert one_round is None
+        assert not np.array_equal(got, start)
+    else:
+        assert np.array_equal(one_round, start) and np.array_equal(got, start)
+
+
 def rechecking_search(d, n, trials, seed):
     """ppt_search as it was with an is_ppt re-check of every accepted candidate."""
-    side = d ** (2 * n)
     accepted = skipped = 0
     min_value = None
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
-        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-        m = g @ g.conj().T
-        candidate = project_to_ppt(m / np.trace(m).real, d, n)
+        candidate = project_to_ppt(search_candidate(d, n, seed, t), d, n)
         if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
             skipped += 1
             continue
