@@ -21,7 +21,6 @@ from .channel import (
 )
 from .designs import (
     UnitaryFamily,
-    canonical_phase,
     clifford_generators,
     clock,
     conjugate_twirl,
@@ -34,6 +33,7 @@ from .designs import (
 )
 from .linalg import (
     Subspace,
+    case_rng,
     max_entangled,
     max_entangled_projector,
     partial_trace,
@@ -58,7 +58,7 @@ from .ppt import (
 from .privacy import ProtocolTranscript, run_protocol, transpose_trick_residual, verify_secrecy
 from .report import ClaimResult, RunConfig, VerificationReport, emit_report
 from .report import TOOLKIT_VERSION as __version__
-from .suites import case_rng, execute
+from .suites import execute
 from .zero_error import (
     CodePairCheck,
     averaged_output_overlap,

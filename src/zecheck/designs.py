@@ -17,6 +17,7 @@ from .linalg import DEFAULT_TOL, max_entangled_projector
 SUPPORTED_DIMS = (2, 3)
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
+PHASE_ZERO_TOL = 1e-8  # entries at most this large do not count as a phase pivot
 
 
 @dataclass
@@ -60,23 +61,14 @@ def clifford_generators(d: int) -> list[np.ndarray]:
     return [fourier(d), qudit_phase(d), shift(d), clock(d)]
 
 
-def canonical_phase(u: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
-    """Rescale so the first nonzero entry (row-major) is real positive."""
-    return _canonical_phases(np.asarray(u, dtype=complex)[None], zero_tol)[0]
-
-
-def _canonical_phases(us: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
-    """canonical_phase of every matrix in the stack us."""
+def _canonical_phases(us: np.ndarray) -> np.ndarray:
+    """Rescale every matrix of the stack so its first nonzero entry (row-major) is real positive."""
     flat = us.reshape(len(us), -1)
-    nonzero = np.abs(flat) > zero_tol
+    nonzero = np.abs(flat) > PHASE_ZERO_TOL
     if not nonzero.any(axis=1).all():
         raise ValueError("zero matrix has no canonical phase")
     pivot = flat[np.arange(len(flat)), nonzero.argmax(axis=1)]
     return us * (np.abs(pivot) / pivot).reshape((-1,) + (1,) * (us.ndim - 1))
-
-
-def _dedup_key(u: np.ndarray) -> bytes:
-    return _dedup_keys(u[None])[0]
 
 
 def _dedup_keys(us: np.ndarray) -> list[bytes]:
@@ -86,17 +78,18 @@ def _dedup_keys(us: np.ndarray) -> list[bytes]:
     return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
 
 
-def enumerate_clifford(d: int, size_cap: int = SIZE_CAP) -> UnitaryFamily:
+def enumerate_clifford(d: int) -> UnitaryFamily:
     """Close the generator set {F, S, X, Z} under products modulo phase.
 
     The result carries uniform weights and is verified as an exact
-    2-design before being returned.
+    2-design before being returned.  Growing past SIZE_CAP members
+    raises, since the qudit Clifford group modulo phase is far smaller.
     """
     if d not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported qudit dimension {d}; expected one of {SUPPORTED_DIMS}")
     gens = _canonical_phases(np.stack(clifford_generators(d)))
     ident = np.eye(d, dtype=complex)
-    members: dict[bytes, np.ndarray] = {_dedup_key(ident): ident}
+    members: dict[bytes, np.ndarray] = {_dedup_keys(ident[None])[0]: ident}
     frontier = ident[None]
     while len(frontier):
         # products u g in frontier-major, generator-minor order
@@ -104,7 +97,7 @@ def enumerate_clifford(d: int, size_cap: int = SIZE_CAP) -> UnitaryFamily:
         grown = []
         for key, v in zip(_dedup_keys(prods), prods):
             if key not in members:
-                if len(members) >= size_cap:
+                if len(members) >= SIZE_CAP:
                     raise RuntimeError(
                         "closure exceeded the size cap; phase canonicalization is broken"
                     )
@@ -130,7 +123,7 @@ def frame_potential(family: UnitaryFamily) -> float:
     return float(family.weights @ t @ family.weights)
 
 
-def verify_two_design(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> bool:
+def verify_two_design(family: UnitaryFamily) -> bool:
     """Check unitarity, phase-distinctness, weights and frame potential."""
     g = family.members
     d = family.d
@@ -144,9 +137,9 @@ def verify_two_design(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> bool:
     )
     distinct = len(set(_dedup_keys(_canonical_phases(g)))) == m
     w = family.weights
-    weights_ok = w.min() >= -tol and abs(w.sum() - 1.0) <= tol
-    fp_ok = abs(frame_potential(family) - 2.0) <= max(tol, 1e-9)
-    ok = unitary <= tol and distinct and weights_ok and fp_ok
+    weights_ok = w.min() >= -DEFAULT_TOL and abs(w.sum() - 1.0) <= DEFAULT_TOL
+    fp_ok = abs(frame_potential(family) - 2.0) <= DEFAULT_TOL
+    ok = unitary <= DEFAULT_TOL and distinct and weights_ok and fp_ok
     family.verified = bool(ok)
     return family.verified
 
@@ -186,7 +179,7 @@ def multiplication_table(family: UnitaryFamily) -> np.ndarray:
     return np.array([index.get(key, -1) for key in _dedup_keys(prods)]).reshape(m, m)
 
 
-def find_minimal_subdesign(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> UnitaryFamily | None:
+def find_minimal_subdesign(family: UnitaryFamily) -> UnitaryFamily | None:
     """Smallest proper product-closed subset that is still an exact 2-design.
 
     Searches closures of member pairs; returns None when no proper
@@ -214,7 +207,7 @@ def find_minimal_subdesign(family: UnitaryFamily, tol: float = DEFAULT_TOL) -> U
                 continue
             mats = family.members[sorted(closed)]
             sub = UnitaryFamily(family.d, mats, np.full(len(mats), 1.0 / len(mats)))
-            if abs(frame_potential(sub) - 2.0) <= max(tol, 1e-9):
+            if abs(frame_potential(sub) - 2.0) <= DEFAULT_TOL:
                 best = closed
     if best is None:
         return None

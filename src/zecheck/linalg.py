@@ -13,7 +13,10 @@ from functools import reduce
 
 import numpy as np
 
+from .report import SUITE_NAMES
+
 DEFAULT_TOL = 1e-9
+SUITE_IDS = {name: i for i, name in enumerate(SUITE_NAMES)}
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -90,24 +93,24 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def support_null(m: np.ndarray, dims=None, tol: float = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+def support_null(m: np.ndarray, dims=None) -> tuple[Subspace, Subspace]:
     """Split a PSD operator into its support and null eigenspaces.
 
-    Eigenvalues above tol * ||m|| count as support.  Raises on operators
-    that are not Hermitian PSD within tolerance.
+    Eigenvalues above DEFAULT_TOL * ||m|| count as support.  Raises on
+    operators that are not Hermitian PSD within that tolerance.
     """
     m = np.asarray(m, dtype=complex)
     if dims is None:
         dims = (m.shape[0],)
     _check_square(m, dims)
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
+    if np.abs(m - m.conj().T).max() > DEFAULT_TOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     norm = float(np.abs(w).max())
-    if norm > 0 and w.min() < -tol * norm:
+    if norm > 0 and w.min() < -DEFAULT_TOL * norm:
         raise ValueError(f"negative eigenvalue {w.min():.3e} below tolerance")
-    keep = w > tol * norm
+    keep = w > DEFAULT_TOL * norm
     support = Subspace(np.ascontiguousarray(v[:, keep]))
     null = Subspace(np.ascontiguousarray(v[:, ~keep]))
     return support, null
@@ -146,6 +149,12 @@ def psd_deficit(stack: np.ndarray) -> float:
         return 0.0
     except np.linalg.LinAlgError:
         return max(0.0, -float(np.linalg.eigvalsh(stack).min()))
+
+
+def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, suite, case); every random draw uses one."""
+    ss = np.random.SeedSequence([int(seed), SUITE_IDS[suite], int(case)])
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,9 @@ import numpy as np
 from .channel import FlaggedPhaseChannel
 from .designs import clock
 
+RANK_TOL = 1e-10  # singular values below RANK_TOL * the largest are dropped
+MEMBERSHIP_TOL = 1e-8  # relative projection residual that still counts as inside
+
 
 @dataclass
 class OperatorSpan:
@@ -29,7 +32,7 @@ class OperatorSpan:
         return self.basis.shape[0]
 
 
-def operator_span(matrices, tol: float = 1e-10) -> OperatorSpan:
+def operator_span(matrices) -> OperatorSpan:
     """Orthonormalize a list of operators in the Hilbert-Schmidt inner product."""
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -37,7 +40,7 @@ def operator_span(matrices, tol: float = 1e-10) -> OperatorSpan:
     ambient = mats.shape[1]
     vecs = mats.reshape(len(mats), ambient * ambient)
     _, s, vh = np.linalg.svd(vecs, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     basis = vh[:rank].reshape(rank, ambient, ambient)
     return OperatorSpan(ambient=ambient, basis=basis)
 
@@ -63,7 +66,7 @@ def graph_span(channel: FlaggedPhaseChannel) -> OperatorSpan:
     return operator_span(np.stack(gens))
 
 
-def contains(span: OperatorSpan, m: np.ndarray, tol: float = 1e-8) -> bool:
+def contains(span: OperatorSpan, m: np.ndarray) -> bool:
     """Membership by projection residual in Hilbert-Schmidt norm."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (span.ambient, span.ambient):
@@ -74,7 +77,7 @@ def contains(span: OperatorSpan, m: np.ndarray, tol: float = 1e-8) -> bool:
     norm = np.linalg.norm(vec)
     if norm == 0:
         return True
-    return bool(np.linalg.norm(vec - proj) <= tol * norm)
+    return bool(np.linalg.norm(vec - proj) <= MEMBERSHIP_TOL * norm)
 
 
 def condition_checks(span: OperatorSpan, d: int) -> tuple[bool, bool]:

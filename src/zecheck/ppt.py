@@ -5,6 +5,9 @@ transpose is always taken on the first factor of every pair, under
 which the per-pair invariants {Phi, I-Phi} map to SWAP/d and
 I - SWAP/d.  The certificate replays, label by label, the argument that
 no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
+
+The randomized search draws its candidate t from
+case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    case_rng,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
-    psd_deficit,
+    random_psd,
     tensor,
     trace_inner,
 )
+
+SEARCH_CASE_BASE = 40_000  # the other ppt case keys (30_000-32_002) sit below it
 
 
 @dataclass
@@ -40,13 +46,12 @@ class IsotropicDecomposition:
         return float(self.coefficients[tuple(label)])
 
     def reconstruct(self) -> np.ndarray:
-        ops = _pair_ops(self.d)
         side = self.d ** (2 * self.n)
         out = np.zeros((side, side), dtype=complex)
         for label in self.labels():
             p = self.coefficient(label)
             if p != 0.0:
-                out += p * tensor(*(ops[bit] for bit in label))
+                out += p * _label_operator(self.d, label)
         return out
 
 
@@ -60,10 +65,6 @@ class PPTWitness:
 
 @dataclass
 class PPTSearchResult:
-    d: int
-    n: int
-    trials: int
-    seed: int
     accepted: int
     skipped: int
     min_value: float | None
@@ -72,29 +73,30 @@ class PPTSearchResult:
 @dataclass
 class RecursionRecord:
     label: tuple[int, ...]
-    complement_count: int  # number of I-Phi factors contracted against the witness
     implied: float
-    coefficient: float
     min_eigenvalue: float
 
 
-def _pair_ops(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _label_operator(d: int, label) -> np.ndarray:
+    """Tensor product over the pairs of Phi (bit 0) or I-Phi (bit 1)."""
     phi = max_entangled_projector(d)
-    return phi, np.eye(d * d) - phi
+    ops = (phi, np.eye(d * d) - phi)
+    return tensor(*(ops[bit] for bit in label))
 
 
 def pairwise_partial_transpose(m: np.ndarray, d: int, n: int) -> np.ndarray:
     """Transpose the first factor of each of the n (d x d) pairs."""
-    out = np.asarray(m, dtype=complex)
-    dims = (d, d) * n
-    for t in range(n):
-        out = partial_transpose(out, dims, 2 * t)
-    return out
+    m = np.asarray(m, dtype=complex)
+    k = 2 * n
+    if m.shape != (d**k, d**k):
+        raise ValueError(f"matrix shape {m.shape} does not match {n} pairs of dimension {d}")
+    # row axes 0..k-1, column axes k..2k-1; even axes are first factors
+    perm = [i + k if i % 2 == 0 else i for i in range(k)]
+    perm += [i if i % 2 == 0 else i + k for i in range(k)]
+    return np.ascontiguousarray(m.reshape((d,) * (2 * k)).transpose(perm)).reshape(m.shape)
 
 
-def isotropic_twirl_n(
-    m: np.ndarray, d: int, n: int, tol: float = DEFAULT_TOL
-) -> IsotropicDecomposition:
+def isotropic_twirl_n(m: np.ndarray, d: int, n: int) -> IsotropicDecomposition:
     """Project onto span{Phi, I-Phi}^{(x)n} via exact overlap coefficients.
 
     p_label = tr(m R_label) / rank(R_label); this is the Haar average of
@@ -107,15 +109,13 @@ def isotropic_twirl_n(
         raise ValueError(f"matrix shape {m.shape} does not match {n} pairs of dimension {d}")
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -tol * scale:
+    if w.min() < -DEFAULT_TOL * scale:
         raise ValueError(f"input is not PSD within tolerance (min eigenvalue {w.min():.3e})")
-    ops = _pair_ops(d)
     ranks = (1, d * d - 1)
     coeffs = np.zeros((2,) * n)
     for label in product((0, 1), repeat=n):
-        r = tensor(*(ops[bit] for bit in label))
         rank = int(np.prod([ranks[bit] for bit in label]))
-        coeffs[label] = trace_inner(r, m).real / rank
+        coeffs[label] = trace_inner(_label_operator(d, label), m).real / rank
     return IsotropicDecomposition(d=d, n=n, coefficients=coeffs)
 
 
@@ -133,15 +133,9 @@ def build_ppt_witness(d: int) -> PPTWitness:
     return PPTWitness(matrix=q, trace_value=float(d * d - d))
 
 
-def _constraint_operator(d: int, n: int) -> np.ndarray:
-    """(I-Phi)^{(x)n}, the operator constraint_score pairs with."""
-    _, comp = _pair_ops(d)
-    return tensor(*([comp] * n))
-
-
 def constraint_score(m: np.ndarray, d: int, n: int) -> float:
     """tr(m (I-Phi)^{(x)n}); the quantity the certificate keeps away from 0."""
-    return trace_inner(_constraint_operator(d, n), np.asarray(m, dtype=complex)).real
+    return trace_inner(_label_operator(d, (1,) * n), np.asarray(m, dtype=complex)).real
 
 
 def recursion_trace(
@@ -182,13 +176,7 @@ def recursion_trace(
             implied = trace_inner(target, contracted).real / witness.trace_value**c
             min_eig = float(np.linalg.eigvalsh(contracted).min())
             records.append(
-                RecursionRecord(
-                    label=tuple(label),
-                    complement_count=c,
-                    implied=implied,
-                    coefficient=dec.coefficient(label),
-                    min_eigenvalue=min_eig,
-                )
+                RecursionRecord(label=tuple(label), implied=implied, min_eigenvalue=min_eig)
             )
     return records
 
@@ -211,50 +199,59 @@ def recursion_certificate(
     return all(abs(r.implied) <= tol for r in records)
 
 
+def _psd_clip(m: np.ndarray, tol: float) -> np.ndarray:
+    """m itself when lambda_min(m) >= -tol, else m with its negative eigenvalues set to 0.
+
+    A Cholesky factorization of m + (tol/2) I accepts m: its success
+    certifies lambda_min(m) >= -tol/2 minus a backward error of
+    O(dim * eps * ||m||), with ||m|| <= 1 for a trace-one PSD matrix and
+    for its partial transpose, so the eigenvalue test would accept m too.
+    Only a failed factorization pays for the eigendecomposition, whose
+    eigenvectors a clip needs.
+    """
+    try:
+        np.linalg.cholesky(m + (tol / 2) * np.eye(len(m)))
+        return m
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(m)
+    if w.min() >= -tol:
+        return m
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def project_to_ppt(
     m: np.ndarray, d: int, n: int, max_rounds: int = 200, tol: float = 1e-10
 ) -> np.ndarray | None:
     """Alternating eigenvalue clipping on m and its pairwise transpose.
 
     Returns a trace-one PPT matrix, or None when the alternation does
-    not converge within `max_rounds`.  The matrix returned is the one
-    its last round checked, unchanged: its psd_deficit and the negated
-    least eigenvalue of its pairwise transpose were both at most tol.
-    A round that clips the direct side leaves the check of the clipped
-    matrix to the next round, so callers need not check the result.
-
-    The transpose side is first tried by a Cholesky factorization of
-    g + (tol/2) I.  Its success certifies lambda_min(g) >= -tol/2 minus a
-    backward error of O(dim * eps * ||g||), with ||g|| <= 1 for a trace-one
-    PSD matrix, so the eigenvalue test below would accept g as well; only
-    a failed factorization pays for the eigendecomposition, whose
-    eigenvectors a clip needs.
+    not converge within `max_rounds`.  Each round applies `_psd_clip` to
+    the matrix and then to its pairwise transpose; the round that leaves
+    the transpose unchanged returns the matrix, so callers need not check
+    it.  Its transpose then passed the check at tol, and the matrix either
+    passed it too or is that round's clip, PSD up to rounding.
     """
     cur = np.asarray(m, dtype=complex)
     cur = (cur + cur.conj().T) / 2
     cur = cur / np.trace(cur).real
     for _ in range(max_rounds):
-        # eigenvectors only for a clip: in practice the direct side is PSD,
-        # and psd_deficit certifies that by Cholesky, without eigenvalues
-        if psd_deficit(cur) > tol:
-            w, v = np.linalg.eigh(cur)
-            cur = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            cur = cur / np.trace(cur).real
-            continue
+        psd = _psd_clip(cur, tol)
+        if psd is not cur:
+            cur = psd / np.trace(psd).real
         g = pairwise_partial_transpose(cur, d, n)
-        try:
-            np.linalg.cholesky(g + (tol / 2) * np.eye(len(g)))
+        ppt = _psd_clip(g, tol)
+        if ppt is g:
             return cur
-        except np.linalg.LinAlgError:
-            pass
-        wg, vg = np.linalg.eigh(g)
-        if wg.min() >= -tol:
-            return cur
-        g = (vg * np.clip(wg, 0.0, None)) @ vg.conj().T
-        cur = pairwise_partial_transpose(g, d, n)
+        cur = pairwise_partial_transpose(ppt, d, n)
         cur = (cur + cur.conj().T) / 2
         cur = cur / np.trace(cur).real
     return None
+
+
+def _search_candidate(d: int, n: int, seed: int, t: int) -> np.ndarray:
+    """The random trace-one PSD matrix ppt_search projects as its candidate t."""
+    return random_psd(d ** (2 * n), case_rng(seed, "ppt", SEARCH_CASE_BASE + t))
 
 
 def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
@@ -267,27 +264,15 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    side = d ** (2 * n)
-    constraint = _constraint_operator(d, n)
+    constraint = _label_operator(d, (1,) * n)
     accepted = skipped = 0
     min_value: float | None = None
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
-        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-        m = g @ g.conj().T
-        candidate = project_to_ppt(m / np.trace(m).real, d, n)
+        candidate = project_to_ppt(_search_candidate(d, n, seed, t), d, n)
         if candidate is None:
             skipped += 1
             continue
         accepted += 1
         score = trace_inner(constraint, candidate).real
         min_value = score if min_value is None else min(min_value, score)
-    return PPTSearchResult(
-        d=d,
-        n=n,
-        trials=trials,
-        seed=seed,
-        accepted=accepted,
-        skipped=skipped,
-        min_value=min_value,
-    )
+    return PPTSearchResult(accepted=accepted, skipped=skipped, min_value=min_value)

@@ -11,9 +11,10 @@ an exception is caught: one raised in a claim, or while building a
 shared object, fails exactly the claims that need it, with the
 exception text in `detail`.  There is no `<suite>.panic` record.
 
-All randomness comes from counter-based generators keyed by
-(seed, suite, case), so running any subset of suites reproduces the
-full run's numbers exactly.
+All randomness comes from `linalg.case_rng`, counter-based generators
+keyed by (seed, suite, case); the PPT search draws its candidate t as
+case 40_000 + t of the ppt suite.  Running any subset of suites thus
+reproduces the full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
 `trials` pairs (max(3, trials // 2) at d=3, n=2, where each pair is
@@ -51,6 +52,7 @@ from .designs import (
 )
 from .linalg import (
     basis_state,
+    case_rng,
     max_entangled_projector,
     min_eigenvalue,
     partial_transpose,
@@ -75,7 +77,7 @@ from .ppt import (
     recursion_trace,
 )
 from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
-from .report import SUITE_NAMES, TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
+from .report import TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
 from .zero_error import (
     averaged_output_overlap,
     code_pair_conditions,
@@ -84,15 +86,6 @@ from .zero_error import (
     overlap_operator,
     overlap_support_projector,
 )
-
-SUITE_IDS = {name: i for i, name in enumerate(SUITE_NAMES)}
-
-
-def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, suite, case)."""
-    ss = np.random.SeedSequence([int(seed), SUITE_IDS[suite], int(case)])
-    return np.random.Generator(np.random.Philox(ss))
-
 
 class _Context:
     """Shared objects of one run, each built by the first claim that reads it."""

@@ -97,15 +97,13 @@ def averaged_output_overlap(psi1: BlockStateVector, psi2: BlockStateVector) -> f
     return float(np.vdot(t, y).real)
 
 
-def disjoint_support(
-    psi1: BlockStateVector, psi2: BlockStateVector, tol: float = BLOCK_ZERO_TOL
-) -> bool:
+def disjoint_support(psi1: BlockStateVector, psi2: BlockStateVector) -> bool:
     """True iff no control tuple carries a nonzero block of both states."""
     if (psi1.d, psi1.n) != (psi2.d, psi2.n):
         raise ValueError("states must share dimension and number of uses")
     n1 = psi1.block_norms()
     n2 = psi2.block_norms()
-    return bool(np.all(np.minimum(n1, n2) <= tol))
+    return bool(np.all(np.minimum(n1, n2) <= BLOCK_ZERO_TOL))
 
 
 class CodePairCheck(NamedTuple):
@@ -113,24 +111,17 @@ class CodePairCheck(NamedTuple):
 
     outputs_orthogonal: bool
     mixed_outputs_orthogonal: bool
-    degenerate: bool
 
 
-def code_pair_conditions(
-    psi1: BlockStateVector, psi2: BlockStateVector, tol: float = BLOCK_ZERO_TOL
-) -> CodePairCheck:
+def code_pair_conditions(psi1: BlockStateVector, psi2: BlockStateVector) -> CodePairCheck:
     """Check output orthogonality for (psi1, psi2) and for their sum/difference.
 
     Both conditions holding with both states nonzero would certify a
     perfectly transmittable qubit pair.  Zero or vanishing combinations
-    are legal and reported through the degenerate flag.
+    are legal inputs; whether the states vanish is the caller's check.
     """
-    first = averaged_output_overlap(psi1, psi2) <= tol
+    first = averaged_output_overlap(psi1, psi2) <= BLOCK_ZERO_TOL
     plus = BlockStateVector(psi1.d, psi1.n, (psi1.blocks + psi2.blocks) / np.sqrt(2))
     minus = BlockStateVector(psi1.d, psi1.n, (psi1.blocks - psi2.blocks) / np.sqrt(2))
-    second = averaged_output_overlap(plus, minus) <= tol
-    degenerate = (
-        min(psi1.total_norm(), psi2.total_norm(), plus.total_norm(), minus.total_norm())
-        <= tol
-    )
-    return CodePairCheck(bool(first), bool(second), bool(degenerate))
+    second = averaged_output_overlap(plus, minus) <= BLOCK_ZERO_TOL
+    return CodePairCheck(bool(first), bool(second))

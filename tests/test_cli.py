@@ -1,11 +1,14 @@
+import ast
 import functools
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zecheck
 from zecheck.cli import main, parse_config
 from zecheck.report import SUITE_NAMES, RunConfig, VerificationReport, emit_report
 from zecheck.suites import case_rng, execute
@@ -200,6 +203,26 @@ def test_case_rng_streams_are_stable():
     c = case_rng(5, "channel", 4).standard_normal(4)
     assert (a == b).all()
     assert (a != c).any()
+
+
+def seeding_calls(node, where):
+    """(enclosing function, callee) of every generator construction below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if callee in ("SeedSequence", "Generator", "default_rng", "RandomState"):
+                yield where, callee
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from seeding_calls(child, inner)
+
+
+def test_case_rng_is_the_only_seeding():
+    found = sorted(
+        (path.name, where, callee)
+        for path in Path(zecheck.__file__).parent.glob("*.py")
+        for where, callee in seeding_calls(ast.parse(path.read_text()), "<module>")
+    )
+    assert found == [("linalg.py", "case_rng", "Generator"), ("linalg.py", "case_rng", "SeedSequence")]
 
 
 def test_json_roundtrip():

@@ -5,8 +5,8 @@ import pytest
 
 from zecheck.designs import (
     UnitaryFamily,
-    _dedup_key,
-    canonical_phase,
+    _canonical_phases,
+    _dedup_keys,
     conjugate_twirl,
     enumerate_clifford,
     fourier,
@@ -21,7 +21,7 @@ from zecheck.suites import execute
 
 
 def phase_key(u):
-    return np.round(canonical_phase(u), 10).tobytes()
+    return np.round(_canonical_phases(u[None])[0], 10).tobytes()
 
 
 def test_enumeration_sizes(family_d2, family_d3):
@@ -69,10 +69,11 @@ def test_multiplication_table_matches_pairwise_reference(d, family_d2, family_d3
     fam = family_d2 if d == 2 else family_d3
     g = fam.members
     rows = range(0, len(g), 1 if d == 2 else 6)  # 36 of the 216 rows at d=3
-    index = {_dedup_key(canonical_phase(u)): i for i, u in enumerate(g)}
-    expected = np.array(
-        [[index.get(_dedup_key(canonical_phase(g[i] @ b)), -1) for b in g] for i in rows]
-    )
+    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
+    expected = np.array([
+        [index.get(_dedup_keys(_canonical_phases((g[i] @ b)[None]))[0], -1) for b in g]
+        for i in rows
+    ])
     np.testing.assert_array_equal(multiplication_table(fam)[list(rows)], expected)
 
 
@@ -97,10 +98,11 @@ def test_closure_fails_without_a_member(d, family_d2, family_d3, monkeypatch):
 def test_canonical_phase_normalizes():
     rng = np.random.default_rng(0)
     u = fourier(3)
-    for _ in range(5):
-        phase = np.exp(2j * np.pi * rng.random())
-        np.testing.assert_allclose(canonical_phase(phase * u), canonical_phase(u), atol=1e-12)
-    pivot = canonical_phase(u).ravel()[0]
+    phases = np.exp(2j * np.pi * rng.random(5))
+    canon = _canonical_phases(phases[:, None, None] * u)
+    np.testing.assert_allclose(canon, np.broadcast_to(_canonical_phases(u[None]), canon.shape),
+                               atol=1e-12)
+    pivot = canon[0].ravel()[0]
     assert pivot.imag == pytest.approx(0.0) and pivot.real > 0
 
 
@@ -169,9 +171,10 @@ def test_subdesign_search(subdesign_d2):
     assert abs(frame_potential(subdesign_d2) - 2.0) <= 1e-9
 
 
-def test_closure_size_cap():
+def test_closure_size_cap(monkeypatch):
+    monkeypatch.setattr("zecheck.designs.SIZE_CAP", 50)
     with pytest.raises(RuntimeError):
-        enumerate_clifford(3, size_cap=50)
+        enumerate_clifford(3)
 
 
 def test_family_enumeration_is_charged_to_the_first_claim(family_d2, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from zecheck.channel import build_channel, output_overlap, random_block_state
 from zecheck.designs import (
     UnitaryFamily,
-    canonical_phase,
+    _canonical_phases,
     clock,
     frame_potential,
     shift,
@@ -27,11 +27,11 @@ from zecheck.zero_error import (
 
 def pauli_family() -> UnitaryFamily:
     x, z = shift(2), clock(2)
-    members = np.stack([
-        canonical_phase(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+    members = _canonical_phases(np.stack([
+        np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
         for a in range(2)
         for b in range(2)
-    ])
+    ]))
     return UnitaryFamily(d=2, members=members, weights=np.full(4, 0.25))
 
 

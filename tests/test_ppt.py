@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zecheck.linalg import (
+    case_rng,
     max_entangled_projector,
     partial_transpose,
     psd_deficit,
@@ -12,6 +13,7 @@ from zecheck.linalg import (
 from zecheck.ppt import (
     IsotropicDecomposition,
     PPTSearchResult,
+    _search_candidate,
     build_ppt_witness,
     constraint_score,
     isotropic_twirl_n,
@@ -61,6 +63,20 @@ def test_pairwise_transpose_involution():
     np.testing.assert_allclose(
         pairwise_partial_transpose(pairwise_partial_transpose(m, 2, 2), 2, 2), m, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_pairwise_transpose_matches_per_pair_reference(d, n):
+    rng = np.random.default_rng(2)
+    side = d ** (2 * n)
+    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    want = m
+    for t in range(n):
+        want = partial_transpose(want, (d, d) * n, 2 * t)
+    got = pairwise_partial_transpose(m, d, n)
+    assert np.array_equal(got, want) and got.flags.c_contiguous
+    with pytest.raises(ValueError):
+        pairwise_partial_transpose(m[:, : side // 2], d, n)
 
 
 def test_entangled_projector_is_not_ppt():
@@ -150,7 +166,7 @@ def test_recursion_implied_matches_planted():
     coeffs[1, 1] = 0.0
     dec = IsotropicDecomposition(2, 2, coeffs)
     for rec in recursion_trace(dec, w):
-        assert rec.implied == pytest.approx(rec.coefficient, abs=1e-9)
+        assert rec.implied == pytest.approx(dec.coefficient(rec.label), abs=1e-9)
 
 
 def test_recursion_rejects_unconstrained():
@@ -208,19 +224,10 @@ def two_eigh_project_to_ppt(m, d, n, max_rounds=200, tol=1e-10):
     return None
 
 
-def search_candidate(d, n, seed, t):
-    """The Wishart matrix ppt_search draws as its candidate t."""
-    side = d ** (2 * n)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
 @pytest.mark.parametrize("d,n,count", [(2, 1, 30), (2, 2, 20), (3, 1, 30), (3, 2, 8)])
 def test_projection_matches_two_eigh_rule(d, n, count):
     for t in range(count):
-        m = search_candidate(d, n, 7, t)
+        m = _search_candidate(d, n, 7, t)
         got, want = project_to_ppt(m, d, n), two_eigh_project_to_ppt(m, d, n)
         assert (got is None) == (want is None)
         assert got is None or np.array_equal(got, want)
@@ -243,19 +250,27 @@ def transpose_edge_input(d, n, lam, rng):
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
-@pytest.mark.parametrize("scale,certified,clipped", [
-    (0.25, True, False),  # g + (tol/2) I is PD: Cholesky accepts
-    (0.75, False, False),  # Cholesky fails, eigh accepts
-    (2.0, False, True),
+@pytest.mark.parametrize("scale,certified,clipped,side", [
+    # the side under test has lambda_min = -scale * tol, the other is PD
+    pytest.param(0.25, True, False, "transpose", id="0.25-True-False"),  # Cholesky accepts
+    pytest.param(0.75, False, False, "transpose", id="0.75-False-False"),  # eigh accepts
+    pytest.param(2.0, False, True, "transpose", id="2.0-False-True"),  # eigh clips
+    pytest.param(0.25, True, False, "direct", id="direct-0.25-True-False"),
+    pytest.param(0.75, False, False, "direct", id="direct-0.75-False-False"),
+    pytest.param(2.0, False, True, "direct", id="direct-2.0-False-True"),
 ])
-def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, monkeypatch):
+def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, side, monkeypatch):
     tol = 1e-10
     m = transpose_edge_input(d, n, -scale * tol, np.random.default_rng(31))
+    if side == "direct":
+        m = pairwise_partial_transpose(m, d, n)
     start = (m + m.conj().T) / 2
     start = start / np.trace(start).real
-    assert np.linalg.eigvalsh(start).min() > 0.01
-    lam = np.linalg.eigvalsh(pairwise_partial_transpose(start, d, n)).min()
-    assert lam == pytest.approx(-scale * tol, rel=1e-3)
+    edge, other = start, pairwise_partial_transpose(start, d, n)
+    if side == "transpose":
+        edge, other = other, edge
+    assert np.linalg.eigvalsh(other).min() > 0.01
+    assert np.linalg.eigvalsh(edge).min() == pytest.approx(-scale * tol, rel=1e-3)
     want = two_eigh_project_to_ppt(m, d, n)
     eigh_calls = []
     eigh = np.linalg.eigh
@@ -269,11 +284,13 @@ def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, 
     assert len(eigh_calls) == (0 if certified else 1)
     got = project_to_ppt(m, d, n, tol=tol)
     assert got is not None and np.array_equal(got, want)
-    if clipped:
-        assert one_round is None
-        assert not np.array_equal(got, start)
-    else:
+    if not clipped:
         assert np.array_equal(one_round, start) and np.array_equal(got, start)
+    elif side == "direct":
+        # the round that clips the direct side goes on to check the transpose
+        assert np.array_equal(one_round, got) and not np.array_equal(got, start)
+    else:
+        assert one_round is None and not np.array_equal(got, start)
 
 
 def rechecking_search(d, n, trials, seed):
@@ -281,20 +298,32 @@ def rechecking_search(d, n, trials, seed):
     accepted = skipped = 0
     min_value = None
     for t in range(trials):
-        candidate = project_to_ppt(search_candidate(d, n, seed, t), d, n)
+        candidate = project_to_ppt(_search_candidate(d, n, seed, t), d, n)
         if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
             skipped += 1
             continue
         accepted += 1
         score = constraint_score(candidate, d, n)
         min_value = score if min_value is None else min(min_value, score)
-    return PPTSearchResult(d, n, trials, seed, accepted, skipped, min_value)
+    return PPTSearchResult(accepted, skipped, min_value)
 
 
 @pytest.mark.parametrize("seed", [7, 123])
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_search_matches_rechecking_reference(d, n, seed):
     assert ppt_search(d, n, 20, seed) == rechecking_search(d, n, 20, seed)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+def test_search_draws_candidate_t_from_case_rng(d, n):
+    seed, trials = 7, 20
+    scores = []
+    for t in range(trials):
+        m = random_psd(d ** (2 * n), case_rng(seed, "ppt", 40_000 + t))
+        candidate = project_to_ppt(m, d, n)
+        assert candidate is not None
+        scores.append(constraint_score(candidate, d, n))
+    assert ppt_search(d, n, trials, seed) == PPTSearchResult(trials, 0, min(scores))
 
 
 def test_search_floor_and_fields():
