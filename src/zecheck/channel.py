@@ -29,6 +29,11 @@ from .linalg import DEFAULT_TOL, psd_deficit, tensor
 # _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger blocks
 # buy no speed and raise peak memory.
 _FLAG_BLOCK = 256
+# Flag tuples per output_overlap GEMM, likewise rounded down to whole
+# first-use rows but at least one: 9 of the 216 rows at (3,2).  A chunk's
+# product holds about _OVERLAP_FLAGS * d^(2n-1) * ref_dim^2 amplitudes;
+# all 216 rows at once doubled the peak memory of the (3,2) identity loop.
+_OVERLAP_FLAGS = 2048
 
 
 @dataclass
@@ -123,19 +128,13 @@ def _flag_tuples(channel, n):
     return labels, np.prod(channel.design.weights[labels], axis=1)
 
 
-def _branch_factors(channel, states):
-    """Yield (start, v) per block of flag tuples, for all given states at once.
+def _later_uses(channel, states):
+    """Apply uses 2..n to all given states at once, one use at a time.
 
-    v[s, f] is the (control) x (data, reference) amplitude matrix V of
-    states[s] under flag tuple labels[start + f], where labels are the
-    row-major _flag_tuples: the receiver branch is V V^dag and the
-    environment branch V^T conj(V).
-
-    Uses 2..n are applied once per call, one use at a time, for all
-    m^(n-1) sub-tuples (j_2..j_n); that data stays held for the whole
-    call, m^(n-1) * d^(2n) * ref_dim amplitudes per state.  A block is then
-    a run of whole first-use rows j_1, one GEMM with their d x d members,
-    and its factors hold about _FLAG_BLOCK * d^(2n) * ref_dim amplitudes
+    Returns inner[a_1, (j_2..j_n), (a_2..a_n), (state, control, reference)]:
+    the data amplitudes after g_{j_2} (x) .. (x) g_{j_n} acts on data digits
+    a_2..a_n, for all m^(n-1) sub-tuples, with the first data digit a_1 and
+    the phase untouched.  It holds m^(n-1) * d^(2n) * ref_dim amplitudes
     per state.
     """
     d = channel.d
@@ -148,11 +147,6 @@ def _branch_factors(channel, states):
     side = d**n
     g = channel.design.members
     m = len(g)
-    # P is diagonal, so for flags j the n uses send control tuple i with data
-    # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
-    # on the data for all i, then the n-fold phase table phase[i, a].
-    phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
-    phase = phase[:, :, None]  # control, data, reference
     # data digits as rows, (state, control, reference) as columns
     b = np.stack([psi.blocks for psi in states]).reshape(len(states), side, side, ref)
     cols = len(states) * side * ref
@@ -165,21 +159,47 @@ def _branch_factors(channel, states):
         out = g.reshape(m * d, d) @ digit.reshape(d, -1)
         out = out.reshape(m, d, lead // d, flags, done, cols).transpose(2, 0, 3, 1, 4, 5)
         inner = out.reshape(lead // d, m * flags, d * done, cols)
+    return inner
+
+
+def _branch_factors(channel, psi):
+    """Yield (start, v) per block of flag tuples.
+
+    v[f] is the (control) x (data, reference) amplitude matrix V of psi
+    under flag tuple labels[start + f], where labels are the row-major
+    _flag_tuples: the receiver branch is V V^dag and the environment branch
+    V^T conj(V).
+
+    Uses 2..n come from _later_uses, once per call.  A block is then a run
+    of whole first-use rows j_1, one GEMM with their d x d members, and its
+    factors hold about _FLAG_BLOCK * d^(2n) * ref_dim amplitudes.
+    """
+    d = channel.d
+    n, ref = psi.n, psi.ref_dim
+    side = d**n
+    g = channel.design.members
+    m = len(g)
+    inner = _later_uses(channel, (psi,))
+    # P is diagonal, so for flags j the n uses send control tuple i with data
+    # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
+    # on the data for all i, then the n-fold phase table phase[i, a].
+    phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
+    phase = phase[:, :, None]  # control, data, reference
     flags = inner.shape[1]
     inner = inner.reshape(d, -1)
     rows = max(1, _FLAG_BLOCK // flags)
     for first in range(0, m, rows):
         k = min(rows, m - first)
         w = (g[first : first + k].reshape(k * d, d) @ inner).reshape(
-            k, d, flags, side // d, len(states), side, ref
+            k, d, flags, side // d, side, ref
         )
-        # to (state, j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference);
-        # the phase multiplies the contiguous copy, not the strided view,
-        # which took about twice as long at (3,2)
-        v = np.ascontiguousarray(w.transpose(4, 0, 2, 5, 1, 3, 6))
-        v = v.reshape(len(states), k * flags, side, side, ref)
+        # to (j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference); the
+        # phase multiplies the contiguous copy, not the strided view, which
+        # took about twice as long at (3,2)
+        v = np.ascontiguousarray(w.transpose(0, 2, 4, 1, 3, 5))
+        v = v.reshape(k * flags, side, side, ref)
         v *= phase
-        yield first * flags, v.reshape(len(states), k * flags, side, side * ref)
+        yield first * flags, v.reshape(k * flags, side, side * ref)
 
 
 def _gram(v, complementary: bool):
@@ -193,7 +213,7 @@ def _branch_matrices(channel, psi, complementary: bool):
     labels, weights = _flag_tuples(channel, psi.n)
     out_side = psi.block_len if complementary else psi.d**psi.n
     mats = np.empty((len(labels), out_side, out_side), dtype=complex)
-    for start, (v,) in _branch_factors(channel, (psi,)):
+    for start, v in _branch_factors(channel, psi):
         mats[start : start + len(v)] = _gram(v, complementary)
     return labels, weights, mats
 
@@ -222,7 +242,7 @@ def conservation_residuals(
     _, weights = _flag_tuples(channel, psi.n)
     totals = [0.0, 0.0]  # receiver, environment
     deficit = 0.0
-    for start, (v,) in _branch_factors(channel, (psi,)):
+    for start, v in _branch_factors(channel, psi):
         w = weights[start : start + len(v)]
         for side, complementary in enumerate((False, True)):
             mats = _gram(v, complementary)
@@ -252,18 +272,59 @@ def output_overlap(
 ) -> float:
     """cq_overlap(apply_n(channel, x), apply_n(channel, y)) without the outputs.
 
-    Per flag tuple j, tr(V_x V_x^dag V_y V_y^dag) = ||V_x^dag V_y||_F^2, so
-    the overlap is sum_j w_j^2 ||V_{x,j}^dag V_{y,j}||_F^2, one batched
-    product per block of flags and no branch matrix.
+    Per flag tuple f, tr(V_x V_x^dag V_y V_y^dag) = ||M_f||_F^2 with
+    M_f = V_x^dag V_y, so the overlap is sum_f w_f^2 ||M_f||_F^2.  The
+    control index c is contracted before the first use is applied:
+
+    1. _later_uses applies uses 2..n, then the phase w^{c'.a'} of those
+       uses is folded in, giving I[c, (a_1, a')] per state and per
+       sub-tuple J' = (j_2..j_n), with a_1 still untransformed.
+    2. Per J' and per delta in Z_d, T_J'[delta] = sum_c w^{c_1 delta}
+       conj(I_x[c]) (x) I_y[c]: m^(n-1) small products instead of m^n.
+    3. The first use and its phase w^{c_1 (b_1 - a_1)} then give
+       conj(M_f)[(a_1, a'), (b_1, b')] = sum_{s,t} conj(g_j1[a_1, s])
+       g_j1[b_1, t] T_J'[b_1 - a_1][(s, a'), (t, b')], so one GEMM per delta
+       of (conj g[:, a_1, :] (x) g[:, a_1 + delta, :]), m*d x d^2, against
+       T[delta] yields every M_f entry, in chunks of whole rows j_1.
+
+    Every flag's ||M_f||_F^2 is still formed on its own and weighted by
+    w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
+    any use) before squaring would factor the flag sum per use, which is
+    the closed form the central identity checks, and make it circular.
     """
-    _, weights = _flag_tuples(channel, x.n)
-    total = 0.0
-    for start, (vx, vy) in _branch_factors(channel, (x, y)):
-        k = len(vx)
-        # V_x^T conj(V_y) is the conjugate of V_x^dag V_y: same Frobenius norm
-        prod = np.matmul(vx.transpose(0, 2, 1), vy.conj()).reshape(k, -1).view(float)
-        total += float(weights[start : start + k] ** 2 @ np.einsum("fa,fa->f", prod, prod))
-    return total
+    d, n, ref = channel.d, x.n, x.ref_dim
+    g = channel.design.members
+    m = len(g)
+    inner = _later_uses(channel, (x, y))
+    _, flags, rest, _ = inner.shape  # rest = d^(n-1) digits a_2..a_n
+    side = d**n
+    phase1 = np.diagonal(channel.phase_gate).reshape(d, d)  # w^{c a} of one use
+    later_phase = tensor(np.ones((1, 1)), *[phase1] * (n - 1))  # (c', a')
+    amp = inner.reshape(d, flags, rest, 2, d, rest, ref)
+    amp = amp * later_phase.T.reshape(1, 1, rest, 1, 1, rest, 1)
+    # to (state, J', control, (a_1, a', reference))
+    amp = amp.transpose(3, 1, 4, 5, 0, 2, 6).reshape(2, flags, side, side * ref)
+    # w^{c_1 delta} on the y side, one column block per delta
+    ys = amp[1].reshape(flags, d, rest, 1, side * ref) * phase1[:, None, :, None]
+    t = np.matmul(amp[0].conj().transpose(0, 2, 1), ys.reshape(flags, side, d * side * ref))
+    # to (delta, s, t, J', (a', r), (b', r'))
+    block = rest * ref
+    t = t.reshape(flags, d, block, d, d, block).transpose(3, 1, 4, 0, 2, 5)
+    t = np.ascontiguousarray(t).reshape(d, d * d, flags * block * block)
+    # pair[delta, j_1, a_1, (s, t)] = conj(g_j1[a_1, s]) g_j1[a_1 + delta, t]
+    shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d]  # (j_1, delta, a_1, t)
+    pair = g.conj()[:, None, :, :, None] * shifted[:, :, :, None, :]
+    pair = np.ascontiguousarray(pair.transpose(1, 0, 2, 3, 4)).reshape(d, m, d, d * d)
+    norms = np.zeros((m, flags))
+    rows = max(1, _OVERLAP_FLAGS // flags)
+    for first in range(0, m, rows):
+        k = min(rows, m - first)
+        for delta in range(d):
+            mf = (pair[delta, first : first + k].reshape(k * d, d * d) @ t[delta]).view(float)
+            mf = mf.reshape(k, d, flags, 2 * block * block)
+            norms[first : first + k] += np.einsum("kafe,kafe->kf", mf, mf)
+    _, weights = _flag_tuples(channel, n)
+    return float(weights**2 @ norms.ravel())
 
 
 def random_block_state(

@@ -56,7 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None, help="sample-count base (default 100)")
     verify.add_argument("--seed", type=int, default=None, help="unsigned 64-bit master seed")
     verify.add_argument("--output", default=None, help="report path (default: stdout)")
-    verify.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
+    verify.add_argument(
+        "--format",
+        choices=FORMATS,
+        default=None,
+        dest="fmt",
+        help="report format: json or text (default json)",
+    )
     return parser
 
 

@@ -17,11 +17,9 @@ case 40_000 + t of the ppt suite.  Running any subset of suites thus
 reproduces the full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
-`trials` pairs (max(3, trials // 2) at d=3, n=2, where each pair is
-one fused pass over 216^2 flag tuples), the orthogonality equivalence
-2*trials random plus trials/2 structured pairs, the code-impossibility
-sweep 5*trials candidate pairs, and the PPT search 10*trials
-projections.
+`trials` pairs, the orthogonality equivalence 2*trials random plus
+trials/2 structured pairs, the code-impossibility sweep 5*trials
+candidate pairs, and the PPT search 10*trials projections.
 """
 
 from __future__ import annotations
@@ -304,9 +302,6 @@ def _conservation(ctx):
         "flag-branch output overlap equals the closed-form quadratic form", tol=1e-8)
 def _central_identity(ctx):
     pairs = ctx.config.trials
-    if (ctx.d, ctx.n) == (3, 2):
-        # 216^2 flag tuples per output, 81 times as many as at (2, 2)
-        pairs = max(3, pairs // 2)
     return _identity_gap(ctx, ctx.channel, 0, pairs), f"pairs={pairs}"
 
 

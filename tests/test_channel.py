@@ -15,7 +15,7 @@ from zecheck.channel import (
 from zecheck.designs import UnitaryFamily
 from zecheck.linalg import basis_state, partial_trace, projector, tensor
 from zecheck.report import RunConfig
-from zecheck.suites import execute
+from zecheck.suites import _CLAIMS, _Context, _run, execute
 from zecheck.zero_error import averaged_output_overlap
 
 
@@ -281,6 +281,48 @@ def test_output_overlap_matches_cq_overlap(d, n, pairs, ref, channel_d2, channel
         p2 = random_block_state(d, n, rng, ref_dim=ref)
         expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
         assert abs(scale * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("ref", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_output_overlap_with_distinct_weights(n, ref, family_d2):
+    # the Clifford weights are uniform, which would hide a flag weight
+    # paired with the wrong first-use row or sub-tuple
+    raw = np.random.default_rng(61).uniform(0.5, 1.5, len(family_d2))
+    fam = UnitaryFamily(2, family_d2.members.copy(), raw / raw.sum())
+    fam.verified = True  # not a 2-design; only the overlap bookkeeping is under test
+    ch = build_channel(2, fam)
+    assert len(np.unique(fam.weights)) == len(fam)
+    rng = np.random.default_rng(67)
+    for _ in range(2):
+        p1 = random_block_state(2, n, rng, ref_dim=ref)
+        p2 = random_block_state(2, n, rng, ref_dim=ref)
+        expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+        assert abs(len(fam) ** n * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+def test_output_overlap_chunk_boundaries(d, n, channel_d2, channel_d3, monkeypatch):
+    ch = channel_d2 if d == 2 else channel_d3
+    m = len(ch.design)
+    rng = np.random.default_rng(71)
+    p1 = random_block_state(d, n, rng)
+    p2 = random_block_state(d, n, rng)
+    expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+    values = {}
+    for rows in (1, 7, m):  # 7 divides neither 24 nor 216: the last chunk is partial
+        monkeypatch.setattr(zecheck.channel, "_OVERLAP_FLAGS", rows * m ** (n - 1))
+        values[rows] = output_overlap(ch, p1, p2)
+        assert abs(m**n * (values[rows] - expected)) <= 1e-12
+    assert values[1] == pytest.approx(values[m], rel=1e-13)
+    assert values[7] == pytest.approx(values[m], rel=1e-13)
+
+
+def test_central_identity_uses_trials_pairs_at_d3_n2():
+    spec = next(s for s in _CLAIMS if s.claim_id == "channel.central_identity")
+    result = _run(spec, _Context(RunConfig(d=3, n=2, suites=("channel",), trials=4)))
+    assert result.passed
+    assert result.detail == "pairs=4"
 
 
 def test_output_overlap_special_states(channel_d2):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zecheck
-from zecheck.cli import main, parse_config
+from zecheck.cli import _build_parser, main, parse_config
 from zecheck.report import SUITE_NAMES, RunConfig, VerificationReport, emit_report
 from zecheck.suites import case_rng, execute
 
@@ -37,6 +38,17 @@ def test_parse_rejects_unknown_flag():
     with pytest.raises(SystemExit) as err:
         parse_config(["verify", "--bogus", "1"], env={})
     assert err.value.code == 2
+
+
+def test_every_verify_option_has_help():
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    verify = subparsers.choices["verify"]
+    missing = [
+        a.option_strings for a in verify._actions if a.option_strings and not a.help
+    ]
+    assert missing == []
 
 
 def test_env_seed_fallback():
