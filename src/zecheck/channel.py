@@ -22,18 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import UnitaryFamily
-from .linalg import DEFAULT_TOL, psd_deficit, tensor
+from .linalg import DEFAULT_TOL, psd_deficit
 
-# Flag tuples per kernel block, rounded down to whole first-use rows of
-# m^(n-1) tuples but at least one row.  A block's factors hold about
-# _FLAG_BLOCK * d^(2n) * ref_dim amplitudes per input state; larger blocks
-# buy no speed and raise peak memory.
-_FLAG_BLOCK = 256
-# Flag tuples per output_overlap GEMM, likewise rounded down to whole
-# first-use rows but at least one: 9 of the 216 rows at (3,2).  A chunk's
-# product holds about _OVERLAP_FLAGS * d^(2n-1) * ref_dim^2 amplitudes;
-# all 216 rows at once doubled the peak memory of the (3,2) identity loop.
-_OVERLAP_FLAGS = 2048
+# Amplitudes per chunk of whole first-use rows (at least one row), for
+# _branch_factors' factors and output_overlap's products alike: one of the
+# 216 rows of a (3,2) pass, 5 of an overlap's.  Three rows per (3,2) pass
+# made apply_n about 1.5 times slower (OpenBLAS, one thread).
+_CHUNK_AMPLITUDES = 2**15
+
+
+def _chunk_rows(flags, per_flag):
+    """First-use rows per chunk when each of a row's flags holds per_flag amplitudes."""
+    return max(1, _CHUNK_AMPLITUDES // (flags * per_flag))
 
 
 @dataclass
@@ -128,14 +128,32 @@ def _flag_tuples(channel, n):
     return labels, np.prod(channel.design.weights[labels], axis=1)
 
 
+def _apply_use(channel, members, inner, ref):
+    """Apply one use: each member g_j to digit a_t, then the phase w^{c_t a_t}.
+
+    inner[(a_1..a_t), (j_t+1..j_n), (a_t+1..a_n), (state, control, reference)]
+    holds the data once uses t+1..n have acted; P is diagonal, so its phase
+    factors per use.  Returns a view of one fresh array,
+    out[(a_1..a_t-1), j_t, (j_t+1..j_n), a_t, (a_t+1..a_n), cols].
+    """
+    d, k = channel.d, len(members)
+    lead, flags, done, cols = inner.shape
+    out = members.reshape(k * d, d) @ inner.reshape(lead // d, d, flags * done * cols)
+    # w^{a_t c_t} over (a_t, (a_t+1..a_n), cols), cols split around c_t, so
+    # that the multiply runs over contiguous runs of done * cols amplitudes
+    phase = np.diagonal(channel.phase_gate).reshape(d, d)[:, None, None, :, None]
+    table = np.broadcast_to(phase, (d, done, cols // (d * done * ref), d, done * ref))
+    out.reshape(-1, d, flags, done * cols)[...] *= table.reshape(d, 1, done * cols)
+    return out.reshape(lead // d, k, d, flags, done, cols).transpose(0, 1, 3, 2, 4, 5)
+
+
 def _later_uses(channel, states):
-    """Apply uses 2..n to all given states at once, one use at a time.
+    """Apply uses n..2 to all given states at once, one _apply_use each.
 
     Returns inner[a_1, (j_2..j_n), (a_2..a_n), (state, control, reference)]:
-    the data amplitudes after g_{j_2} (x) .. (x) g_{j_n} acts on data digits
-    a_2..a_n, for all m^(n-1) sub-tuples, with the first data digit a_1 and
-    the phase untouched.  It holds m^(n-1) * d^(2n) * ref_dim amplitudes
-    per state.
+    the data amplitudes after uses 2..n and their phases, for all m^(n-1)
+    sub-tuples, with the first data digit a_1 untouched.  It holds
+    m^(n-1) * d^(2n) * ref_dim amplitudes per state.
     """
     d = channel.d
     n, ref = states[0].n, states[0].ref_dim
@@ -146,60 +164,39 @@ def _later_uses(channel, states):
             raise ValueError("states differ in channel uses or reference dimension")
     side = d**n
     g = channel.design.members
-    m = len(g)
     # data digits as rows, (state, control, reference) as columns
     b = np.stack([psi.blocks for psi in states]).reshape(len(states), side, side, ref)
     cols = len(states) * side * ref
-    # inner[(a_1..a_t), (j_t+1..j_n), (a_t+1..a_n), cols] once uses t+1..n
-    # are applied; each pass applies use t to the last untouched digit a_t
     inner = b.transpose(2, 0, 1, 3).reshape(side, 1, 1, cols)
     for _ in range(n - 1):
         lead, flags, done, _ = inner.shape
-        digit = inner.reshape(lead // d, d, flags * done * cols).transpose(1, 0, 2)
-        out = g.reshape(m * d, d) @ digit.reshape(d, -1)
-        out = out.reshape(m, d, lead // d, flags, done, cols).transpose(2, 0, 3, 1, 4, 5)
-        inner = out.reshape(lead // d, m * flags, d * done, cols)
+        inner = _apply_use(channel, g, inner, ref).reshape(
+            lead // d, len(g) * flags, d * done, cols
+        )
     return inner
 
 
 def _branch_factors(channel, psi):
-    """Yield (start, v) per block of flag tuples.
+    """Yield (start, v) per chunk of flag tuples.
 
     v[f] is the (control) x (data, reference) amplitude matrix V of psi
     under flag tuple labels[start + f], where labels are the row-major
     _flag_tuples: the receiver branch is V V^dag and the environment branch
-    V^T conj(V).
-
-    Uses 2..n come from _later_uses, once per call.  A block is then a run
-    of whole first-use rows j_1, one GEMM with their d x d members, and its
-    factors hold about _FLAG_BLOCK * d^(2n) * ref_dim amplitudes.
+    V^T conj(V).  A chunk is a run of whole first-use rows j_1: _apply_use
+    applies their first use to _later_uses' data, and one copy brings the
+    result to (flag, control, data, reference).
     """
-    d = channel.d
-    n, ref = psi.n, psi.ref_dim
-    side = d**n
+    d, ref = channel.d, psi.ref_dim
+    side = d**psi.n
     g = channel.design.members
-    m = len(g)
     inner = _later_uses(channel, (psi,))
-    # P is diagonal, so for flags j the n uses send control tuple i with data
-    # a_i to w^{i.a} (g_{j_1} (x) .. (x) g_{j_n} a_i)[a]: one product unitary
-    # on the data for all i, then the n-fold phase table phase[i, a].
-    phase = tensor(*[np.diagonal(channel.phase_gate).reshape(d, d)] * n)
-    phase = phase[:, :, None]  # control, data, reference
     flags = inner.shape[1]
-    inner = inner.reshape(d, -1)
-    rows = max(1, _FLAG_BLOCK // flags)
-    for first in range(0, m, rows):
-        k = min(rows, m - first)
-        w = (g[first : first + k].reshape(k * d, d) @ inner).reshape(
-            k, d, flags, side // d, side, ref
-        )
-        # to (j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference); the
-        # phase multiplies the contiguous copy, not the strided view, which
-        # took about twice as long at (3,2)
-        v = np.ascontiguousarray(w.transpose(0, 2, 4, 1, 3, 5))
-        v = v.reshape(k * flags, side, side, ref)
-        v *= phase
-        yield first * flags, v.reshape(k * flags, side, side * ref)
+    rows = _chunk_rows(flags, side * side * ref)
+    for first in range(0, len(g), rows):
+        w = _apply_use(channel, g[first : first + rows], inner, ref)[0]
+        # to (j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference)
+        w = w.reshape(len(w), flags, d, side // d, side, ref).transpose(0, 1, 4, 2, 3, 5)
+        yield first * flags, np.ascontiguousarray(w).reshape(-1, side, side * ref)
 
 
 def _gram(v, complementary: bool):
@@ -237,7 +234,7 @@ def conservation_residuals(
 
     Returns the larger of |sum_j w_j tr rho_j - 1| over the two outputs
     and the largest psd_deficit of any branch of either, from one pass
-    over the flag blocks; neither output is built.
+    over the flag chunks; neither output is built.
     """
     _, weights = _flag_tuples(channel, psi.n)
     totals = [0.0, 0.0]  # receiver, environment
@@ -276,9 +273,9 @@ def output_overlap(
     M_f = V_x^dag V_y, so the overlap is sum_f w_f^2 ||M_f||_F^2.  The
     control index c is contracted before the first use is applied:
 
-    1. _later_uses applies uses 2..n, then the phase w^{c'.a'} of those
-       uses is folded in, giving I[c, (a_1, a')] per state and per
-       sub-tuple J' = (j_2..j_n), with a_1 still untransformed.
+    1. _later_uses applies uses 2..n and their phase w^{c'.a'}, giving
+       I[c, (a_1, a')] per state and per sub-tuple J' = (j_2..j_n), with
+       a_1 still untransformed.
     2. Per J' and per delta in Z_d, T_J'[delta] = sum_c w^{c_1 delta}
        conj(I_x[c]) (x) I_y[c]: m^(n-1) small products instead of m^n.
     3. The first use and its phase w^{c_1 (b_1 - a_1)} then give
@@ -299,11 +296,9 @@ def output_overlap(
     _, flags, rest, _ = inner.shape  # rest = d^(n-1) digits a_2..a_n
     side = d**n
     phase1 = np.diagonal(channel.phase_gate).reshape(d, d)  # w^{c a} of one use
-    later_phase = tensor(np.ones((1, 1)), *[phase1] * (n - 1))  # (c', a')
-    amp = inner.reshape(d, flags, rest, 2, d, rest, ref)
-    amp = amp * later_phase.T.reshape(1, 1, rest, 1, 1, rest, 1)
     # to (state, J', control, (a_1, a', reference))
-    amp = amp.transpose(3, 1, 4, 5, 0, 2, 6).reshape(2, flags, side, side * ref)
+    amp = inner.reshape(d, flags, rest, 2, side, ref).transpose(3, 1, 4, 0, 2, 5)
+    amp = amp.reshape(2, flags, side, side * ref)
     # w^{c_1 delta} on the y side, one column block per delta
     ys = amp[1].reshape(flags, d, rest, 1, side * ref) * phase1[:, None, :, None]
     t = np.matmul(amp[0].conj().transpose(0, 2, 1), ys.reshape(flags, side, d * side * ref))
@@ -316,13 +311,12 @@ def output_overlap(
     pair = g.conj()[:, None, :, :, None] * shifted[:, :, :, None, :]
     pair = np.ascontiguousarray(pair.transpose(1, 0, 2, 3, 4)).reshape(d, m, d, d * d)
     norms = np.zeros((m, flags))
-    rows = max(1, _OVERLAP_FLAGS // flags)
+    rows = _chunk_rows(flags, d * block * block)
     for first in range(0, m, rows):
-        k = min(rows, m - first)
         for delta in range(d):
-            mf = (pair[delta, first : first + k].reshape(k * d, d * d) @ t[delta]).view(float)
-            mf = mf.reshape(k, d, flags, 2 * block * block)
-            norms[first : first + k] += np.einsum("kafe,kafe->kf", mf, mf)
+            mf = pair[delta, first : first + rows].reshape(-1, d * d) @ t[delta]
+            mf = mf.view(float).reshape(-1, d, flags, 2 * block * block)
+            norms[first : first + rows] += np.einsum("kafe,kafe->kf", mf, mf)
     _, weights = _flag_tuples(channel, n)
     return float(weights**2 @ norms.ravel())
 

@@ -7,7 +7,8 @@ Exit codes: 0 all claims pass, 1 at least one claim fails, 2 usage
 error, 3 internal error.  Every flag has a ZEC_-prefixed environment
 fallback (ZEC_D, ZEC_N, ZEC_SUITE, ZEC_TRIALS, ZEC_SEED, ZEC_OUTPUT,
 ZEC_FORMAT); explicit flags win over the environment, which wins over
-the defaults.  Claim tolerances are fixed per claim, and the Clifford
+RunConfig's defaults.  A ZEC_SUITE that names no suite is a usage error,
+not a run that checks nothing.  Claim tolerances are fixed per claim, and the Clifford
 family is enumerated in-process on every run; the removed --tol and
 --cache-dir flags and their ZEC_TOL and ZEC_CACHE_DIR variables are
 usage errors.
@@ -18,9 +19,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .report import FORMATS, RunConfig, SUITE_NAMES, TOOLKIT_VERSION, emit_report
+from .report import (
+    FORMATS,
+    SUITE_NAMES,
+    SUPPORTED_D,
+    SUPPORTED_N,
+    TOOLKIT_VERSION,
+    RunConfig,
+    emit_report,
+)
 from .suites import execute
 
 EXIT_PASS = 0
@@ -36,6 +46,26 @@ REMOVED_ENV = {
 }
 
 
+def _suite_names(raw):
+    """ZEC_SUITE's comma-separated suite names; naming none is an error, not a vacuous run."""
+    names = tuple(s for s in (part.strip() for part in raw.split(",")) if s)
+    if not names or not set(names) <= set(SUITE_NAMES):
+        raise ValueError(f"expected comma-separated names from {SUITE_NAMES}")
+    return names
+
+
+# (RunConfig field, ZEC_ variable, cast of the variable's text)
+_SETTINGS = (
+    ("d", "D", int),
+    ("n", "N", int),
+    ("suites", "SUITE", _suite_names),
+    ("trials", "TRIALS", int),
+    ("seed", "SEED", int),
+    ("output", "OUTPUT", str),
+    ("fmt", "FORMAT", str),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zecheck",
@@ -44,79 +74,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zecheck {TOOLKIT_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run verification suites and emit a report")
-    verify.add_argument("--d", type=int, default=None, help="qudit dimension (2 or 3)")
-    verify.add_argument("--n", type=int, default=None, help="number of channel uses (1 or 2)")
+    default = {f.name: f.default for f in fields(RunConfig)}
+    verify.add_argument(
+        "--d", type=int, help=f"qudit dimension, one of {SUPPORTED_D} (default {default['d']})"
+    )
+    verify.add_argument(
+        "--n", type=int, help=f"channel uses, one of {SUPPORTED_N} (default {default['n']})"
+    )
     verify.add_argument(
         "--suite",
         action="append",
         choices=SUITE_NAMES,
-        default=None,
-        help="suite to run (repeatable; default: all)",
+        dest="suites",
+        help="suite to run, repeatable (default all)",
     )
-    verify.add_argument("--trials", type=int, default=None, help="sample-count base (default 100)")
-    verify.add_argument("--seed", type=int, default=None, help="unsigned 64-bit master seed")
-    verify.add_argument("--output", default=None, help="report path (default: stdout)")
     verify.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=None,
-        dest="fmt",
-        help="report format: json or text (default json)",
+        "--trials", type=int, help=f"sample-count base (default {default['trials']})"
+    )
+    verify.add_argument(
+        "--seed", type=int, help=f"unsigned 64-bit master seed (default {default['seed']})"
+    )
+    verify.add_argument("--output", help="report path (default stdout)")
+    verify.add_argument(
+        "--format", choices=FORMATS, dest="fmt", help=f"report format (default {default['fmt']})"
     )
     return parser
 
 
-def _env_value(env, key, cast, parser):
-    raw = env.get(ENV_PREFIX + key)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        parser.error(f"invalid value {raw!r} for {ENV_PREFIX + key}")
-
-
-def _env_suites(env, parser):
-    raw = env.get(ENV_PREFIX + "SUITE")
-    if raw is None:
-        return None
-    names = tuple(s for s in (part.strip() for part in raw.split(",")) if s)
-    for name in names:
-        if name not in SUITE_NAMES:
-            parser.error(f"unknown suite {name!r} in {ENV_PREFIX}SUITE")
-    return names
-
-
 def parse_config(argv, env=None) -> RunConfig:
-    """Resolve flags over environment over defaults into a validated RunConfig."""
+    """Resolve each setting as flag, then ZEC_ variable, then RunConfig's default."""
     env = os.environ if env is None else env
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
     for key, why in REMOVED_ENV.items():
         if ENV_PREFIX + key in env:
             parser.error(f"{ENV_PREFIX + key} was removed: {why}")
-
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        from_env = _env_value(env, key, cast, parser)
-        return default if from_env is None else from_env
-
-    suites = ns.suite
-    if suites is None:
-        suites = _env_suites(env, parser)
-    if suites is None:
-        suites = SUITE_NAMES
+    given = {}
+    for name, key, cast in _SETTINGS:
+        value, raw = getattr(ns, name), env.get(ENV_PREFIX + key)
+        if value is None and raw is not None:
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                parser.error(f"invalid value {raw!r} for {ENV_PREFIX + key}: {exc}")
+        if value is not None:
+            given[name] = value
     try:
-        return RunConfig(
-            d=pick(ns.d, "D", int, 2),
-            n=pick(ns.n, "N", int, 1),
-            suites=tuple(suites),
-            trials=pick(ns.trials, "TRIALS", int, 100),
-            seed=pick(ns.seed, "SEED", int, 1),
-            output=pick(ns.output, "OUTPUT", str, None),
-            fmt=pick(ns.fmt, "FORMAT", str, "json"),
-        )
+        return RunConfig(**given)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")  # parser.error raises SystemExit

@@ -50,7 +50,8 @@ def run_protocol(
 
     `data_register_state` is the joint state of the data register and the
     sender-retained reference; it defaults to the maximally entangled
-    pair and is exposed so tests can feed skewed inputs.
+    pair.  The privacy.secrecy_control claim and the tests feed it skewed
+    inputs, under which the environment's state depends on the message.
     """
     d = channel.d
     if not 0 <= message < d:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 TOOLKIT_VERSION = "0.1.0"
 SCHEMA_VERSION = 2
@@ -12,10 +12,34 @@ SUITE_NAMES = ("design", "channel", "zero-error", "theorem2", "privacy", "ppt", 
 SUPPORTED_D = (2, 3)
 SUPPORTED_N = (1, 2)
 FORMATS = ("json", "text")
+# report keys that differ from their field names
+_KEYS = {"fmt": "format"}
+
+
+def _plain(value):
+    """A field value as JSON data: records as dicts, tuples as lists."""
+    if is_dataclass(value):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Record:
+    """to_dict/from_dict of a report dataclass, one key per field."""
+
+    def to_dict(self) -> dict:
+        return {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Build from a report dict; unknown keys (such as schema 1's tol) are ignored."""
+        keys = {f.name: _KEYS.get(f.name, f.name) for f in fields(cls)}
+        return cls(**{name: data[key] for name, key in keys.items() if key in data})
 
 
 @dataclass
-class RunConfig:
+class RunConfig(_Record):
     d: int = 2
     n: int = 1
     suites: tuple[str, ...] = SUITE_NAMES
@@ -42,32 +66,9 @@ class RunConfig:
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "suites": list(self.suites),
-            "trials": self.trials,
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.fmt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            d=data["d"],
-            n=data["n"],
-            suites=tuple(data["suites"]),
-            trials=data["trials"],
-            seed=data["seed"],
-            output=data.get("output"),
-            fmt=data.get("format", "json"),
-        )
-
 
 @dataclass
-class ClaimResult:
+class ClaimResult(_Record):
     """One verified claim: id, self-contained statement, and the measurement."""
 
     suite: str
@@ -79,34 +80,9 @@ class ClaimResult:
     runtime_ms: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "runtime_ms": self.runtime_ms,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimResult":
-        return cls(
-            suite=data["suite"],
-            claim_id=data["claim_id"],
-            statement=data["statement"],
-            passed=data["passed"],
-            value=data["value"],
-            tolerance=data["tolerance"],
-            runtime_ms=data["runtime_ms"],
-            detail=data.get("detail", ""),
-        )
-
 
 @dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     version: str
     config: RunConfig
     claims: list[ClaimResult]
@@ -114,24 +90,15 @@ class VerificationReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "claims": [c.to_dict() for c in self.claims],
-            "overall_pass": self.overall_pass,
-            "warnings": list(self.warnings),
-        }
+        return {**super().to_dict(), "schema_version": SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            version=data["version"],
-            config=RunConfig.from_dict(data["config"]),
-            claims=[ClaimResult.from_dict(c) for c in data["claims"]],
-            overall_pass=data["overall_pass"],
-            warnings=list(data.get("warnings", [])),
-        )
+        return super().from_dict({
+            **data,
+            "config": RunConfig.from_dict(data["config"]),
+            "claims": [ClaimResult.from_dict(c) for c in data["claims"]],
+        })
 
 
 def _fmt_value(v: float | None) -> str:

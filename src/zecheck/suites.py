@@ -18,7 +18,7 @@ reproduces the full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
 `trials` pairs, the orthogonality equivalence 2*trials random plus
-trials/2 structured pairs, the code-impossibility sweep 5*trials
+max(50, trials // 2) structured pairs, the code-impossibility sweep 5*trials
 candidate pairs, and the PPT search 10*trials projections.
 """
 

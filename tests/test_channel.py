@@ -99,10 +99,10 @@ def test_branch_entries_match_oracle(d, n, channel_d2, channel_d3):
                 assert out.matrices[b][flat_row, flat_col] == pytest.approx(expected, abs=1e-12)
 
 
-def block_edges(m, n):
-    """First and last flag of every kernel block of whole first-use rows."""
+def block_edges(m, d, n, ref):
+    """First and last flag of every kernel chunk of whole first-use rows."""
     flags = m ** (n - 1)
-    rows = max(1, zecheck.channel._FLAG_BLOCK // flags)
+    rows = max(1, zecheck.channel._CHUNK_AMPLITUDES // (flags * d ** (2 * n) * ref))
     starts = range(0, m**n, rows * flags)
     return sorted({k for s in starts for k in (s, min(s + rows * flags, m**n) - 1)})
 
@@ -116,7 +116,7 @@ def test_branches_match_dense_reference(d, n, ref, channel_d2, channel_d3):
     psi = random_block_state(d, n, rng, ref_dim=ref)
     bob = apply_n(ch, psi)
     eve = apply_complementary_n(ch, psi)
-    edges = block_edges(m, n)
+    edges = block_edges(m, d, n, ref)
     assert edges[0] == 0 and edges[-1] == m**n - 1
     for k in [*edges, *rng.integers(0, m**n, size=3)]:
         jvec = np.unravel_index(k, (m,) * n)
@@ -311,11 +311,35 @@ def test_output_overlap_chunk_boundaries(d, n, channel_d2, channel_d3, monkeypat
     expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
     values = {}
     for rows in (1, 7, m):  # 7 divides neither 24 nor 216: the last chunk is partial
-        monkeypatch.setattr(zecheck.channel, "_OVERLAP_FLAGS", rows * m ** (n - 1))
+        per_row = m ** (n - 1) * d ** (2 * n - 1)  # amplitudes of one row's products
+        monkeypatch.setattr(zecheck.channel, "_CHUNK_AMPLITUDES", rows * per_row)
         values[rows] = output_overlap(ch, p1, p2)
         assert abs(m**n * (values[rows] - expected)) <= 1e-12
     assert values[1] == pytest.approx(values[m], rel=1e-13)
     assert values[7] == pytest.approx(values[m], rel=1e-13)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+def test_branch_factors_chunk_boundaries(d, n, channel_d2, channel_d3, monkeypatch):
+    ch = channel_d2 if d == 2 else channel_d3
+    m = len(ch.design)
+    psi = random_block_state(d, n, np.random.default_rng(73))
+    per_row = m ** (n - 1) * d ** (2 * n)  # amplitudes of one row's factors
+    outputs = {
+        "residuals": lambda: conservation_residuals(ch, psi),
+        "receiver": lambda: apply_n(ch, psi).matrices,
+        "environment": lambda: apply_complementary_n(ch, psi).matrices,
+    }
+    for name, output in outputs.items():  # one at a time: a (3,2) output is 60 MiB
+        default = np.asarray(output())
+        for rows in (1, 7, m):  # 7 divides neither 24 nor 216: the last chunk is partial
+            monkeypatch.setattr(zecheck.channel, "_CHUNK_AMPLITUDES", rows * per_row)
+            chunks = sum(1 for _ in zecheck.channel._branch_factors(ch, psi))
+            assert chunks == -(-m // rows)
+            got = np.asarray(output())
+            got -= default  # in place: no third 60 MiB array
+            assert np.abs(got).max() <= 1e-12, (name, rows)
+        monkeypatch.undo()
 
 
 def test_central_identity_uses_trials_pairs_at_d3_n2():

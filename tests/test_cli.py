@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import functools
 import json
 import os
@@ -11,7 +12,14 @@ import pytest
 
 import zecheck
 from zecheck.cli import _build_parser, main, parse_config
-from zecheck.report import SUITE_NAMES, RunConfig, VerificationReport, emit_report
+from zecheck.report import (
+    SUITE_NAMES,
+    SUPPORTED_D,
+    SUPPORTED_N,
+    RunConfig,
+    VerificationReport,
+    emit_report,
+)
 from zecheck.suites import case_rng, execute
 
 
@@ -49,6 +57,13 @@ def test_every_verify_option_has_help():
         a.option_strings for a in verify._actions if a.option_strings and not a.help
     ]
     assert missing == []
+    # every setting states RunConfig's default, so help and behavior cannot drift
+    stated = {"suites": "all", "output": "stdout"}
+    for f in dataclasses.fields(RunConfig):
+        action = next(a for a in verify._actions if a.dest == f.name)
+        assert f"(default {stated.get(f.name, f.default)})" in action.help, action.help
+    assert str(SUPPORTED_D) in next(a for a in verify._actions if a.dest == "d").help
+    assert str(SUPPORTED_N) in next(a for a in verify._actions if a.dest == "n").help
 
 
 def test_env_seed_fallback():
@@ -64,6 +79,22 @@ def test_flag_overrides_env():
 def test_env_suite_list():
     cfg = parse_config(["verify"], env={"ZEC_SUITE": "privacy,ppt"})
     assert cfg.suites == ("privacy", "ppt")
+
+
+@pytest.mark.parametrize("raw", ["", " , ", ","])
+def test_env_suite_naming_no_suite_is_usage_error(raw, monkeypatch, capsys):
+    # an empty list would run no claim and pass vacuously
+    with pytest.raises(SystemExit) as err:
+        parse_config(["verify"], env={"ZEC_SUITE": raw})
+    assert err.value.code == 2
+    assert "ZEC_SUITE" in capsys.readouterr().err
+    monkeypatch.setenv("ZEC_SUITE", raw)
+    assert main(["verify"]) == 2
+
+
+def test_settings_default_to_run_config():
+    cfg = parse_config(["verify"], env={})
+    assert cfg == RunConfig()
 
 
 @pytest.mark.parametrize("key,raw,attr,expected", [
