@@ -14,7 +14,7 @@ from .channel import (
     apply_complementary_n,
     apply_n,
     build_channel,
-    conservation_residuals,
+    conservation_residual,
     cq_overlap,
     output_overlap,
     random_block_state,

@@ -135,22 +135,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex)).min())
 
 
-def psd_deficit(stack: np.ndarray) -> float:
-    """max(0, -lambda_min) over a stack of Hermitian matrices.
-
-    A successful Cholesky factorization of the whole stack is the
-    certificate: it is backward stable, so every member then has
-    lambda_min >= -O(dim * eps * ||m||), about 1e-15 for unit-trace
-    branches.  Only a stack it rejects (indefinite, or singular such as
-    a rank-deficient Gram) gets its eigenvalues computed.
-    """
-    try:
-        np.linalg.cholesky(stack)
-        return 0.0
-    except np.linalg.LinAlgError:
-        return max(0.0, -float(np.linalg.eigvalsh(stack).min()))
-
-
 def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, suite, case); every random draw uses one."""
     ss = np.random.SeedSequence([int(seed), SUITE_IDS[suite], int(case)])

@@ -265,14 +265,12 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     constraint = _label_operator(d, (1,) * n)
-    accepted = skipped = 0
-    min_value: float | None = None
+    scores = []
     for t in range(trials):
         candidate = project_to_ppt(_search_candidate(d, n, seed, t), d, n)
-        if candidate is None:
-            skipped += 1
-            continue
-        accepted += 1
-        score = trace_inner(constraint, candidate).real
-        min_value = score if min_value is None else min(min_value, score)
-    return PPTSearchResult(accepted=accepted, skipped=skipped, min_value=min_value)
+        if candidate is not None:
+            scores.append(trace_inner(constraint, candidate).real)
+    # np.min keeps a NaN score, which a running builtin min can drop
+    min_value = float(np.min(scores)) if scores else None
+    return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),
+                           min_value=min_value)

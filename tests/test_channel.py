@@ -7,15 +7,15 @@ from zecheck.channel import (
     apply_complementary_n,
     apply_n,
     build_channel,
-    conservation_residuals,
+    conservation_residual,
     cq_overlap,
     output_overlap,
     random_block_state,
 )
-from zecheck.designs import UnitaryFamily
+from zecheck.designs import UnitaryFamily, enumerate_clifford
 from zecheck.linalg import basis_state, partial_trace, projector, tensor
 from zecheck.report import RunConfig
-from zecheck.suites import _CLAIMS, _Context, _run, execute
+from zecheck.suites import _CLAIMS, _Context, _run
 from zecheck.zero_error import averaged_output_overlap
 
 
@@ -164,59 +164,66 @@ def test_conservation(d, n, channel_d2, channel_d3):
         assert abs(out.weights.sum() - 1.0) <= 1e-12
 
 
+def gram_rounding_bound(k):
+    """gamma_{k+2} = (k+2) u / (1 - (k+2) u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return (k + 2) * u / (1 - (k + 2) * u)
+
+
 @pytest.mark.parametrize(
     "d,n,ref", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2)]
 )
 def test_conservation_residuals_match_outputs(d, n, ref, channel_d2, channel_d3):
+    # the formed Gram stacks: their traces give the residual's trace terms,
+    # and every branch keeps lambda_min >= -gamma_{k+2} tr, k = block_len
     ch = channel_d2 if d == 2 else channel_d3
     psi = random_block_state(d, n, np.random.default_rng(61), ref_dim=ref)
-    traces, eigs = [], []
+    gamma = gram_rounding_bound(psi.block_len)
+    terms = []
     for out in (apply_n(ch, psi), apply_complementary_n(ch, psi)):
-        traces.append(abs(np.einsum("j,jaa->", out.weights, out.matrices).real - 1.0))
-        eigs.append(max(0.0, -np.linalg.eigvalsh(out.matrices).min()))
-    trace_res, deficit = conservation_residuals(ch, psi)
-    assert abs(trace_res - max(traces)) <= 1e-12
-    assert abs(deficit - max(eigs)) <= 1e-12
+        traces = np.einsum("jaa->j", out.matrices).real
+        terms += [abs(out.weights @ traces - 1.0), np.abs(traces - 1.0).max()]
+        assert np.all(np.linalg.eigvalsh(out.matrices).min(axis=1) >= -gamma * traces)
+    expected = max(*terms, gamma * traces.max())
+    assert abs(conservation_residual(ch, psi) - expected) <= 1e-12
 
 
-def test_rank_deficient_environment_takes_the_eigenvalue_fallback(channel_d2, monkeypatch):
-    # with a reference qubit the environment Gram V^T conj(V) is 4x4 of rank 2,
-    # so Cholesky cannot certify it and the eigenvalues decide
-    psi = random_block_state(2, 1, np.random.default_rng(67), ref_dim=2)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(apply_complementary_n(channel_d2, psi).matrices)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def spy(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    trace_res, deficit = conservation_residuals(channel_d2, psi)
-    assert calls == [(len(channel_d2.design), 4, 4)]
-    assert trace_res <= 1e-12 and deficit <= 1e-12
-
-
-def test_conservation_claim_fails_on_a_non_psd_branch(monkeypatch):
-    # one environment branch keeps its eigenvectors and trace but gets
-    # least eigenvalue -3e-3; the receiver side alone would not notice
-    gram = zecheck.channel._gram
-
-    def corrupted(v, complementary):
-        mats = gram(v, complementary)
-        if complementary:
-            w, u = np.linalg.eigh(mats[0])
-            w[-1] += w[0] + 3e-3
-            w[0] = -3e-3
-            mats[0] = (u * w) @ u.conj().T
-        return mats
-
-    monkeypatch.setattr(zecheck.channel, "_gram", corrupted)
-    claims = {c.claim_id: c for c in execute(RunConfig(d=2, n=1, suites=("channel",), trials=3)).claims}
-    claim = claims["channel.conservation"]
+@pytest.mark.parametrize(
+    "scales", [(1.01,), (np.sqrt(1.02), np.sqrt(0.98))], ids=["one", "balanced"]
+)
+def test_conservation_claim_fails_on_a_scaled_member(scales):
+    # a member scaled by c makes every branch of its flag carry trace c^2;
+    # the balanced pair keeps the weighted trace at 1, so only the
+    # per-flag unit-trace term can see it
+    clifford = enumerate_clifford(2)
+    members = clifford.members.copy()
+    for j, c in enumerate(scales):
+        members[j] *= c
+    family = UnitaryFamily(2, members, clifford.weights, verified=True)
+    ctx = _Context(RunConfig(d=2, n=1, suites=("channel",), trials=20))
+    ctx.family = family
+    spec = next(s for s in _CLAIMS if s.claim_id == "channel.conservation")
+    claim = _run(spec, ctx)
     assert not claim.passed
-    assert claim.value == pytest.approx(3e-3, abs=1e-12)
+    assert claim.value == pytest.approx(max(c * c for c in scales) - 1.0, rel=1e-9)
+    assert claim.detail == "cases=2"
+
+
+def test_conservation_claim_forms_no_gram_and_takes_no_eigenvalues(monkeypatch):
+    ctx = _Context(RunConfig(d=2, n=2, suites=("channel",)))
+    ctx.channel  # built before the spies go in
+
+    def spy(name):
+        def record(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return record
+
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    spec = next(s for s in _CLAIMS if s.claim_id == "channel.conservation")
+    claim = _run(spec, ctx)
+    assert claim.passed, claim.detail  # a spy's AssertionError would fail the claim
+    assert claim.detail == "cases=10"
 
 
 def test_permutation_covariance(channel_d2):
@@ -326,7 +333,7 @@ def test_branch_factors_chunk_boundaries(d, n, channel_d2, channel_d3, monkeypat
     psi = random_block_state(d, n, np.random.default_rng(73))
     per_row = m ** (n - 1) * d ** (2 * n)  # amplitudes of one row's factors
     outputs = {
-        "residuals": lambda: conservation_residuals(ch, psi),
+        "residual": lambda: conservation_residual(ch, psi),
         "receiver": lambda: apply_n(ch, psi).matrices,
         "environment": lambda: apply_complementary_n(ch, psi).matrices,
     }

@@ -8,7 +8,6 @@ from zecheck.linalg import (
     partial_trace,
     partial_transpose,
     projector,
-    psd_deficit,
     random_psd,
     random_unitary,
     support_null,
@@ -188,16 +187,3 @@ def test_random_unitary_is_unitary():
 def test_max_entangled_vector():
     v = max_entangled(2)
     np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-
-def test_psd_deficit_certifies_a_positive_definite_stack():
-    rng = np.random.default_rng(71)
-    stack = np.stack([random_psd(5, rng) for _ in range(8)])
-    assert psd_deficit(stack) == 0.0
-
-
-def test_psd_deficit_reports_the_negative_member():
-    rng = np.random.default_rng(73)
-    stack = np.stack([random_psd(5, rng) for _ in range(8)])
-    stack[3] -= (np.linalg.eigvalsh(stack[3]).min() + 3e-3) * np.eye(5)
-    assert psd_deficit(stack) == pytest.approx(3e-3, abs=1e-12)

@@ -1,23 +1,33 @@
-"""Negative controls: the design-dependent claims fail on a mere 1-design.
+"""Negative controls: claims fail on a mere 1-design and on NaN values.
 
 The d=2 Pauli group {X^a Z^b} is a unitary 1-design with frame potential
 4, not 2.  With the verification flag forced on, every check that relies
-on the 2-design property must miss by a clear margin.
+on the 2-design property must miss by a clear margin.  A helper that
+returns NaN must fail every claim that reduces its values.
 """
+
+from itertools import count
 
 import numpy as np
 import pytest
 
+import zecheck.ppt
+import zecheck.privacy
+import zecheck.suites
 from zecheck.channel import build_channel, output_overlap, random_block_state
 from zecheck.designs import (
     UnitaryFamily,
     _canonical_phases,
     clock,
+    enumerate_clifford,
     frame_potential,
     shift,
     verify_two_design,
 )
-from zecheck.suites import case_rng
+from zecheck.ppt import ppt_search
+from zecheck.privacy import run_protocol, verify_secrecy
+from zecheck.report import RunConfig
+from zecheck.suites import case_rng, execute
 from zecheck.zero_error import (
     averaged_output_overlap,
     design_average_overlap_operator,
@@ -67,3 +77,54 @@ def test_pauli_group_breaks_central_identity(n):
         lhs = (len(fam) ** n) * output_overlap(ch, p1, p2)
         worst = max(worst, abs(lhs - averaged_output_overlap(p1, p2)))
     assert worst > 0.05
+
+
+NAN_CLAIMS = (
+    "channel.conservation",
+    "channel.central_identity",
+    "channel.alt_design_identity",
+    "zero_error.form_properties",
+    "zero_error.psd",
+    "zero_error.dominance",
+    "design.twirl_clock_form",
+    "design.twirl_projection",
+    "design.twirl_invariance",
+    "ncgraph.twirl_units",
+    "ppt.witness",
+    "ppt.twirl_preserves",
+)
+
+
+def test_nan_from_a_helper_fails_its_claims(monkeypatch):
+    nan = float("nan")
+    patches = {
+        "output_overlap": lambda *args: nan,
+        "conservation_residual": lambda *args: nan,
+        "averaged_output_overlap": lambda *args: nan,
+        "min_eigenvalue": lambda m: nan,
+        "conjugate_twirl": lambda family, m: np.full(np.shape(m), nan),
+    }
+    for name, fake in patches.items():
+        monkeypatch.setattr(zecheck.suites, name, fake)
+    config = RunConfig(d=2, n=1, suites=("design", "channel", "zero-error", "ppt", "ncgraph"),
+                       trials=10)
+    claims = {c.claim_id: c for c in execute(config).claims}
+    passing = [claim_id for claim_id in NAN_CLAIMS if claims[claim_id].passed]
+    assert passing == []
+
+
+def test_verify_secrecy_keeps_a_nan_distance(monkeypatch):
+    ch = build_channel(2, enumerate_clifford(2))
+    transcripts = [run_protocol(ch, msg) for msg in range(2)]
+    calls = count()
+    monkeypatch.setattr(zecheck.privacy, "trace_distance",
+                        lambda a, b: float("nan") if next(calls) == 3 else 0.0)
+    assert np.isnan(verify_secrecy(transcripts))
+
+
+def test_ppt_search_keeps_a_nan_score(monkeypatch):
+    calls = count()
+    inner = zecheck.ppt.trace_inner
+    monkeypatch.setattr(zecheck.ppt, "trace_inner",
+                        lambda a, b: complex("nan") if next(calls) == 1 else inner(a, b))
+    assert np.isnan(ppt_search(2, 1, 4, 7).min_value)

@@ -5,7 +5,6 @@ from zecheck.linalg import (
     case_rng,
     max_entangled_projector,
     partial_transpose,
-    psd_deficit,
     random_psd,
     random_unitary,
     tensor,
@@ -208,7 +207,7 @@ def two_eigh_project_to_ppt(m, d, n, max_rounds=200, tol=1e-10):
     cur = (cur + cur.conj().T) / 2
     cur = cur / np.trace(cur).real
     for _ in range(max_rounds):
-        if psd_deficit(cur) > tol:
+        if max(0.0, -np.linalg.eigvalsh(cur).min()) > tol:
             w, v = np.linalg.eigh(cur)
             cur = (v * np.clip(w, 0.0, None)) @ v.conj().T
             cur = cur / np.trace(cur).real

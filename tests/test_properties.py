@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecheck.designs import conjugate_twirl, isotropic_projection
-from zecheck.linalg import min_eigenvalue, psd_deficit, random_psd
+from zecheck.linalg import min_eigenvalue, random_psd
 from zecheck.ppt import isotropic_twirl_n, pairwise_partial_transpose
 
 seeds = st.integers(0, 2**32 - 1)
@@ -28,23 +28,6 @@ def test_pairwise_transpose_is_an_involution_keeping_trace_and_hermiticity(dn, s
     h = m + m.conj().T
     th = pairwise_partial_transpose(h, d, n)
     np.testing.assert_array_equal(th, th.conj().T)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=seeds,
-    dim=st.integers(1, 9),
-    count=st.integers(1, 12),
-    rank=st.integers(0, 9),
-    shift=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
-)
-def test_psd_deficit_equals_the_eigenvalue_deficit(seed, dim, count, rank, shift):
-    rng = np.random.default_rng(seed)
-    g = gaussian(rng, (count, dim, min(rank, dim)))
-    stack = g @ g.conj().transpose(0, 2, 1)
-    stack[rng.integers(count)] -= shift * np.eye(dim)
-    expected = max(0.0, -float(np.linalg.eigvalsh(stack).min()))
-    assert abs(psd_deficit(stack) - expected) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
