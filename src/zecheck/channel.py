@@ -24,16 +24,10 @@ import numpy as np
 from .designs import UnitaryFamily
 from .linalg import DEFAULT_TOL
 
-# Amplitudes per chunk of whole first-use rows (at least one row), for
-# _branch_factors' factors and output_overlap's products alike: one of the
-# 216 rows of a (3,2) pass, 5 of an overlap's.  Three rows per (3,2) pass
-# made apply_n about 1.5 times slower (OpenBLAS, one thread).
+# Amplitudes per chunk of whole first-use rows (at least one row) of
+# _branch_factors' factors: one of the 216 rows of a (3,2) pass.  Three rows
+# per (3,2) pass made apply_n about 1.5 times slower (OpenBLAS, one thread).
 _CHUNK_AMPLITUDES = 2**15
-
-
-def _chunk_rows(flags, per_flag):
-    """First-use rows per chunk when each of a row's flags holds per_flag amplitudes."""
-    return max(1, _CHUNK_AMPLITUDES // (flags * per_flag))
 
 
 @dataclass
@@ -191,7 +185,7 @@ def _branch_factors(channel, psi):
     g = channel.design.members
     inner = _later_uses(channel, (psi,))
     flags = inner.shape[1]
-    rows = _chunk_rows(flags, side * side * ref)
+    rows = max(1, _CHUNK_AMPLITUDES // (flags * side * side * ref))
     for first in range(0, len(g), rows):
         w = _apply_use(channel, g[first : first + rows], inner, ref)[0]
         # to (j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference)
@@ -278,19 +272,21 @@ def output_overlap(
     2. Per J' and per delta in Z_d, T_J'[delta] = sum_c w^{c_1 delta}
        conj(I_x[c]) (x) I_y[c]: m^(n-1) small products instead of m^n.
     3. The first use and its phase w^{c_1 (b_1 - a_1)} then give
-       conj(M_f)[(a_1, a'), (b_1, b')] = sum_{s,t} conj(g_j1[a_1, s])
-       g_j1[b_1, t] T_J'[b_1 - a_1][(s, a'), (t, b')], so one GEMM per delta
-       of (conj g[:, a_1, :] (x) g[:, a_1 + delta, :]), m*d x d^2, against
-       T[delta] yields every M_f entry, in chunks of whole rows j_1.
+       conj(M_f)[(a_1, a'), (a_1 + delta, b')] = (P T_J'[delta])[a_1, (a', b')]
+       with the pair coefficients P_j1[delta][a_1, (s, t)] = conj(g_j1[a_1, s])
+       g_j1[a_1 + delta, t].  So ||M_f||_F^2 = sum_delta tr(Q G) with two
+       d^2 x d^2 Grams, Q_j1[delta] = P^dag P per member and G_J'[delta] =
+       T T^dag per sub-tuple, and one real GEMM gives every flag's norm.
 
     Every flag's ||M_f||_F^2 is still formed on its own and weighted by
     w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
     any use) before squaring would factor the flag sum per use, which is
     the closed form the central identity checks, and make it circular.
+    Neither Gram sums over members: G holds one sub-tuple J' and Q one
+    member j_1, so no design identity enters.
     """
     d, n, ref = channel.d, x.n, x.ref_dim
     g = channel.design.members
-    m = len(g)
     inner = _later_uses(channel, (x, y))
     _, flags, rest, _ = inner.shape  # rest = d^(n-1) digits a_2..a_n
     side = d**n
@@ -299,23 +295,23 @@ def output_overlap(
     amp = inner.reshape(d, flags, rest, 2, side, ref).transpose(3, 1, 4, 0, 2, 5)
     amp = amp.reshape(2, flags, side, side * ref)
     # w^{c_1 delta} on the y side, one column block per delta
-    ys = amp[1].reshape(flags, d, rest, 1, side * ref) * phase1[:, None, :, None]
-    t = np.matmul(amp[0].conj().transpose(0, 2, 1), ys.reshape(flags, side, d * side * ref))
-    # to (delta, s, t, J', (a', r), (b', r'))
+    t = amp[1].reshape(flags, d, rest, 1, side * ref) * phase1[:, None, :, None]
+    t = np.matmul(amp[0].conj().transpose(0, 2, 1), t.reshape(flags, side, d * side * ref))
+    # to (J', delta, (s, t), ((a', r), (b', r')))
     block = rest * ref
-    t = t.reshape(flags, d, block, d, d, block).transpose(3, 1, 4, 0, 2, 5)
-    t = np.ascontiguousarray(t).reshape(d, d * d, flags * block * block)
-    # pair[delta, j_1, a_1, (s, t)] = conj(g_j1[a_1, s]) g_j1[a_1 + delta, t]
-    shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d]  # (j_1, delta, a_1, t)
-    pair = g.conj()[:, None, :, :, None] * shifted[:, :, :, None, :]
-    pair = np.ascontiguousarray(pair.transpose(1, 0, 2, 3, 4)).reshape(d, m, d, d * d)
-    norms = np.zeros((m, flags))
-    rows = _chunk_rows(flags, d * block * block)
-    for first in range(0, m, rows):
-        for delta in range(d):
-            mf = pair[delta, first : first + rows].reshape(-1, d * d) @ t[delta]
-            mf = mf.view(float).reshape(-1, d, flags, 2 * block * block)
-            norms[first : first + rows] += np.einsum("kafe,kafe->kf", mf, mf)
+    t = t.reshape(flags, d, block, d, d, block).transpose(0, 3, 1, 4, 2, 5)
+    t = t.reshape(flags, d, d * d, block * block)
+    # conj(P)[j_1, delta, a_1, (s, t)] = g_j1[a_1, s] conj(g_j1[a_1 + delta, t])
+    shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d].conj()  # (j_1, delta, a_1, t)
+    pair = np.multiply(g[:, None, :, :, None], shifted[:, :, :, None, :], order="C")
+    # Q = P^dag P and G = T T^dag as Re + Im: for Hermitian Q and G, tr(Q G) =
+    # sum_kl (Re + Im)(Q)_kl (Re + Im)(G)_kl, as each cross term pairs a
+    # symmetric part with an antisymmetric one
+    packed = []
+    for a in (pair.reshape(len(g), d, d, d * d).swapaxes(2, 3), t):
+        gram = a @ a.conj().swapaxes(-1, -2)
+        packed.append((gram.real + gram.imag).reshape(len(a), -1))
+    norms = packed[0] @ packed[1].T  # norms[j_1, J'] = ||M_f||_F^2
     _, weights = _flag_tuples(channel, n)
     return float(weights**2 @ norms.ravel())
 

@@ -108,7 +108,7 @@ def _fmt_value(v: float | None) -> str:
 def emit_report(report: VerificationReport, fmt: str = "json") -> str:
     """Serialize a report; json is the stable sorted-key schema."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     cfg = report.config

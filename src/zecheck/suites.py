@@ -21,7 +21,8 @@ The `trials` knob scales sample counts: the channel identity uses
 other one with a reference qubit), the orthogonality equivalence 2*trials
 random plus max(50, trials // 2) structured pairs, the code-impossibility
 sweep 5*trials candidate pairs, and the PPT search 10*trials projections.
-Claims reduce samples with `_worst`, so a NaN sample fails its claim.
+Claims reduce samples with `_worst`, so a NaN sample fails its claim;
+`_run` records a non-finite value as null and says so in `detail`.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def _run(spec: _Spec, ctx: _Context) -> ClaimResult | None:
             value, detail = out if isinstance(out, tuple) else (out, "")
             passed = value <= tol if tol is not None else value == 0
         value = None if value is None else float(value)
+        if value is not None and not np.isfinite(value):  # JSON has no NaN or inf
+            value, passed, detail = None, False, f"{detail} non-finite value {value}".lstrip()
     except Exception as exc:  # the run must keep going; the claim records the failure
         value, tol, passed, detail = None, None, False, f"{type(exc).__name__}: {exc}"
     return ClaimResult(suite=spec.suite, claim_id=spec.claim_id, statement=spec.statement,

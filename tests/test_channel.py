@@ -4,6 +4,7 @@ import pytest
 import zecheck.channel
 from zecheck.channel import (
     BlockStateVector,
+    _branch_factors,
     apply_complementary_n,
     apply_n,
     build_channel,
@@ -17,6 +18,8 @@ from zecheck.linalg import basis_state, partial_trace, projector, tensor
 from zecheck.report import RunConfig
 from zecheck.suites import _CLAIMS, _Context, _run
 from zecheck.zero_error import averaged_output_overlap
+
+from test_negative_controls import bypassed
 
 
 def branch_entry_oracle(members, d, n, blocks, jvec, row, col):
@@ -290,16 +293,25 @@ def test_output_overlap_matches_cq_overlap(d, n, pairs, ref, channel_d2, channel
         assert abs(scale * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
 
 
+def distinct_weights_channel(family):
+    """The family's members under distinct, non-uniform weights.
+
+    The Clifford weights are uniform, which would hide a flag weight paired
+    with the wrong first-use row or sub-tuple, and a flag's norm exchanged
+    with that of another flag.
+    """
+    raw = np.random.default_rng(61).uniform(0.5, 1.5, len(family))
+    fam = UnitaryFamily(family.d, family.members.copy(), raw / raw.sum())
+    fam.verified = True  # not a 2-design; only the overlap bookkeeping is under test
+    assert len(np.unique(fam.weights)) == len(fam)
+    return build_channel(family.d, fam)
+
+
 @pytest.mark.parametrize("ref", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_output_overlap_with_distinct_weights(n, ref, family_d2):
-    # the Clifford weights are uniform, which would hide a flag weight
-    # paired with the wrong first-use row or sub-tuple
-    raw = np.random.default_rng(61).uniform(0.5, 1.5, len(family_d2))
-    fam = UnitaryFamily(2, family_d2.members.copy(), raw / raw.sum())
-    fam.verified = True  # not a 2-design; only the overlap bookkeeping is under test
-    ch = build_channel(2, fam)
-    assert len(np.unique(fam.weights)) == len(fam)
+    ch = distinct_weights_channel(family_d2)
+    fam = ch.design
     rng = np.random.default_rng(67)
     for _ in range(2):
         p1 = random_block_state(2, n, rng, ref_dim=ref)
@@ -308,22 +320,50 @@ def test_output_overlap_with_distinct_weights(n, ref, family_d2):
         assert abs(len(fam) ** n * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
 
 
+def test_output_overlap_alternating_channels(channel_d2, family_d2, subdesign_d2):
+    # one process, three designs in turn: a pair Gram kept from the previous
+    # call, or a member paired with another design's weight, would show here
+    channels = [channel_d2, build_channel(2, subdesign_d2), distinct_weights_channel(family_d2)]
+    rng = np.random.default_rng(79)
+    for n in (2, 1, 2):
+        p1 = random_block_state(2, n, rng)
+        p2 = random_block_state(2, n, rng)
+        for ch in [*channels, channels[0]]:
+            expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
+            assert abs(len(ch.design) ** n * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+
+
+def flagwise_overlap(ch, x, y):
+    """sum_f w_f^2 ||V_x,f^dag V_y,f||_F^2, one flag at a time from _branch_factors."""
+    _, weights = zecheck.channel._flag_tuples(ch, x.n)
+    total = 0.0
+    for (start, vx), (_, vy) in zip(_branch_factors(ch, x), _branch_factors(ch, y)):
+        prods = vx.conj().transpose(0, 2, 1) @ vy
+        total += weights[start : start + len(vx)] ** 2 @ np.sum(np.abs(prods) ** 2, axis=(1, 2))
+    return float(total)
+
+
+@pytest.mark.parametrize("ref", [1, 2])
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
-def test_output_overlap_chunk_boundaries(d, n, channel_d2, channel_d3, monkeypatch):
-    ch = channel_d2 if d == 2 else channel_d3
-    m = len(ch.design)
+def test_output_overlap_matches_flagwise_reference(d, n, ref, channel_d2, channel_d3):
+    clifford = channel_d2 if d == 2 else channel_d3
     rng = np.random.default_rng(71)
-    p1 = random_block_state(d, n, rng)
-    p2 = random_block_state(d, n, rng)
-    expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
-    values = {}
-    for rows in (1, 7, m):  # 7 divides neither 24 nor 216: the last chunk is partial
-        per_row = m ** (n - 1) * d ** (2 * n - 1)  # amplitudes of one row's products
-        monkeypatch.setattr(zecheck.channel, "_CHUNK_AMPLITUDES", rows * per_row)
-        values[rows] = output_overlap(ch, p1, p2)
-        assert abs(m**n * (values[rows] - expected)) <= 1e-12
-    assert values[1] == pytest.approx(values[m], rel=1e-13)
-    assert values[7] == pytest.approx(values[m], rel=1e-13)
+    p1 = random_block_state(d, n, rng, ref_dim=ref)
+    p2 = random_block_state(d, n, rng, ref_dim=ref)
+    for ch in (clifford, distinct_weights_channel(clifford.design)):
+        gap = output_overlap(ch, p1, p2) - flagwise_overlap(ch, p1, p2)
+        assert abs(len(ch.design) ** n * gap) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_output_overlap_matches_flagwise_reference_on_a_one_design(n):
+    # the Pauli group is no 2-design: agreement shows the Grams use no design identity
+    ch = build_channel(2, bypassed())
+    rng = np.random.default_rng(83)
+    for ref in (1, 2):
+        p1 = random_block_state(2, n, rng, ref_dim=ref)
+        p2 = random_block_state(2, n, rng, ref_dim=ref)
+        assert abs(output_overlap(ch, p1, p2) - flagwise_overlap(ch, p1, p2)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])

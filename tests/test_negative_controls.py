@@ -6,6 +6,7 @@ on the 2-design property must miss by a clear margin.  A helper that
 returns NaN must fail every claim that reduces its values.
 """
 
+import json
 from itertools import count
 
 import numpy as np
@@ -26,7 +27,7 @@ from zecheck.designs import (
 )
 from zecheck.ppt import ppt_search
 from zecheck.privacy import run_protocol, verify_secrecy
-from zecheck.report import RunConfig
+from zecheck.report import RunConfig, emit_report
 from zecheck.suites import case_rng, execute
 from zecheck.zero_error import (
     averaged_output_overlap,
@@ -95,7 +96,8 @@ NAN_CLAIMS = (
 )
 
 
-def test_nan_from_a_helper_fails_its_claims(monkeypatch):
+def nan_report(monkeypatch):
+    """A run whose overlap, residual, eigenvalue and twirl helpers return NaN."""
     nan = float("nan")
     patches = {
         "output_overlap": lambda *args: nan,
@@ -108,9 +110,24 @@ def test_nan_from_a_helper_fails_its_claims(monkeypatch):
         monkeypatch.setattr(zecheck.suites, name, fake)
     config = RunConfig(d=2, n=1, suites=("design", "channel", "zero-error", "ppt", "ncgraph"),
                        trials=10)
-    claims = {c.claim_id: c for c in execute(config).claims}
+    return execute(config)
+
+
+def test_nan_from_a_helper_fails_its_claims(monkeypatch):
+    claims = {c.claim_id: c for c in nan_report(monkeypatch).claims}
     passing = [claim_id for claim_id in NAN_CLAIMS if claims[claim_id].passed]
     assert passing == []
+
+
+def test_nan_report_is_strict_json(monkeypatch):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(emit_report(nan_report(monkeypatch)), parse_constant=reject)
+    claims = {c["claim_id"]: c for c in data["claims"]}
+    for claim_id in NAN_CLAIMS:
+        assert claims[claim_id]["value"] is None, claim_id
+        assert claims[claim_id]["detail"].endswith("non-finite value nan"), claim_id
 
 
 def test_verify_secrecy_keeps_a_nan_distance(monkeypatch):
