@@ -23,13 +23,17 @@ random plus max(50, trials // 2) structured pairs, the code-impossibility
 sweep 5*trials candidate pairs, and the PPT search 10*trials projections.
 Claims reduce samples with `_worst`, so a NaN sample fails its claim;
 `_run` records a non-finite value as null and says so in `detail`.
+The equivalence and code-impossibility sweeps draw their cases in order,
+in windows of `_WINDOW` pairs, and evaluate each window's overlap forms
+in one `overlap_forms` call (theorem2's pair and sum/difference forms
+together); a non-finite form counts as a mismatch or a violation.
 """
 
 from __future__ import annotations
 
 import time
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,12 +85,17 @@ from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
 from .report import TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
 from .zero_error import (
     averaged_output_overlap,
-    code_pair_conditions,
     design_average_overlap_operator,
     disjoint_support,
+    overlap_forms,
     overlap_operator,
     overlap_support_projector,
 )
+
+# Pairs per overlap_forms call in the equivalence and code-pair sweeps: few
+# enough that a window's stacks stay small, many enough to amortize the calls.
+_WINDOW = 64
+
 
 class _Context:
     """Shared objects of one run, each built by the first claim that reads it."""
@@ -431,25 +440,39 @@ def _dominance(ctx):
     return _worst(worst, tight), f"largest constant {c:.6f}"
 
 
-@_claim("zero-error", "zero_error.equivalence",
-        "zero overlap holds exactly when no control tuple carries both states")
-def _equivalence(ctx):
+def _windows(pairs):
+    """Successive lists of at most _WINDOW pairs from an iterator of pairs."""
+    pairs = iter(pairs)
+    while window := list(islice(pairs, _WINDOW)):
+        yield window
+
+
+def _block_stacks(window):
+    return np.stack([p1.blocks for p1, _ in window]), np.stack([p2.blocks for _, p2 in window])
+
+
+def _equivalence_pairs(ctx, random_pairs, structured_pairs):
     d, n, seed = ctx.d, ctx.n, ctx.config.seed
-    random_pairs = 2 * ctx.config.trials
-    structured_pairs = max(50, ctx.config.trials // 2)
-    mismatches = 0
     for case in range(random_pairs):
         rng = case_rng(seed, "zero-error", case)
         mask_support = [t for t in product(range(d), repeat=n) if rng.random() < 0.6] or None
-        p1 = random_block_state(d, n, rng, support=mask_support)
-        p2 = random_block_state(d, n, rng)
-        if disjoint_support(p1, p2) != (averaged_output_overlap(p1, p2) <= 1e-8):
-            mismatches += 1
+        yield random_block_state(d, n, rng, support=mask_support), random_block_state(d, n, rng)
     for case in range(structured_pairs):
         rng = case_rng(seed, "zero-error", 10_000 + case)
-        p1, p2 = _structured_pair(d, n, case % 6, rng)
-        if disjoint_support(p1, p2) != (averaged_output_overlap(p1, p2) <= 1e-8):
-            mismatches += 1
+        yield _structured_pair(d, n, case % 6, rng)
+
+
+@_claim("zero-error", "zero_error.equivalence",
+        "zero overlap holds exactly when no control tuple carries both states")
+def _equivalence(ctx):
+    random_pairs = 2 * ctx.config.trials
+    structured_pairs = max(50, ctx.config.trials // 2)
+    mismatches = 0
+    for window in _windows(_equivalence_pairs(ctx, random_pairs, structured_pairs)):
+        forms = overlap_forms(*_block_stacks(window), ctx.d, ctx.n)
+        disjoint = np.array([disjoint_support(p1, p2) for p1, p2 in window])
+        # a non-finite form decides nothing, so it counts as a mismatch
+        mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= 1e-8))))
     return mismatches, f"pairs={random_pairs + structured_pairs}"
 
 
@@ -485,33 +508,45 @@ def _code_pair_candidates(d, n, case, rng):
     return _single_tuple_pair(d, n, rng)
 
 
+def _code_pair_failures(d, n, window, tol):
+    """(violations + forcing failures, near-misses) of one window of candidates.
+
+    A candidate violates when both states are nonzero and both its pair
+    and its sum/difference pair have vanishing overlap forms, or when
+    either form is not finite.  A near-miss (first condition only, both
+    states nonzero) must be forced: every populated control tuple
+    breaks the sum/difference disjointness, driving both blocks to zero.
+    """
+    b1, b2 = _block_stacks(window)
+    total, diff = b1 + b2, b1 - b2
+    forms = overlap_forms(np.concatenate([b1, total / np.sqrt(2)]),
+                          np.concatenate([b2, diff / np.sqrt(2)]), d, n).reshape(2, len(window))
+    first, second = forms <= tol
+    nonzero = (np.linalg.norm(b1, axis=(1, 2)) > tol) & (np.linalg.norm(b2, axis=(1, 2)) > tol)
+    violations = ~np.all(np.isfinite(forms), axis=0) | (first & second & nonzero)
+    near = first & nonzero
+    populated = np.maximum(np.linalg.norm(b1, axis=2), np.linalg.norm(b2, axis=2)) > tol
+    witnessed = np.minimum(np.linalg.norm(total, axis=2),
+                           np.linalg.norm(diff, axis=2)) / np.sqrt(2) > tol
+    unforced = near & np.any(populated & ~witnessed, axis=1)
+    mixed = near & second & np.any(populated, axis=1)
+    return int(violations.sum() + unforced.sum() + mixed.sum()), int(near.sum())
+
+
 @_claim("theorem2", "theorem2.no_valid_code_pair",
         "no nonzero pair satisfies both zero-error code conditions; "
         "every near-miss forces all shared blocks to zero")
 def _no_valid_code_pair(ctx):
+    d, n, seed = ctx.d, ctx.n, ctx.config.seed
     candidates = 5 * ctx.config.trials
-    tol = 1e-8
-    violations = near_misses = forcing_failures = 0
-    for case in range(candidates):
-        rng = case_rng(ctx.config.seed, "theorem2", case)
-        p1, p2 = _code_pair_candidates(ctx.d, ctx.n, case, rng)
-        check = code_pair_conditions(p1, p2)
-        nonzero = p1.total_norm() > tol and p2.total_norm() > tol
-        if check.outputs_orthogonal and check.mixed_outputs_orthogonal and nonzero:
-            violations += 1
-        if check.outputs_orthogonal and nonzero:
-            near_misses += 1
-            # per-tuple forcing: any populated tuple must break the
-            # sum/difference disjointness, driving both blocks to zero
-            plus = np.linalg.norm(p1.blocks + p2.blocks, axis=1) / np.sqrt(2)
-            minus = np.linalg.norm(p1.blocks - p2.blocks, axis=1) / np.sqrt(2)
-            populated = np.maximum(p1.block_norms(), p2.block_norms()) > tol
-            witnessed = np.minimum(plus, minus) > tol
-            if not np.all(witnessed[populated]):
-                forcing_failures += 1
-            if check.mixed_outputs_orthogonal and np.any(populated):
-                forcing_failures += 1
-    return violations + forcing_failures, f"candidates={candidates} near_misses={near_misses}"
+    pairs = (_code_pair_candidates(d, n, case, case_rng(seed, "theorem2", case))
+             for case in range(candidates))
+    failures = near_misses = 0
+    for window in _windows(pairs):
+        window_failures, window_near = _code_pair_failures(d, n, window, 1e-8)
+        failures += window_failures
+        near_misses += window_near
+    return failures, f"candidates={candidates} near_misses={near_misses}"
 
 
 # ---------------------------------------------------------------- privacy

@@ -69,38 +69,54 @@ def design_average_overlap_operator(family: UnitaryFamily) -> np.ndarray:
     return out
 
 
-def pairing_vector(psi1: BlockStateVector, psi2: BlockStateVector) -> np.ndarray:
-    """x = sum_i |i>|a_i>|conj(b_i)> on three d^n-dimensional registers."""
+def _check_pair(psi1: BlockStateVector, psi2: BlockStateVector) -> None:
     if (psi1.d, psi1.n) != (psi2.d, psi2.n):
         raise ValueError("states must share dimension and number of uses")
+
+
+def pairing_vector(psi1: BlockStateVector, psi2: BlockStateVector) -> np.ndarray:
+    """x = sum_i |i>|a_i>|conj(b_i)> on three d^n-dimensional registers."""
+    _check_pair(psi1, psi2)
     if psi1.ref_dim != 1 or psi2.ref_dim != 1:
         raise ValueError("pairing vector is defined for states without a reference register")
     return np.einsum("ia,ib->iab", psi1.blocks, psi2.blocks.conj()).ravel()
 
 
-def averaged_output_overlap(psi1: BlockStateVector, psi2: BlockStateVector) -> float:
-    """<x|K^{(x)n}|x>; equals m^n times the flag-weighted output overlap.
+def overlap_forms(blocks1: np.ndarray, blocks2: np.ndarray, d: int, n: int) -> np.ndarray:
+    """<x_p|K^{(x)n}|x_p> for every pair p of two (pairs, d^n, d^n) block stacks.
 
-    The n-fold operator is never materialized: K is contracted against
-    the pairing vector one use at a time.
+    x_p is the pairing vector of blocks1[p] and blocks2[p].  K is built
+    once and contracted against the whole stack one use at a time; the
+    n-fold operator is never materialized.
     """
-    x = pairing_vector(psi1, psi2)
-    d, n = psi1.d, psi1.n
+    side = d**n
+    if blocks1.ndim != 3 or blocks1.shape[1:] != (side, side) or blocks2.shape != blocks1.shape:
+        raise ValueError(f"block stacks {blocks1.shape} and {blocks2.shape}, expected "
+                         f"(pairs, {side}, {side}) each: no reference register")
+    pairs = len(blocks1)
+    x = np.einsum("pia,pib->piab", blocks1, blocks2.conj())
+    # group axes use-major: (i_t, a_t, b_t) per use t, behind the pair axis
+    perm = [0] + [1 + k * n + t for t in range(n) for k in range(3)]
+    t = np.transpose(x.reshape((pairs,) + (d,) * (3 * n)), perm).reshape((pairs,) + (d**3,) * n)
     op = overlap_operator(d)
-    t = x.reshape((d,) * (3 * n))
-    # group axes use-major: (i_t, a_t, b_t) per use t
-    perm = [k * n + t for t in range(n) for k in range(3)]
-    t = np.transpose(t, perm).reshape((d**3,) * n)
     y = t
-    for axis in range(n):
+    for axis in range(1, n + 1):
         y = np.moveaxis(np.tensordot(op, y, axes=(1, axis)), 0, axis)
-    return float(np.vdot(t, y).real)
+    # one BLAS dot product per pair: summed by einsum instead, the reported
+    # central-identity and form-property gaps move in their last bits
+    size = d ** (3 * n)
+    return (t.reshape(pairs, 1, size).conj() @ y.reshape(pairs, size, 1)).real.reshape(pairs)
+
+
+def averaged_output_overlap(psi1: BlockStateVector, psi2: BlockStateVector) -> float:
+    """<x|K^{(x)n}|x>; equals m^n times the flag-weighted output overlap."""
+    _check_pair(psi1, psi2)
+    return float(overlap_forms(psi1.blocks[None], psi2.blocks[None], psi1.d, psi1.n)[0])
 
 
 def disjoint_support(psi1: BlockStateVector, psi2: BlockStateVector) -> bool:
     """True iff no control tuple carries a nonzero block of both states."""
-    if (psi1.d, psi1.n) != (psi2.d, psi2.n):
-        raise ValueError("states must share dimension and number of uses")
+    _check_pair(psi1, psi2)
     n1 = psi1.block_norms()
     n2 = psi2.block_norms()
     return bool(np.all(np.minimum(n1, n2) <= BLOCK_ZERO_TOL))
@@ -120,8 +136,9 @@ def code_pair_conditions(psi1: BlockStateVector, psi2: BlockStateVector) -> Code
     perfectly transmittable qubit pair.  Zero or vanishing combinations
     are legal inputs; whether the states vanish is the caller's check.
     """
-    first = averaged_output_overlap(psi1, psi2) <= BLOCK_ZERO_TOL
-    plus = BlockStateVector(psi1.d, psi1.n, (psi1.blocks + psi2.blocks) / np.sqrt(2))
-    minus = BlockStateVector(psi1.d, psi1.n, (psi1.blocks - psi2.blocks) / np.sqrt(2))
-    second = averaged_output_overlap(plus, minus) <= BLOCK_ZERO_TOL
+    _check_pair(psi1, psi2)
+    b1, b2 = psi1.blocks, psi2.blocks
+    forms = overlap_forms(np.stack([b1, (b1 + b2) / np.sqrt(2)]),
+                          np.stack([b2, (b1 - b2) / np.sqrt(2)]), psi1.d, psi1.n)
+    first, second = forms <= BLOCK_ZERO_TOL
     return CodePairCheck(bool(first), bool(second))

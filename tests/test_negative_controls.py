@@ -3,7 +3,8 @@
 The d=2 Pauli group {X^a Z^b} is a unitary 1-design with frame potential
 4, not 2.  With the verification flag forced on, every check that relies
 on the 2-design property must miss by a clear margin.  A helper that
-returns NaN must fail every claim that reduces its values.
+returns NaN must fail every claim that reduces its values, and every
+claim that counts decisions must count a NaN as a failed one.
 """
 
 import json
@@ -80,7 +81,8 @@ def test_pauli_group_breaks_central_identity(n):
     assert worst > 0.05
 
 
-NAN_CLAIMS = (
+# claims whose value reduces the helpers' values: NaN, written as null
+NAN_VALUED_CLAIMS = (
     "channel.conservation",
     "channel.central_identity",
     "channel.alt_design_identity",
@@ -94,6 +96,12 @@ NAN_CLAIMS = (
     "ppt.witness",
     "ppt.twirl_preserves",
 )
+# claims that count failed decisions: every NaN overlap form is one (n=1, trials=10)
+NAN_COUNTED_CLAIMS = {
+    "theorem2.no_valid_code_pair": 5 * 10,
+    "zero_error.equivalence": 2 * 10 + 50,
+}
+NAN_CLAIMS = NAN_VALUED_CLAIMS + tuple(NAN_COUNTED_CLAIMS)
 
 
 def nan_report(monkeypatch):
@@ -103,13 +111,14 @@ def nan_report(monkeypatch):
         "output_overlap": lambda *args: nan,
         "conservation_residual": lambda *args: nan,
         "averaged_output_overlap": lambda *args: nan,
+        "overlap_forms": lambda blocks1, blocks2, d, n: np.full(len(blocks1), nan),
         "min_eigenvalue": lambda m: nan,
         "conjugate_twirl": lambda family, m: np.full(np.shape(m), nan),
     }
     for name, fake in patches.items():
         monkeypatch.setattr(zecheck.suites, name, fake)
-    config = RunConfig(d=2, n=1, suites=("design", "channel", "zero-error", "ppt", "ncgraph"),
-                       trials=10)
+    config = RunConfig(d=2, n=1, trials=10,
+                       suites=("design", "channel", "zero-error", "theorem2", "ppt", "ncgraph"))
     return execute(config)
 
 
@@ -125,9 +134,11 @@ def test_nan_report_is_strict_json(monkeypatch):
 
     data = json.loads(emit_report(nan_report(monkeypatch)), parse_constant=reject)
     claims = {c["claim_id"]: c for c in data["claims"]}
-    for claim_id in NAN_CLAIMS:
+    for claim_id in NAN_VALUED_CLAIMS:
         assert claims[claim_id]["value"] is None, claim_id
         assert claims[claim_id]["detail"].endswith("non-finite value nan"), claim_id
+    for claim_id, cases in NAN_COUNTED_CLAIMS.items():
+        assert claims[claim_id]["value"] == cases, claim_id
 
 
 def test_verify_secrecy_keeps_a_nan_distance(monkeypatch):

@@ -1,18 +1,26 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
+import zecheck.suites
 from zecheck.channel import BlockStateVector, random_block_state
 from zecheck.linalg import (
     basis_state,
+    case_rng,
     max_entangled,
     max_entangled_projector,
     support_null,
 )
+from zecheck.report import RunConfig
+from zecheck.suites import _code_pair_candidates, _structured_pair, execute
 from zecheck.zero_error import (
     averaged_output_overlap,
     code_pair_conditions,
     design_average_overlap_operator,
     disjoint_support,
+    overlap_forms,
     overlap_operator,
     overlap_support_projector,
     pairing_vector,
@@ -169,3 +177,110 @@ def test_code_conditions_zero_pair():
     check = code_pair_conditions(z1, z2)
     assert check == (True, True)
     assert z1.total_norm() == z2.total_norm() == 0.0
+
+
+def dense_overlap_form(psi1, psi2):
+    """<x|K^{(x)n}|x> with K^{(x)n} built densely by np.kron."""
+    d, n = psi1.d, psi1.n
+    x = pairing_vector(psi1, psi2)  # registers (i_1..i_n, a_1..a_n, b_1..b_n)
+    # entry of x at each use-major index (i_1, a_1, b_1, i_2, a_2, b_2, ...)
+    digits = np.indices((d,) * (3 * n)).reshape(3 * n, -1)
+    source = np.ravel_multi_index([digits[3 * t + k] for k in range(3) for t in range(n)],
+                                  (d,) * (3 * n))
+    x = x[source]
+    dense = reduce(np.kron, [overlap_operator(d)] * n)
+    return float(np.vdot(x, dense @ x).real)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_overlap_forms_matches_dense_reference(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    pairs = [(random_block_state(d, n, rng), random_block_state(d, n, rng))
+             for _ in range(zecheck.suites._WINDOW + 5)]
+    pairs[3] = (BlockStateVector.zero(d, n), BlockStateVector.zero(d, n))
+    pairs[7] = (random_block_state(d, n, rng), BlockStateVector.zero(d, n))
+    pairs[8] = (BlockStateVector.zero(d, n), random_block_state(d, n, rng))
+    pairs[9] = (pairs[9][0], pairs[9][0])
+    forms = overlap_forms(np.stack([p1.blocks for p1, _ in pairs]),
+                          np.stack([p2.blocks for _, p2 in pairs]), d, n)
+    expected = np.array([dense_overlap_form(p1, p2) for p1, p2 in pairs])
+    assert forms.shape == (len(pairs),)
+    assert np.abs(forms - expected).max() <= 1e-14
+    assert forms[3] == forms[7] == forms[8] == 0.0
+    assert forms[9] > 0.1
+    single = [averaged_output_overlap(p1, p2) for p1, p2 in pairs[:10]]
+    assert np.abs(np.array(single) - expected[:10]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2)])
+def test_overlap_forms_of_no_pairs(d, n):
+    empty = np.zeros((0, d**n, d**n), dtype=complex)
+    assert overlap_forms(empty, empty, d, n).shape == (0,)
+
+
+def test_overlap_forms_rejects_a_reference_register():
+    rng = np.random.default_rng(21)
+    with_ref = random_block_state(2, 1, rng, ref_dim=2)
+    plain = random_block_state(2, 1, rng)
+    with pytest.raises(ValueError):
+        averaged_output_overlap(with_ref, with_ref)
+    with pytest.raises(ValueError):
+        code_pair_conditions(plain, with_ref)
+    with pytest.raises(ValueError):
+        overlap_forms(with_ref.blocks[None], with_ref.blocks[None], 2, 1)
+    with pytest.raises(ValueError):
+        overlap_forms(plain.blocks[None], plain.blocks[None], 2, 2)
+
+
+def reference_code_pair_claim(d, n, trials, seed):
+    """theorem2.no_valid_code_pair, one candidate at a time through code_pair_conditions."""
+    tol = 1e-8
+    violations = near_misses = forcing_failures = 0
+    for case in range(5 * trials):
+        p1, p2 = _code_pair_candidates(d, n, case, case_rng(seed, "theorem2", case))
+        check = code_pair_conditions(p1, p2)
+        nonzero = p1.total_norm() > tol and p2.total_norm() > tol
+        if check.outputs_orthogonal and check.mixed_outputs_orthogonal and nonzero:
+            violations += 1
+        if check.outputs_orthogonal and nonzero:
+            near_misses += 1
+            plus = np.linalg.norm(p1.blocks + p2.blocks, axis=1) / np.sqrt(2)
+            minus = np.linalg.norm(p1.blocks - p2.blocks, axis=1) / np.sqrt(2)
+            populated = np.maximum(p1.block_norms(), p2.block_norms()) > tol
+            if not np.all((np.minimum(plus, minus) > tol)[populated]):
+                forcing_failures += 1
+            if check.mixed_outputs_orthogonal and np.any(populated):
+                forcing_failures += 1
+    return violations + forcing_failures, f"candidates={5 * trials} near_misses={near_misses}"
+
+
+def reference_equivalence_claim(d, n, trials, seed):
+    """zero_error.equivalence, one pair at a time through averaged_output_overlap."""
+    pairs = []
+    for case in range(2 * trials):
+        rng = case_rng(seed, "zero-error", case)
+        support = [t for t in product(range(d), repeat=n) if rng.random() < 0.6] or None
+        pairs.append((random_block_state(d, n, rng, support=support),
+                      random_block_state(d, n, rng)))
+    structured = max(50, trials // 2)
+    for case in range(structured):
+        pairs.append(_structured_pair(d, n, case % 6, case_rng(seed, "zero-error", 10_000 + case)))
+    mismatches = sum(disjoint_support(p1, p2) != (averaged_output_overlap(p1, p2) <= 1e-8)
+                     for p1, p2 in pairs)
+    return mismatches, f"pairs={len(pairs)}"
+
+
+@pytest.mark.parametrize("window", [7, None])
+@pytest.mark.parametrize("d,n,trials", [(2, 2, 20), (3, 1, 15)])
+def test_windowed_sweeps_match_per_candidate_loops(d, n, trials, window, monkeypatch):
+    if window is not None:
+        monkeypatch.setattr(zecheck.suites, "_WINDOW", window)
+    seed = 5
+    report = execute(RunConfig(d=d, n=n, trials=trials, seed=seed,
+                               suites=("zero-error", "theorem2")))
+    claims = {c.claim_id: c for c in report.claims}
+    for claim_id, reference in [("theorem2.no_valid_code_pair", reference_code_pair_claim),
+                                ("zero_error.equivalence", reference_equivalence_claim)]:
+        value, detail = reference(d, n, trials, seed)
+        assert (claims[claim_id].value, claims[claim_id].detail) == (value, detail), claim_id
+        assert claims[claim_id].passed
