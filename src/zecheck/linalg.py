@@ -149,9 +149,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))
 
 
+def trace_one_gram(g: np.ndarray) -> np.ndarray:
+    """G G^dag over its trace, for one matrix G or each of a stack of them."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random trace-one PSD matrix (Wishart-style)."""
     k = dim if rank is None else rank
-    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return trace_one_gram(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))

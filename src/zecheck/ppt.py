@@ -7,7 +7,17 @@ I - SWAP/d.  The certificate replays, label by label, the argument that
 no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
 The randomized search draws its candidate t from
-case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.
+case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.  It
+draws and projects the candidates in order, a window at a time: one
+window holds _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates
+at 16x16, 50 at 9x9 and 256 at 4x4, and each round of the alternation
+makes one Cholesky, eigh and transpose call for the whole window.
+Below about 16x16 a candidate's cost is numpy and LAPACK call overhead,
+which the stack shares out; at 81x81 the eigh itself dominates, a
+stacked one saves nothing and the larger stacks cost time, so there
+each window holds one candidate.  A window of 2^13 entries ran no
+faster and its 128 KiB stacks raised the peak RSS of a d=2, n=2 run by
+about 0.2-0.5 MiB.  Every candidate gets the values it would get alone.
 """
 
 from __future__ import annotations
@@ -23,12 +33,13 @@ from .linalg import (
     max_entangled_projector,
     partial_trace,
     partial_transpose,
-    random_psd,
     tensor,
     trace_inner,
+    trace_one_gram,
 )
 
 SEARCH_CASE_BASE = 40_000  # the other ppt case keys (30_000-32_002) sit below it
+_WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 
 
 @dataclass
@@ -85,15 +96,18 @@ def _label_operator(d: int, label) -> np.ndarray:
 
 
 def pairwise_partial_transpose(m: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Transpose the first factor of each of the n (d x d) pairs."""
+    """Transpose the first factor of each of the n (d x d) pairs, over any leading stack axes."""
     m = np.asarray(m, dtype=complex)
     k = 2 * n
-    if m.shape != (d**k, d**k):
+    if m.shape[-2:] != (d**k, d**k):
         raise ValueError(f"matrix shape {m.shape} does not match {n} pairs of dimension {d}")
-    # row axes 0..k-1, column axes k..2k-1; even axes are first factors
+    # after the stack axes: row axes 0..k-1, column axes k..2k-1; even axes are first factors
     perm = [i + k if i % 2 == 0 else i for i in range(k)]
     perm += [i if i % 2 == 0 else i + k for i in range(k)]
-    return np.ascontiguousarray(m.reshape((d,) * (2 * k)).transpose(perm)).reshape(m.shape)
+    lead = m.ndim - 2
+    t = m.reshape(m.shape[:lead] + (d,) * (2 * k))
+    t = t.transpose([*range(lead), *(lead + p for p in perm)])
+    return np.ascontiguousarray(t).reshape(m.shape)
 
 
 def isotropic_twirl_n(m: np.ndarray, d: int, n: int) -> IsotropicDecomposition:
@@ -199,25 +213,78 @@ def recursion_certificate(
     return all(abs(r.implied) <= tol for r in records)
 
 
-def _psd_clip(m: np.ndarray, tol: float) -> np.ndarray:
-    """m itself when lambda_min(m) >= -tol, else m with its negative eigenvalues set to 0.
+def _psd_clip(ms: np.ndarray, tol: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Mask of the stack's matrices with lambda_min < -tol, and their clips in mask order.
 
-    A Cholesky factorization of m + (tol/2) I accepts m: its success
-    certifies lambda_min(m) >= -tol/2 minus a backward error of
+    A clip is the matrix with its negative eigenvalues set to 0; both
+    entries are None when no matrix needs one.  One Cholesky
+    factorization of the stack ms + (tol/2) I accepts every matrix: its
+    success certifies lambda_min >= -tol/2 minus a backward error of
     O(dim * eps * ||m||), with ||m|| <= 1 for a trace-one PSD matrix and
-    for its partial transpose, so the eigenvalue test would accept m too.
-    Only a failed factorization pays for the eigendecomposition, whose
-    eigenvectors a clip needs.
+    for its partial transpose, so the eigenvalue test would accept each
+    of them too.  Only a failed factorization pays for one stacked
+    `eigh`, which decides every matrix; one whose own factorization
+    passed is accepted by it as well, so each matrix gets the decision
+    it would get alone.
     """
+    shifted = ms.copy()
+    shifted.reshape(len(ms), -1)[:, :: ms.shape[-1] + 1] += tol / 2  # the diagonals
     try:
-        np.linalg.cholesky(m + (tol / 2) * np.eye(len(m)))
-        return m
+        np.linalg.cholesky(shifted)
+        return None, None
     except np.linalg.LinAlgError:
         pass
-    w, v = np.linalg.eigh(m)
-    if w.min() >= -tol:
-        return m
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    w, v = np.linalg.eigh(ms)
+    clip = ~(w.min(axis=-1) >= -tol)
+    if not clip.any():
+        return None, None
+    if not clip.all():
+        w, v = w[clip], v[clip]
+    return clip, (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _normalized(ms: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """ms over their traces; raises naming the first candidate that is not finite."""
+    out = ms / np.trace(ms, axis1=-2, axis2=-1).real[:, None, None]
+    if not np.isfinite(out.view(np.float64)).all():
+        finite = np.isfinite(out).all(axis=(-2, -1))
+        raise ValueError(f"candidate {names[np.argmin(finite)]} is not finite")
+    return out
+
+
+def _hermitized(ms: np.ndarray) -> np.ndarray:
+    return (ms + ms.conj().swapaxes(-1, -2)) / 2
+
+
+def _project_stack(
+    ms: np.ndarray, d: int, n: int, max_rounds: int = 200, tol: float = 1e-10, first: int = 0
+) -> list[np.ndarray | None]:
+    """`project_to_ppt` on each matrix of a (k, side, side) stack, candidates first..first+k-1.
+
+    Every round checks the whole active stack at once, and each matrix
+    whose transpose passes retires with the value its own alternation
+    would return.  A matrix that is not finite after a normalization
+    raises `ValueError`: a Cholesky factorization of NaN can succeed.
+    """
+    out: list[np.ndarray | None] = [None] * len(ms)
+    names = np.arange(first, first + len(ms))
+    cur = _normalized(_hermitized(np.asarray(ms, dtype=complex)), names)
+    for _ in range(max_rounds):
+        clip, psd = _psd_clip(cur, tol)
+        if psd is not None and len(psd) == len(cur):
+            cur = _normalized(psd, names)
+        elif psd is not None:
+            cur[clip] = _normalized(psd, names[clip])
+        g = pairwise_partial_transpose(cur, d, n)
+        clip, ppt = _psd_clip(g, tol)
+        if ppt is None or len(ppt) < len(cur):
+            for i in range(len(cur)) if ppt is None else np.flatnonzero(~clip):
+                out[names[i] - first] = cur[i]
+            if ppt is None:
+                return out
+            names = names[clip]
+        cur = _normalized(_hermitized(pairwise_partial_transpose(ppt, d, n)), names)
+    return out
 
 
 def project_to_ppt(
@@ -232,44 +299,46 @@ def project_to_ppt(
     it.  Its transpose then passed the check at tol, and the matrix either
     passed it too or is that round's clip, PSD up to rounding.
     """
-    cur = np.asarray(m, dtype=complex)
-    cur = (cur + cur.conj().T) / 2
-    cur = cur / np.trace(cur).real
-    for _ in range(max_rounds):
-        psd = _psd_clip(cur, tol)
-        if psd is not cur:
-            cur = psd / np.trace(psd).real
-        g = pairwise_partial_transpose(cur, d, n)
-        ppt = _psd_clip(g, tol)
-        if ppt is g:
-            return cur
-        cur = pairwise_partial_transpose(ppt, d, n)
-        cur = (cur + cur.conj().T) / 2
-        cur = cur / np.trace(cur).real
-    return None
+    return _project_stack(np.asarray(m)[None], d, n, max_rounds, tol)[0]
 
 
-def _search_candidate(d: int, n: int, seed: int, t: int) -> np.ndarray:
-    """The random trace-one PSD matrix ppt_search projects as its candidate t."""
-    return random_psd(d ** (2 * n), case_rng(seed, "ppt", SEARCH_CASE_BASE + t))
+def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """The trace-one PSD matrices ppt_search projects as candidates start..stop-1.
+
+    Candidate t is random_psd(d^(2n), case_rng(seed, "ppt", 40_000 + t)):
+    the same two draws, with the Wishart product and its trace formed on
+    the stack.
+    """
+    side = d ** (2 * n)
+    re = np.empty((stop - start, side, side))
+    im = np.empty_like(re)
+    for i, t in enumerate(range(start, stop)):
+        rng = case_rng(seed, "ppt", SEARCH_CASE_BASE + t)
+        rng.standard_normal(out=re[i])
+        rng.standard_normal(out=im[i])
+    return trace_one_gram(re + 1j * im)
 
 
 def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
     """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
 
     Candidates are random PSD matrices pushed into the PPT cone by
-    alternating clipping; non-convergent candidates are skipped and
-    counted.  The returned minimum staying away from zero is the
-    certified prediction.
+    alternating clipping, a window of them at a time; non-convergent
+    candidates are skipped and counted.  The returned minimum staying
+    away from zero is the certified prediction.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     constraint = _label_operator(d, (1,) * n)
+    side = d ** (2 * n)
+    window = max(1, _WINDOW_AMPLITUDES // (side * side))
     scores = []
-    for t in range(trials):
-        candidate = project_to_ppt(_search_candidate(d, n, seed, t), d, n)
-        if candidate is not None:
-            scores.append(trace_inner(constraint, candidate).real)
+    for start in range(0, trials, window):
+        stop = min(start + window, trials)
+        for candidate in _project_stack(_search_candidates(d, n, seed, start, stop), d, n,
+                                        first=start):
+            if candidate is not None:
+                scores.append(trace_inner(constraint, candidate).real)
     # np.min keeps a NaN score, which a running builtin min can drop
     min_value = float(np.min(scores)) if scores else None
     return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),

@@ -156,3 +156,26 @@ def test_ppt_search_keeps_a_nan_score(monkeypatch):
     monkeypatch.setattr(zecheck.ppt, "trace_inner",
                         lambda a, b: complex("nan") if next(calls) == 1 else inner(a, b))
     assert np.isnan(ppt_search(2, 1, 4, 7).min_value)
+
+
+class NanDraws:
+    """A generator stand-in whose every normal draw is NaN."""
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(np.nan)
+        return out
+
+
+def test_nan_search_candidate_fails_search_floor(monkeypatch):
+    # candidate 5 sits inside the first window of 16 at (2,2)
+    real = zecheck.ppt.case_rng
+    monkeypatch.setattr(zecheck.ppt, "case_rng", lambda seed, suite, case: (
+        NanDraws() if case == zecheck.ppt.SEARCH_CASE_BASE + 5 else real(seed, suite, case)))
+    with np.errstate(invalid="ignore"):
+        report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
+    claims = {c.claim_id: c for c in report.claims}
+    floor = claims.pop("ppt.search_floor")
+    assert not floor.passed
+    assert "ValueError: candidate 5 is not finite" in floor.detail
+    assert len(claims) == 7 and all(c.passed for c in claims.values())

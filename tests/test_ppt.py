@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zecheck.ppt
 from zecheck.linalg import (
     case_rng,
     max_entangled_projector,
@@ -12,7 +13,8 @@ from zecheck.linalg import (
 from zecheck.ppt import (
     IsotropicDecomposition,
     PPTSearchResult,
-    _search_candidate,
+    _project_stack,
+    _search_candidates,
     build_ppt_witness,
     constraint_score,
     isotropic_twirl_n,
@@ -226,7 +228,7 @@ def two_eigh_project_to_ppt(m, d, n, max_rounds=200, tol=1e-10):
 @pytest.mark.parametrize("d,n,count", [(2, 1, 30), (2, 2, 20), (3, 1, 30), (3, 2, 8)])
 def test_projection_matches_two_eigh_rule(d, n, count):
     for t in range(count):
-        m = _search_candidate(d, n, 7, t)
+        m = _search_candidates(d, n, 7, t, t + 1)[0]
         got, want = project_to_ppt(m, d, n), two_eigh_project_to_ppt(m, d, n)
         assert (got is None) == (want is None)
         assert got is None or np.array_equal(got, want)
@@ -292,12 +294,95 @@ def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, 
         assert one_round is None and not np.array_equal(got, start)
 
 
+def mixed_stack(d, n):
+    """Four search candidates and the edge inputs at 0.25, 0.75 and 2.0 tol on either side."""
+    rng = np.random.default_rng(37)
+    stack = list(_search_candidates(d, n, 7, 0, 4))
+    for scale in (0.25, 0.75, 2.0):
+        edge = transpose_edge_input(d, n, -scale * 1e-10, rng)
+        stack += [edge, pairwise_partial_transpose(edge, d, n)]
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
+def test_stack_matches_each_matrix_alone(d, n, monkeypatch):
+    stack = mixed_stack(d, n)
+    eigh_calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    want = [project_to_ppt(m, d, n) for m in stack]
+    alone = len(eigh_calls)
+    eigh_calls.clear()
+    got = _project_stack(stack, d, n)
+    # two edge inputs fail Cholesky on the direct side: one eigh decides the whole stack
+    assert eigh_calls[0] == stack.shape and len(eigh_calls) < alone
+    assert len(got) == len(stack)
+    for m, a, b in zip(stack, got, want):
+        assert a is not None and np.array_equal(a, b)
+        assert np.array_equal(a, two_eigh_project_to_ppt(m, d, n))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
+def test_stack_at_one_round_mixes_converged_and_none(d, n):
+    stack = mixed_stack(d, n)
+    got = _project_stack(stack, d, n, max_rounds=1)
+    want = [project_to_ppt(m, d, n, max_rounds=1) for m in stack]
+    assert [a is None for a in got] == [b is None for b in want]
+    assert any(a is None for a in got) and any(a is not None for a in got)
+    assert all(a is None or np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_non_finite_matrix_raises_naming_its_candidate():
+    stack = _search_candidates(2, 1, 7, 10, 14)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="candidate 12 is not finite"):
+        _project_stack(stack, 2, 1, first=10)
+    # an infinite entry, and a trace of zero to normalize by
+    for m in (np.full((4, 4), np.inf), np.diag([1.0, -1.0, 0.0, 0.0])):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="candidate 0 is not finite"):
+                project_to_ppt(m, 2, 1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+def test_search_does_not_depend_on_the_window(d, n, monkeypatch):
+    side = d ** (2 * n)
+    trials = 40  # a multiple of none of the windows below but 1
+    default = ppt_search(d, n, trials, 7)
+    for window in (1, 7):
+        monkeypatch.setattr(zecheck.ppt, "_WINDOW_AMPLITUDES", window * side * side)
+        assert ppt_search(d, n, trials, 7) == default
+
+
+@pytest.mark.parametrize("d,n,trials,windows", [
+    (2, 2, 40, [16, 16, 8]),
+    (3, 1, 105, [50, 50, 5]),
+    (3, 2, 2, [1, 1]),  # an 81x81 candidate is projected alone
+])
+def test_search_windows(d, n, trials, windows, monkeypatch):
+    sizes = []
+    project = zecheck.ppt._project_stack
+
+    def recording(ms, *args, **kwargs):
+        sizes.append(len(ms))
+        return project(ms, *args, **kwargs)
+
+    monkeypatch.setattr(zecheck.ppt, "_project_stack", recording)
+    ppt_search(d, n, trials, 7)
+    assert sizes == windows
+
+
 def rechecking_search(d, n, trials, seed):
     """ppt_search as it was with an is_ppt re-check of every accepted candidate."""
     accepted = skipped = 0
     min_value = None
     for t in range(trials):
-        candidate = project_to_ppt(_search_candidate(d, n, seed, t), d, n)
+        candidate = project_to_ppt(_search_candidates(d, n, seed, t, t + 1)[0], d, n)
         if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
             skipped += 1
             continue
@@ -360,5 +445,5 @@ def test_twirl_checks_fail_when_no_candidate_converges(monkeypatch):
     claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
     for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
         assert not claims.pop(cid).passed
-    # ppt_search calls ppt.project_to_ppt, which the patch leaves alone
+    # ppt_search projects through ppt._project_stack, which the patch leaves alone
     assert len(claims) == 6 and all(c.passed for c in claims.values())
