@@ -67,5 +67,4 @@ from .zero_error import (
     disjoint_support,
     overlap_operator,
     overlap_support_projector,
-    pairing_vector,
 )

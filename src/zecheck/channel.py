@@ -329,10 +329,9 @@ def random_block_state(
     )
     psi = BlockStateVector(d, n, blocks, ref_dim)
     if support is not None:
-        keep = {psi.flat_index(label) for label in support}
-        for flat in range(d**n):
-            if flat not in keep:
-                psi.blocks[flat] = 0.0
+        keep = np.zeros(d**n, dtype=bool)
+        keep[[psi.flat_index(label) for label in support]] = True
+        psi.blocks[~keep] = 0.0
     norm = psi.total_norm()
     if norm > 0:
         psi.blocks /= norm

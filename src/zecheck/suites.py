@@ -103,11 +103,14 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.d, self.n = config.d, config.n
-        self.warnings: list[str] = []
 
     @cached_property
     def family(self):
         return enumerate_clifford(self.d)
+
+    @cached_property
+    def table(self):
+        return multiplication_table(self.family)
 
     @cached_property
     def channel(self):
@@ -115,16 +118,15 @@ class _Context:
 
     @cached_property
     def alt_family(self):
-        """Smallest proper exact 2-sub-design, searched for at d=2 only for its cost.
+        """The smallest proper exact 2-design subgroup containing <X, Z>.
 
-        d=3 has one too: the 72-member HW x Q8 group (Gross, Audenaert & Eisert 2007).
+        12 members at d=2; at d=3 the 72-member HW x Q8 group (Gross,
+        Audenaert & Eisert 2007).  Raises when the search finds none.
         """
-        if self.d != 2:
-            return None
-        alt = find_minimal_subdesign(self.family)
+        alt = find_minimal_subdesign(self.family, self.table)
         if alt is None:
-            self.warnings.append("no proper sub-family reaches frame potential 2; "
-                                 "design-independence spot check skipped")
+            raise RuntimeError("no proper sub-design: no subgroup containing <X, Z> "
+                               "reaches frame potential 2")
         return alt
 
     @cached_property
@@ -161,25 +163,20 @@ class _Spec(NamedTuple):
     claim_id: str
     statement: str
     tol: float | None
-    applies: Callable[[_Context], bool] | None
     compute: Callable[[_Context], object]
 
 
 _CLAIMS: list[_Spec] = []
 
 
-def _claim(suite, claim_id, statement, tol=None, applies=None):
-    """Register the decorated function as a claim; `applies` can skip it per run."""
+def _claim(suite, claim_id, statement, tol=None):
+    """Register the decorated function as a claim, run and reported in every run of its suite."""
 
     def register(compute):
-        _CLAIMS.append(_Spec(suite, claim_id, statement, tol, applies, compute))
+        _CLAIMS.append(_Spec(suite, claim_id, statement, tol, compute))
         return compute
 
     return register
-
-
-def _has_alt(ctx: _Context) -> bool:
-    return ctx.alt_family is not None
 
 
 def _worst(*values) -> float:
@@ -187,12 +184,10 @@ def _worst(*values) -> float:
     return float(np.max(values))
 
 
-def _run(spec: _Spec, ctx: _Context) -> ClaimResult | None:
+def _run(spec: _Spec, ctx: _Context) -> ClaimResult:
     t0 = time.perf_counter()
     tol = spec.tol
     try:
-        if spec.applies is not None and not spec.applies(ctx):
-            return None
         out = spec.compute(ctx)
         if isinstance(out, _Verdict):
             value, passed, detail = out
@@ -222,7 +217,7 @@ def _members(ctx):
 
 @_claim("design", "design.closure", "the family is closed under products modulo global phase")
 def _closure(ctx):
-    return int((multiplication_table(ctx.family) < 0).sum())
+    return int((ctx.table < 0).sum())
 
 
 @_claim("design", "design.frame_potential",
@@ -330,8 +325,7 @@ def _central_identity(ctx):
 
 
 @_claim("channel", "channel.alt_design_identity",
-        "the overlap identity holds verbatim for a smaller exact 2-design", tol=1e-8,
-        applies=_has_alt)
+        "the overlap identity holds verbatim for a smaller exact 2-design", tol=1e-8)
 def _alt_design_identity(ctx):
     return _identity_gap(ctx, ctx.alt_channel, 200_000, 10), f"alt size={len(ctx.alt_family)}"
 
@@ -783,8 +777,7 @@ def _twirl_units(ctx):
 
 
 @_claim("ncgraph", "ncgraph.design_independence",
-        "the span dimension is unchanged under an alternative exact 2-design",
-        applies=_has_alt)
+        "the span dimension is unchanged under an alternative exact 2-design")
 def _design_independence(ctx):
     alt_dim = graph_span(ctx.alt_channel).dim
     return _Verdict(alt_dim, alt_dim == ctx.span.dim, f"full={ctx.span.dim}")
@@ -796,15 +789,8 @@ def _design_independence(ctx):
 def execute(config: RunConfig) -> VerificationReport:
     """Run the registered claims of the configured suites in order and assemble the report."""
     ctx = _Context(config)
-    claims = []
-    for spec in _CLAIMS:
-        if spec.suite in config.suites:
-            result = _run(spec, ctx)
-            if result is not None:
-                claims.append(result)
-    warnings = list(ctx.warnings)
-    if not config.suites:
-        warnings.append("no suites selected; the result is vacuously passing")
+    claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
+    warnings = [] if config.suites else ["no suites selected; the result is vacuously passing"]
     return VerificationReport(
         version=TOOLKIT_VERSION,
         config=config,

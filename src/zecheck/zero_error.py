@@ -74,20 +74,13 @@ def _check_pair(psi1: BlockStateVector, psi2: BlockStateVector) -> None:
         raise ValueError("states must share dimension and number of uses")
 
 
-def pairing_vector(psi1: BlockStateVector, psi2: BlockStateVector) -> np.ndarray:
-    """x = sum_i |i>|a_i>|conj(b_i)> on three d^n-dimensional registers."""
-    _check_pair(psi1, psi2)
-    if psi1.ref_dim != 1 or psi2.ref_dim != 1:
-        raise ValueError("pairing vector is defined for states without a reference register")
-    return np.einsum("ia,ib->iab", psi1.blocks, psi2.blocks.conj()).ravel()
-
-
 def overlap_forms(blocks1: np.ndarray, blocks2: np.ndarray, d: int, n: int) -> np.ndarray:
     """<x_p|K^{(x)n}|x_p> for every pair p of two (pairs, d^n, d^n) block stacks.
 
-    x_p is the pairing vector of blocks1[p] and blocks2[p].  K is built
-    once and contracted against the whole stack one use at a time; the
-    n-fold operator is never materialized.
+    x_p = sum_i |i>|a_i>|conj(b_i)> pairs the blocks a_i of blocks1[p]
+    with the blocks b_i of blocks2[p].  K is built once and contracted
+    against the whole stack one use at a time; the n-fold operator is
+    never materialized.
     """
     side = d**n
     if blocks1.ndim != 3 or blocks1.shape[1:] != (side, side) or blocks2.shape != blocks1.shape:

@@ -1,7 +1,7 @@
 import pytest
 
 from zecheck.channel import build_channel
-from zecheck.designs import enumerate_clifford, find_minimal_subdesign
+from zecheck.designs import enumerate_clifford, find_minimal_subdesign, multiplication_table
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +26,4 @@ def channel_d3(family_d3):
 
 @pytest.fixture(scope="session")
 def subdesign_d2(family_d2):
-    return find_minimal_subdesign(family_d2)
+    return find_minimal_subdesign(family_d2, multiplication_table(family_d2))

@@ -162,8 +162,7 @@ def test_determinism_same_config():
     assert normalized(execute(cfg)) == normalized(execute(cfg))
 
 
-# (suite, claim_id, tolerance) in report order; the last two d=2 rows need
-# the 12-element sub-design, which only d=2 has
+# (suite, claim_id, tolerance) in report order, the same at every d
 PINNED_CLAIMS = [
     ("design", "design.members", 1e-9),
     ("design", "design.closure", None),
@@ -207,7 +206,6 @@ PINNED_CLAIMS = [
     ("ncgraph", "ncgraph.twirl_units", 1e-9),
     ("ncgraph", "ncgraph.design_independence", None),
 ]
-D2_ONLY = {"channel.alt_design_identity", "ncgraph.design_independence"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,8 +216,8 @@ def full_run(d, n, trials):
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
 def test_claim_list_is_pinned(d, n):
     report = full_run(d, n, 5)
-    expected = [c for c in PINNED_CLAIMS if d == 2 or c[1] not in D2_ONLY]
-    assert [(c.suite, c.claim_id, c.tolerance) for c in report.claims] == expected
+    assert [(c.suite, c.claim_id, c.tolerance) for c in report.claims] == PINNED_CLAIMS
+    assert len(report.claims) == len(zecheck.suites._CLAIMS)
     statements = [c.statement for c in report.claims]
     assert all(s.strip() for s in statements)
     assert len(set(statements)) == len(statements)
@@ -227,7 +225,9 @@ def test_claim_list_is_pinned(d, n):
 
 
 @pytest.mark.parametrize(
-    "d,n,trials,suite", [(2, 1, 20, "theorem2"), *((2, 2, 5, s) for s in SUITE_NAMES)]
+    "d,n,trials,suite",
+    [(2, 1, 20, "theorem2"), *((2, 2, 5, s) for s in SUITE_NAMES),
+     (3, 1, 5, "channel"), (3, 1, 5, "ncgraph")],
 )
 def test_suite_subset_matches_full_run(d, n, trials, suite):
     full_claims = [c for c in full_run(d, n, trials).claims if c.suite == suite]

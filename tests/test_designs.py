@@ -7,12 +7,15 @@ from zecheck.designs import (
     UnitaryFamily,
     _canonical_phases,
     _dedup_keys,
+    clock,
     conjugate_twirl,
     enumerate_clifford,
+    find_minimal_subdesign,
     fourier,
     frame_potential,
     isotropic_projection,
     multiplication_table,
+    shift,
     verify_two_design,
 )
 from zecheck.linalg import max_entangled_projector, random_psd
@@ -164,11 +167,55 @@ def test_twirl_dimension_mismatch(family_d2):
         conjugate_twirl(family_d2, np.eye(8))
 
 
-def test_subdesign_search(subdesign_d2):
-    assert subdesign_d2 is not None
+def member_indices(family, sub):
+    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(family.members)))}
+    return [index[key] for key in _dedup_keys(_canonical_phases(sub.members))]
+
+
+def test_subdesign_search(family_d2, subdesign_d2):
     assert len(subdesign_d2) == 12
     assert subdesign_d2.verified
     assert abs(frame_potential(subdesign_d2) - 2.0) <= 1e-9
+    # the members the all-pairs closure search returned, in the same order
+    assert member_indices(family_d2, subdesign_d2) == [0, 3, 4, 5, 8, 12, 14, 15, 16, 19, 20, 21]
+    # inside the 12-member design only HW itself and the whole family contain <X, Z>
+    assert find_minimal_subdesign(subdesign_d2, multiplication_table(subdesign_d2)) is None
+
+
+def test_subdesign_search_d3(family_d3):
+    table = multiplication_table(family_d3)
+    sub = find_minimal_subdesign(family_d3, table)
+    assert len(sub) == 72
+    assert sub.verified
+    assert abs(frame_potential(sub) - 2.0) <= 1e-9
+    idx = member_indices(family_d3, sub)
+    inside = np.zeros(len(family_d3), dtype=bool)
+    inside[idx] = True
+    assert inside[table[np.ix_(idx, idx)]].all()  # closed under products
+    assert not inside.all()
+    hw = member_indices(family_d3, UnitaryFamily(3, np.stack([shift(3), clock(3)]), np.ones(2)))
+    assert inside[hw].all()
+
+
+def test_a_run_builds_one_multiplication_table(monkeypatch):
+    calls = []
+
+    def counted(family):
+        calls.append(len(family))
+        return multiplication_table(family)
+
+    for module in ("zecheck.suites", "zecheck.designs"):
+        monkeypatch.setattr(f"{module}.multiplication_table", counted)
+    report = execute(RunConfig(d=2, suites=("design", "channel", "ncgraph"), trials=5))
+    assert report.overall_pass
+    assert calls == [24]
+
+
+def test_subdesign_search_needs_a_closed_table(family_d2):
+    table = multiplication_table(family_d2)
+    table[1, 2] = -1
+    with pytest.raises(ValueError):
+        find_minimal_subdesign(family_d2, table)
 
 
 def test_closure_size_cap(monkeypatch):

@@ -1,10 +1,12 @@
-"""Negative controls: claims fail on a mere 1-design and on NaN values.
+"""Negative controls: claims fail on a mere 1-design, on NaN values and without a sub-design.
 
 The d=2 Pauli group {X^a Z^b} is a unitary 1-design with frame potential
 4, not 2.  With the verification flag forced on, every check that relies
 on the 2-design property must miss by a clear margin.  A helper that
 returns NaN must fail every claim that reduces its values, and every
-claim that counts decisions must count a NaN as a failed one.
+claim that counts decisions must count a NaN as a failed one.  A run
+whose sub-design search finds nothing must fail both alternative-design
+claims by name, not drop them.
 """
 
 import json
@@ -79,6 +81,18 @@ def test_pauli_group_breaks_central_identity(n):
         lhs = (len(fam) ** n) * output_overlap(ch, p1, p2)
         worst = max(worst, abs(lhs - averaged_output_overlap(p1, p2)))
     assert worst > 0.05
+
+
+def test_missing_subdesign_fails_both_alt_claims(monkeypatch):
+    monkeypatch.setattr(zecheck.suites, "find_minimal_subdesign", lambda family, table: None)
+    report = execute(RunConfig(d=2, n=1, trials=5))
+    alt = {c.claim_id: c for c in report.claims if c.claim_id in
+           ("channel.alt_design_identity", "ncgraph.design_independence")}
+    assert len(alt) == 2
+    for claim in alt.values():
+        assert not claim.passed
+        assert "no proper sub-design" in claim.detail
+    assert report.warnings == []
 
 
 # claims whose value reduces the helpers' values: NaN, written as null

@@ -23,7 +23,6 @@ from zecheck.zero_error import (
     overlap_forms,
     overlap_operator,
     overlap_support_projector,
-    pairing_vector,
 )
 
 
@@ -100,15 +99,6 @@ def test_dominance_scaled_and_tight(d):
     assert unscaled_min == pytest.approx(-1.0 / (d + 1), abs=1e-9)
 
 
-def test_pairing_vector_structure():
-    rng = np.random.default_rng(3)
-    p1 = random_block_state(2, 1, rng)
-    p2 = random_block_state(2, 1, rng)
-    x = pairing_vector(p1, p2).reshape(2, 2, 2)
-    for i in range(2):
-        np.testing.assert_allclose(x[i], np.outer(p1.blocks[i], p2.blocks[i].conj()), atol=1e-12)
-
-
 def test_overlap_disjoint_is_zero():
     rng = np.random.default_rng(5)
     p1 = random_block_state(2, 2, rng, support=[(0, 0), (0, 1)])
@@ -182,7 +172,8 @@ def test_code_conditions_zero_pair():
 def dense_overlap_form(psi1, psi2):
     """<x|K^{(x)n}|x> with K^{(x)n} built densely by np.kron."""
     d, n = psi1.d, psi1.n
-    x = pairing_vector(psi1, psi2)  # registers (i_1..i_n, a_1..a_n, b_1..b_n)
+    # x = sum_i |i>|a_i>|conj(b_i)> on registers (i_1..i_n, a_1..a_n, b_1..b_n)
+    x = np.einsum("ia,ib->iab", psi1.blocks, psi2.blocks.conj()).ravel()
     # entry of x at each use-major index (i_1, a_1, b_1, i_2, a_2, b_2, ...)
     digits = np.indices((d,) * (3 * n)).reshape(3 * n, -1)
     source = np.ravel_multi_index([digits[3 * t + k] for k in range(3) for t in range(n)],
