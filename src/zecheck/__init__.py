@@ -52,7 +52,6 @@ from .ppt import (
     constraint_score,
     isotropic_twirl_n,
     ppt_search,
-    project_to_ppt,
     recursion_certificate,
 )
 from .privacy import ProtocolTranscript, run_protocol, transpose_trick_residual, verify_secrecy

@@ -63,10 +63,11 @@ class BlockStateVector:
         return self.blocks.shape[1]
 
     def flat_index(self, label) -> int:
-        idx = 0
-        for i in label:
-            idx = idx * self.d + int(i)
-        return idx
+        """Row of control tuple `label`; raises on a tuple of the wrong length or range."""
+        digits = tuple(int(i) for i in label)
+        if len(digits) != self.n or not all(0 <= i < self.d for i in digits):
+            raise ValueError(f"control tuple {tuple(label)} is not in range({self.d})^{self.n}")
+        return int(np.ravel_multi_index(digits, (self.d,) * self.n))
 
     def block_norms(self) -> np.ndarray:
         return np.linalg.norm(self.blocks, axis=1)

@@ -22,7 +22,8 @@ about 0.2-0.5 MiB.  Every candidate gets the values it would get alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -38,7 +39,7 @@ from .linalg import (
     trace_one_gram,
 )
 
-SEARCH_CASE_BASE = 40_000  # the other ppt case keys (30_000-32_002) sit below it
+SEARCH_CASE_BASE = 40_000  # the only other ppt case key, 31_000, sits below it
 _WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 
 
@@ -50,19 +51,12 @@ class IsotropicDecomposition:
     n: int
     coefficients: np.ndarray  # shape (2,) * n
 
-    def labels(self):
-        yield from product((0, 1), repeat=self.n)
-
-    def coefficient(self, label) -> float:
-        return float(self.coefficients[tuple(label)])
-
     def reconstruct(self) -> np.ndarray:
         side = self.d ** (2 * self.n)
         out = np.zeros((side, side), dtype=complex)
-        for label in self.labels():
-            p = self.coefficient(label)
+        for p, op in zip(self.coefficients.ravel(), _label_operators(self.d, self.n)):
             if p != 0.0:
-                out += p * _label_operator(self.d, label)
+                out += p * op
         return out
 
 
@@ -79,6 +73,8 @@ class PPTSearchResult:
     accepted: int
     skipped: int
     min_value: float | None
+    # (accepted, 2^n): each accepted candidate's twirl coefficients, in candidate order
+    coefficients: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass
@@ -88,11 +84,45 @@ class RecursionRecord:
     min_eigenvalue: float
 
 
-def _label_operator(d: int, label) -> np.ndarray:
-    """Tensor product over the pairs of Phi (bit 0) or I-Phi (bit 1)."""
+def _label_operators(d: int, n: int) -> np.ndarray:
+    """R_label, the product over the pairs of Phi (bit 0) or I-Phi (bit 1), per label in C order."""
     phi = max_entangled_projector(d)
     ops = (phi, np.eye(d * d) - phi)
-    return tensor(*(ops[bit] for bit in label))
+    return np.stack([tensor(*(ops[bit] for bit in label)) for label in product((0, 1), repeat=n)])
+
+
+def label_ranks(d: int, n: int) -> np.ndarray:
+    """rank(R_label) for every label in C order: (d^2-1)^(complement factors)."""
+    return (d * d - 1.0) ** np.array([sum(label) for label in product((0, 1), repeat=n)])
+
+
+def transposed_eigenvalues(coefficients: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Eigenvalues T^(x)n p of the pairwise transpose of sum p_label R_label, per row: (k, 2^n).
+
+    Per pair, (p0 Phi + p1 (I-Phi))^Gamma = p0 SWAP/d + p1 (I - SWAP/d) is T p on the
+    symmetric and antisymmetric subspaces (Vollbrecht & Werner 2001): the twirl is
+    PPT iff these are >= 0, as it is PSD iff p >= 0.
+    """
+    t = np.array([[1 / d, 1 - 1 / d], [-1 / d, 1 + 1 / d]])
+    return coefficients @ reduce(np.kron, [t] * n).T
+
+
+def _twirl_basis(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """(entries, values, ranks): the flat matrix entries some R_label touches, and R_label there.
+
+    Each R_label is real and symmetric, so Re tr(R m) sums R_ij Re(m_ij) over
+    those entries, (2d^2 - d)^n of them: 36 of 256 at (2,2), 225 of 6561 at (3,2).
+    """
+    flat = _label_operators(d, n).reshape(2**n, -1).real
+    entries = np.flatnonzero(flat.any(axis=0))
+    return entries, flat[:, entries], label_ranks(d, n)
+
+
+def _twirl_coefficients(ms: np.ndarray, basis: tuple[np.ndarray, ...]) -> np.ndarray:
+    """p_label = Re tr(R_label m) / rank per matrix of a stack: (k, 2^n), each row reduced alone."""
+    entries, values, ranks = basis
+    flat = ms.reshape(len(ms), ms.shape[-1] ** 2)
+    return (flat[:, entries].real[:, None, :] * values).sum(axis=-1) / ranks
 
 
 def pairwise_partial_transpose(m: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -125,12 +155,8 @@ def isotropic_twirl_n(m: np.ndarray, d: int, n: int) -> IsotropicDecomposition:
     scale = max(1.0, float(np.abs(w).max()))
     if w.min() < -DEFAULT_TOL * scale:
         raise ValueError(f"input is not PSD within tolerance (min eigenvalue {w.min():.3e})")
-    ranks = (1, d * d - 1)
-    coeffs = np.zeros((2,) * n)
-    for label in product((0, 1), repeat=n):
-        rank = int(np.prod([ranks[bit] for bit in label]))
-        coeffs[label] = trace_inner(_label_operator(d, label), m).real / rank
-    return IsotropicDecomposition(d=d, n=n, coefficients=coeffs)
+    coeffs = _twirl_coefficients(m[None], _twirl_basis(d, n))
+    return IsotropicDecomposition(d=d, n=n, coefficients=coeffs.reshape((2,) * n))
 
 
 def build_ppt_witness(d: int) -> PPTWitness:
@@ -149,7 +175,7 @@ def build_ppt_witness(d: int) -> PPTWitness:
 
 def constraint_score(m: np.ndarray, d: int, n: int) -> float:
     """tr(m (I-Phi)^{(x)n}); the quantity the certificate keeps away from 0."""
-    return trace_inner(_label_operator(d, (1,) * n), np.asarray(m, dtype=complex)).real
+    return trace_inner(_label_operators(d, n)[-1], np.asarray(m, dtype=complex)).real
 
 
 def recursion_trace(
@@ -169,29 +195,21 @@ def recursion_trace(
     ng = pairwise_partial_transpose(dec.reconstruct(), d, n)
     phi_g = partial_transpose(max_entangled_projector(d), (d, d), 0)
     records = []
-    for c in range(n - 1, -1, -1):
-        for label in dec.labels():
-            if sum(label) != c:
-                continue
-            slots = [t for t, bit in enumerate(label) if bit == 1]
-            contracted = ng
-            dims = [pair] * n
-            for removed, slot in enumerate(slots):
-                pos = slot - removed
-                op = tensor(
-                    *(
-                        witness.matrix if t == pos else np.eye(dim)
-                        for t, dim in enumerate(dims)
-                    )
-                )
-                contracted = partial_trace(op @ contracted, tuple(dims), pos)
-                del dims[pos]
-            target = tensor(*([phi_g] * (n - c)))
-            implied = trace_inner(target, contracted).real / witness.trace_value**c
-            min_eig = float(np.linalg.eigvalsh(contracted).min())
-            records.append(
-                RecursionRecord(label=tuple(label), implied=implied, min_eigenvalue=min_eig)
-            )
+    # by descending complement count, skipping the first: the all-complement constraint label
+    for label in sorted(product((0, 1), repeat=n), key=sum, reverse=True)[1:]:
+        slots = [t for t, bit in enumerate(label) if bit == 1]
+        c = len(slots)
+        contracted = ng
+        dims = [pair] * n
+        for removed, slot in enumerate(slots):
+            pos = slot - removed
+            factors = (witness.matrix if t == pos else np.eye(dim) for t, dim in enumerate(dims))
+            contracted = partial_trace(tensor(*factors) @ contracted, tuple(dims), pos)
+            del dims[pos]
+        target = tensor(*([phi_g] * (n - c)))
+        implied = trace_inner(target, contracted).real / witness.trace_value**c
+        min_eig = float(np.linalg.eigvalsh(contracted).min())
+        records.append(RecursionRecord(label=label, implied=implied, min_eigenvalue=min_eig))
     return records
 
 
@@ -203,7 +221,7 @@ def recursion_certificate(
     Requires the constraint coefficient (the all-complement label) to be
     ~0 already; a decomposition violating that precondition is rejected.
     """
-    constraint = dec.coefficient((1,) * dec.n)
+    constraint = float(dec.coefficients.flat[-1])  # the all-complement label
     if abs(constraint) > tol:
         raise ValueError(
             f"constraint coefficient {constraint:.3e} is not ~0; "
@@ -259,12 +277,16 @@ def _hermitized(ms: np.ndarray) -> np.ndarray:
 def _project_stack(
     ms: np.ndarray, d: int, n: int, max_rounds: int = 200, tol: float = 1e-10, first: int = 0
 ) -> list[np.ndarray | None]:
-    """`project_to_ppt` on each matrix of a (k, side, side) stack, candidates first..first+k-1.
+    """Alternating eigenvalue clipping on each matrix of a stack and on its pairwise transpose.
 
-    Every round checks the whole active stack at once, and each matrix
-    whose transpose passes retires with the value its own alternation
-    would return.  A matrix that is not finite after a normalization
-    raises `ValueError`: a Cholesky factorization of NaN can succeed.
+    Entry i, for candidate first+i, is a trace-one PPT matrix, or None when its
+    alternation does not converge within `max_rounds`; the matrix alone would
+    get the same.  Each
+    round applies `_psd_clip` to the active stack, then to its pairwise
+    transpose; a matrix whose transpose passes retires, so callers need not
+    check it: it passed at tol too, or is that round's clip, PSD up to
+    rounding.  A matrix that is not finite after a normalization raises
+    `ValueError` naming it: a Cholesky factorization of NaN can succeed.
     """
     out: list[np.ndarray | None] = [None] * len(ms)
     names = np.arange(first, first + len(ms))
@@ -285,21 +307,6 @@ def _project_stack(
             names = names[clip]
         cur = _normalized(_hermitized(pairwise_partial_transpose(ppt, d, n)), names)
     return out
-
-
-def project_to_ppt(
-    m: np.ndarray, d: int, n: int, max_rounds: int = 200, tol: float = 1e-10
-) -> np.ndarray | None:
-    """Alternating eigenvalue clipping on m and its pairwise transpose.
-
-    Returns a trace-one PPT matrix, or None when the alternation does
-    not converge within `max_rounds`.  Each round applies `_psd_clip` to
-    the matrix and then to its pairwise transpose; the round that leaves
-    the transpose unchanged returns the matrix, so callers need not check
-    it.  Its transpose then passed the check at tol, and the matrix either
-    passed it too or is that round's clip, PSD up to rounding.
-    """
-    return _project_stack(np.asarray(m)[None], d, n, max_rounds, tol)[0]
 
 
 def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -325,21 +332,22 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
     Candidates are random PSD matrices pushed into the PPT cone by
     alternating clipping, a window of them at a time; non-convergent
     candidates are skipped and counted.  The returned minimum staying
-    away from zero is the certified prediction.
+    away from zero is the certified prediction.  The result also holds
+    the twirl coefficients of every accepted candidate.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    constraint = _label_operator(d, (1,) * n)
+    constraint, basis = _label_operators(d, n)[-1], _twirl_basis(d, n)
     side = d ** (2 * n)
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
-    scores = []
+    scores, coefficients = [], []
     for start in range(0, trials, window):
         stop = min(start + window, trials)
-        for candidate in _project_stack(_search_candidates(d, n, seed, start, stop), d, n,
-                                        first=start):
-            if candidate is not None:
-                scores.append(trace_inner(constraint, candidate).real)
+        projected = _project_stack(_search_candidates(d, n, seed, start, stop), d, n, first=start)
+        accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
+        scores += [trace_inner(constraint, m).real for m in accepted]
+        coefficients.append(_twirl_coefficients(accepted, basis))
     # np.min keeps a NaN score, which a running builtin min can drop
     min_value = float(np.min(scores)) if scores else None
     return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),
-                           min_value=min_value)
+                           min_value=min_value, coefficients=np.concatenate(coefficients))

@@ -20,7 +20,11 @@ The `trials` knob scales sample counts: the channel identity uses
 `trials` pairs, the conservation check max(1, trials // 10) inputs (every
 other one with a reference qubit), the orthogonality equivalence 2*trials
 random plus max(50, trials // 2) structured pairs, the code-impossibility
-sweep 5*trials candidate pairs, and the PPT search 10*trials projections.
+sweep 5*trials candidate pairs, and the PPT search 10*trials projections:
+`ppt.search_floor`, `ppt.twirl_preserves` and `ppt.constraint_unreachable`
+all read its accepted candidates.  Fixed counts: the alternative-design
+identity 10 pairs, `ppt.twirl_invariance` 3 conjugations and
+`zero_error.form_properties` 10 cases.
 Claims reduce samples with `_worst`, so a NaN sample fails its claim;
 `_run` records a non-finite value as null and says so in `detail`.
 The equivalence and code-impossibility sweeps draw their cases in order,
@@ -75,15 +79,17 @@ from .ppt import (
     build_ppt_witness,
     constraint_score,
     isotropic_twirl_n,
+    label_ranks,
     pairwise_partial_transpose,
     ppt_search,
-    project_to_ppt,
     recursion_certificate,
     recursion_trace,
+    transposed_eigenvalues,
 )
 from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
 from .report import TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
 from .zero_error import (
+    BLOCK_ZERO_TOL,
     averaged_output_overlap,
     design_average_overlap_operator,
     disjoint_support,
@@ -148,6 +154,10 @@ class _Context:
     @cached_property
     def witness(self):
         return build_ppt_witness(self.d)
+
+    @cached_property
+    def search(self):
+        return ppt_search(self.d, self.n, 10 * self.config.trials, self.config.seed)
 
 
 class _Verdict(NamedTuple):
@@ -466,7 +476,7 @@ def _equivalence(ctx):
         forms = overlap_forms(*_block_stacks(window), ctx.d, ctx.n)
         disjoint = np.array([disjoint_support(p1, p2) for p1, p2 in window])
         # a non-finite form decides nothing, so it counts as a mismatch
-        mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= 1e-8))))
+        mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= BLOCK_ZERO_TOL))))
     return mismatches, f"pairs={random_pairs + structured_pairs}"
 
 
@@ -502,7 +512,7 @@ def _code_pair_candidates(d, n, case, rng):
     return _single_tuple_pair(d, n, rng)
 
 
-def _code_pair_failures(d, n, window, tol):
+def _code_pair_failures(d, n, window):
     """(violations + forcing failures, near-misses) of one window of candidates.
 
     A candidate violates when both states are nonzero and both its pair
@@ -511,6 +521,7 @@ def _code_pair_failures(d, n, window, tol):
     states nonzero) must be forced: every populated control tuple
     breaks the sum/difference disjointness, driving both blocks to zero.
     """
+    tol = BLOCK_ZERO_TOL
     b1, b2 = _block_stacks(window)
     total, diff = b1 + b2, b1 - b2
     forms = overlap_forms(np.concatenate([b1, total / np.sqrt(2)]),
@@ -537,7 +548,7 @@ def _no_valid_code_pair(ctx):
              for case in range(candidates))
     failures = near_misses = 0
     for window in _windows(pairs):
-        window_failures, window_near = _code_pair_failures(d, n, window, 1e-8)
+        window_failures, window_near = _code_pair_failures(d, n, window)
         failures += window_failures
         near_misses += window_near
     return failures, f"candidates={candidates} near_misses={near_misses}"
@@ -588,18 +599,11 @@ def _secrecy_control(ctx):
 # ---------------------------------------------------------------- ppt
 
 
-def _ppt_candidates(ctx, first_case):
-    """PPT projections of three random PSD matrices; raises when none converged."""
-    d, n = ctx.d, ctx.n
-    found = []
-    for case in range(first_case, first_case + 3):
-        rng = case_rng(ctx.config.seed, "ppt", case)
-        candidate = project_to_ppt(random_psd(d ** (2 * n), rng), d, n)
-        if candidate is not None:
-            found.append(candidate)
-    if not found:
-        raise RuntimeError("none of 3 PPT projections converged; nothing was checked")
-    return found
+def _search_coefficients(ctx):
+    """The twirl coefficients of the search's accepted candidates; raises when there are none."""
+    if not ctx.search.accepted:
+        raise RuntimeError("the PPT search accepted no candidate; nothing was checked")
+    return ctx.search.coefficients
 
 
 @_claim("ppt", "ppt.witness",
@@ -628,7 +632,7 @@ def _uniform_score(ctx):
 @_claim("ppt", "ppt.search_floor",
         "randomized PPT candidates keep tr(M (I-Phi)^(x)n) strictly positive")
 def _search_floor(ctx):
-    search = ppt_search(ctx.d, ctx.n, 10 * ctx.config.trials, ctx.config.seed)
+    search = ctx.search
     value = search.min_value
     detail = f"accepted={search.accepted} skipped={search.skipped}"
     return _Verdict(value, value is not None and value > 1e-9, detail)
@@ -638,18 +642,15 @@ def _search_floor(ctx):
         "the isotropic twirl preserves trace, positivity and PPT on sampled candidates", tol=1e-9)
 def _twirl_preserves(ctx):
     d, n = ctx.d, ctx.n
-    worst = 0.0
-    for candidate in _ppt_candidates(ctx, 30_000):
-        dec = isotropic_twirl_n(candidate, d, n)
-        rec = dec.reconstruct()
-        worst = _worst(
-            worst,
-            abs(np.trace(rec).real - 1.0),
-            -min_eigenvalue(rec),
-            -min_eigenvalue(pairwise_partial_transpose(rec, d, n)),
-            -dec.coefficients.min(),
-        )
-    return worst
+    p = _search_coefficients(ctx)
+    # the twirl is PSD iff p >= 0 and PPT iff its closed-form transposed eigenvalues are
+    margin = np.minimum(p.min(axis=1), transposed_eigenvalues(p, d, n).min(axis=1))
+    worst = _worst(0.0, np.abs(p @ label_ranks(d, n) - 1.0).max(), -margin.min())
+    for i in np.argsort(margin)[:3]:  # the dense check, on the candidates nearest the boundary
+        rec = IsotropicDecomposition(d, n, p[i].reshape((2,) * n)).reconstruct()
+        worst = _worst(worst, abs(np.trace(rec).real - 1.0), -min_eigenvalue(rec),
+                       -min_eigenvalue(pairwise_partial_transpose(rec, d, n)))
+    return worst, f"candidates={len(p)}"
 
 
 @_claim("ppt", "ppt.twirl_invariance",
@@ -668,11 +669,9 @@ def _ppt_twirl_invariance(ctx):
 @_claim("ppt", "ppt.constraint_unreachable",
         "no sampled PPT candidate meets the orthogonality constraint")
 def _constraint_unreachable(ctx):
-    lowest = float(np.min([
-        isotropic_twirl_n(c, ctx.d, ctx.n).coefficient((1,) * ctx.n)
-        for c in _ppt_candidates(ctx, 32_000)
-    ]))
-    return _Verdict(lowest, lowest > 1e-9)
+    p = _search_coefficients(ctx)
+    lowest = float(np.min(p[:, -1]))  # the all-complement label
+    return _Verdict(lowest, lowest > 1e-9, f"candidates={len(p)}")
 
 
 @_claim("ppt", "ppt.recursion_zero", "the zero decomposition passes the recursion replay vacuously")

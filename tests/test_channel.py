@@ -83,6 +83,19 @@ def test_basis_input_branches(channel_d2):
         np.testing.assert_allclose(mat, target, atol=1e-12)
 
 
+@pytest.mark.parametrize("label", [(1,), (1, -1), (0, 2), (3,), (0, 1, 0)])
+def test_control_tuples_outside_the_range_raise(label):
+    v = basis_state(2, 0)
+    with pytest.raises(ValueError, match=r"control tuple .* is not in range\(2\)\^2"):
+        BlockStateVector.from_blocks(2, 2, {label: np.ones(4)})
+    with pytest.raises(ValueError, match="control tuple"):
+        random_block_state(2, 2, np.random.default_rng(5), support=[(0, 0), label])
+    psi = BlockStateVector.from_blocks(2, 1, {(1,): v})
+    assert psi.flat_index((1,)) == 1 and np.array_equal(psi.blocks[1], v)
+    psi = random_block_state(2, 2, np.random.default_rng(5), support=[(1, 1)])
+    assert np.flatnonzero(psi.block_norms()).tolist() == [3]
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_branch_entries_match_oracle(d, n, channel_d2, channel_d3):
     ch = channel_d2 if d == 2 else channel_d3

@@ -1,4 +1,4 @@
-"""Negative controls: claims fail on a mere 1-design, on NaN values and without a sub-design.
+"""Negative controls: claims fail on a 1-design, on NaN values, without a sub-design, on bad twirls.
 
 The d=2 Pauli group {X^a Z^b} is a unitary 1-design with frame potential
 4, not 2.  With the verification flag forced on, every check that relies
@@ -6,7 +6,9 @@ on the 2-design property must miss by a clear margin.  A helper that
 returns NaN must fail every claim that reduces its values, and every
 claim that counts decisions must count a NaN as a failed one.  A run
 whose sub-design search finds nothing must fail both alternative-design
-claims by name, not drop them.
+claims by name, not drop them.  A PPT search result whose twirl
+coefficients are PSD but not PPT must fail `ppt.twirl_preserves`, and
+one with a zero all-complement coefficient `ppt.constraint_unreachable`.
 """
 
 import json
@@ -28,7 +30,7 @@ from zecheck.designs import (
     shift,
     verify_two_design,
 )
-from zecheck.ppt import ppt_search
+from zecheck.ppt import PPTSearchResult, ppt_search
 from zecheck.privacy import run_protocol, verify_secrecy
 from zecheck.report import RunConfig, emit_report
 from zecheck.suites import case_rng, execute
@@ -189,7 +191,35 @@ def test_nan_search_candidate_fails_search_floor(monkeypatch):
     with np.errstate(invalid="ignore"):
         report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
     claims = {c.claim_id: c for c in report.claims}
-    floor = claims.pop("ppt.search_floor")
-    assert not floor.passed
-    assert "ValueError: candidate 5 is not finite" in floor.detail
-    assert len(claims) == 7 and all(c.passed for c in claims.values())
+    # the three claims that read the search fail with its error
+    for claim_id in ("ppt.search_floor", "ppt.twirl_preserves", "ppt.constraint_unreachable"):
+        claim = claims.pop(claim_id)
+        assert not claim.passed, claim_id
+        assert "ValueError: candidate 5 is not finite" in claim.detail, claim_id
+    assert len(claims) == 5 and all(c.passed for c in claims.values())
+
+
+def injected_search_claims(monkeypatch, coefficients):
+    """The ppt claims of a (2,1) run whose search accepted candidates with these coefficients."""
+    coefficients = np.array(coefficients, dtype=float)
+    result = PPTSearchResult(len(coefficients), 0, 0.5, coefficients)
+    monkeypatch.setattr(zecheck.suites, "ppt_search", lambda d, n, trials, seed: result)
+    report = execute(RunConfig(d=2, n=1, suites=("ppt",), trials=5))
+    return {c.claim_id: c for c in report.claims}
+
+
+def test_twirl_preserves_fails_on_a_psd_but_not_ppt_twirl(monkeypatch):
+    # p = (1, 0) is Phi alone: PSD with trace one, but T p = (1/2, -1/2) at d=2
+    uniform = [0.25, 0.25]  # the maximally mixed state, PPT
+    claims = injected_search_claims(monkeypatch, [uniform, [1.0, 0.0], uniform])
+    claim = claims["ppt.twirl_preserves"]
+    assert not claim.passed and claim.detail == "candidates=3"
+    assert claim.value == pytest.approx(0.5, abs=1e-12)
+
+
+def test_constraint_unreachable_fails_on_a_zero_complement_coefficient(monkeypatch):
+    claims = injected_search_claims(monkeypatch, [[0.25, 0.25], [0.1, 0.3], [1.0, 0.0]])
+    claim = claims["ppt.constraint_unreachable"]
+    assert not claim.passed and claim.detail == "candidates=3"
+    assert claim.value == 0.0
+    assert claims["ppt.search_floor"].passed  # the injected minimum stays positive

@@ -18,14 +18,20 @@ from zecheck.ppt import (
     build_ppt_witness,
     constraint_score,
     isotropic_twirl_n,
+    label_ranks,
     pairwise_partial_transpose,
     ppt_search,
-    project_to_ppt,
     recursion_certificate,
     recursion_trace,
+    transposed_eigenvalues,
 )
 from zecheck.report import RunConfig
 from zecheck.suites import execute
+
+
+def project_to_ppt(m, d, n, **kwargs):
+    """One matrix through the stacked projector: a trace-one PPT matrix or None."""
+    return _project_stack(np.asarray(m)[None], d, n, **kwargs)[0]
 
 
 def is_ppt(m, d, n, tol):
@@ -167,7 +173,7 @@ def test_recursion_implied_matches_planted():
     coeffs[1, 1] = 0.0
     dec = IsotropicDecomposition(2, 2, coeffs)
     for rec in recursion_trace(dec, w):
-        assert rec.implied == pytest.approx(dec.coefficient(rec.label), abs=1e-9)
+        assert rec.implied == pytest.approx(dec.coefficients[rec.label], abs=1e-9)
 
 
 def test_recursion_rejects_unconstrained():
@@ -349,14 +355,21 @@ def test_non_finite_matrix_raises_naming_its_candidate():
                 project_to_ppt(m, 2, 1)
 
 
+def assert_same_search(got, want):
+    """Equal counts and minimum (the dataclass equality), and bit-equal coefficients."""
+    assert got == want
+    assert np.array_equal(got.coefficients, want.coefficients)
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_search_does_not_depend_on_the_window(d, n, monkeypatch):
     side = d ** (2 * n)
     trials = 40  # a multiple of none of the windows below but 1
     default = ppt_search(d, n, trials, 7)
+    assert default.coefficients.shape == (default.accepted, 2**n)
     for window in (1, 7):
         monkeypatch.setattr(zecheck.ppt, "_WINDOW_AMPLITUDES", window * side * side)
-        assert ppt_search(d, n, trials, 7) == default
+        assert_same_search(ppt_search(d, n, trials, 7), default)
 
 
 @pytest.mark.parametrize("d,n,trials,windows", [
@@ -378,36 +391,41 @@ def test_search_windows(d, n, trials, windows, monkeypatch):
 
 
 def rechecking_search(d, n, trials, seed):
-    """ppt_search as it was with an is_ppt re-check of every accepted candidate."""
-    accepted = skipped = 0
-    min_value = None
+    """ppt_search as it was with an is_ppt re-check of every accepted candidate.
+
+    The coefficients are each accepted candidate's own `isotropic_twirl_n`.
+    """
+    skipped = 0
+    scores, coefficients = [], []
     for t in range(trials):
         candidate = project_to_ppt(_search_candidates(d, n, seed, t, t + 1)[0], d, n)
         if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
             skipped += 1
             continue
-        accepted += 1
-        score = constraint_score(candidate, d, n)
-        min_value = score if min_value is None else min(min_value, score)
-    return PPTSearchResult(accepted, skipped, min_value)
+        scores.append(constraint_score(candidate, d, n))
+        coefficients.append(isotropic_twirl_n(candidate, d, n).coefficients.ravel())
+    return PPTSearchResult(len(scores), skipped, min(scores) if scores else None,
+                           np.array(coefficients).reshape(len(scores), 2**n))
 
 
 @pytest.mark.parametrize("seed", [7, 123])
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_search_matches_rechecking_reference(d, n, seed):
-    assert ppt_search(d, n, 20, seed) == rechecking_search(d, n, 20, seed)
+    assert_same_search(ppt_search(d, n, 20, seed), rechecking_search(d, n, 20, seed))
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_search_draws_candidate_t_from_case_rng(d, n):
     seed, trials = 7, 20
-    scores = []
+    scores, coefficients = [], []
     for t in range(trials):
         m = random_psd(d ** (2 * n), case_rng(seed, "ppt", 40_000 + t))
         candidate = project_to_ppt(m, d, n)
         assert candidate is not None
         scores.append(constraint_score(candidate, d, n))
-    assert ppt_search(d, n, trials, seed) == PPTSearchResult(trials, 0, min(scores))
+        coefficients.append(isotropic_twirl_n(candidate, d, n).coefficients.ravel())
+    assert_same_search(ppt_search(d, n, trials, seed),
+                       PPTSearchResult(trials, 0, min(scores), np.array(coefficients)))
 
 
 def test_search_floor_and_fields():
@@ -417,9 +435,7 @@ def test_search_floor_and_fields():
 
 
 def test_search_reproducible():
-    a = ppt_search(2, 1, 50, 123)
-    b = ppt_search(2, 1, 50, 123)
-    assert a == b
+    assert_same_search(ppt_search(2, 1, 50, 123), ppt_search(2, 1, 50, 123))
 
 
 def test_search_rejects_zero_trials():
@@ -427,23 +443,70 @@ def test_search_rejects_zero_trials():
         ppt_search(2, 1, 0, 1)
 
 
+# the claims that read the run's one PPT search, and so fail with it
+SEARCH_CLAIMS = ("ppt.search_floor", "ppt.twirl_preserves", "ppt.constraint_unreachable")
+
+
 def test_search_failure_fails_only_search_floor(monkeypatch):
+    calls = []
+
     def broken(d, n, trials, seed):
+        calls.append(trials)
         raise RuntimeError("search diverged")
 
     monkeypatch.setattr("zecheck.suites.ppt_search", broken)
     claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
     assert "ppt.panic" not in claims
-    floor = claims.pop("ppt.search_floor")
-    assert not floor.passed
-    assert "RuntimeError: search diverged" in floor.detail
-    assert len(claims) == 7 and all(c.passed for c in claims.values())
+    for cid in SEARCH_CLAIMS:
+        claim = claims.pop(cid)
+        assert not claim.passed and claim.value is None, cid
+        assert "RuntimeError: search diverged" in claim.detail, cid
+    assert calls and set(calls) == {50}  # 10 * trials candidates
+    assert len(claims) == 5 and all(c.passed for c in claims.values())
 
 
 def test_twirl_checks_fail_when_no_candidate_converges(monkeypatch):
-    monkeypatch.setattr("zecheck.suites.project_to_ppt", lambda *args, **kwargs: None)
+    monkeypatch.setattr(zecheck.ppt, "_project_stack", lambda ms, *args, **kwargs: [None] * len(ms))
     claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
+    floor = claims.pop("ppt.search_floor")
+    assert not floor.passed and floor.value is None
+    assert floor.detail == "accepted=0 skipped=50"
     for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
-        assert not claims.pop(cid).passed
-    # ppt_search projects through ppt._project_stack, which the patch leaves alone
-    assert len(claims) == 6 and all(c.passed for c in claims.values())
+        claim = claims.pop(cid)
+        assert not claim.passed, cid
+        assert "RuntimeError: the PPT search accepted no candidate" in claim.detail, cid
+    assert len(claims) == 5 and all(c.passed for c in claims.values())
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+def test_three_claims_read_one_sample_set(d, n, monkeypatch):
+    calls = []
+    search = zecheck.suites.ppt_search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr("zecheck.suites.ppt_search", counting)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=d, n=n, suites=("ppt",), trials=5)).claims}
+    assert calls == [(d, n, 50, 1)]
+    accepted = dict(kv.split("=") for kv in claims["ppt.search_floor"].detail.split())["accepted"]
+    assert int(accepted) > 0
+    for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
+        assert claims[cid].passed and claims[cid].detail == f"candidates={accepted}", cid
+
+
+def test_transposed_eigenvalues_match_the_dense_spectrum():
+    rng = np.random.default_rng(41)
+    for d, n in [(2, 1), (3, 1), (2, 2)]:
+        p = rng.standard_normal(2**n)
+        rec = IsotropicDecomposition(d, n, p.reshape((2,) * n)).reconstruct()
+        # each pair's transpose lives on its symmetric and antisymmetric subspace
+        sym, anti = d * (d + 1) // 2, d * (d - 1) // 2
+        mult = tensor(*[np.array([sym, anti])] * n).real.astype(int)
+        want = np.repeat(transposed_eigenvalues(p[None], d, n)[0], mult)
+        got = np.linalg.eigvalsh(pairwise_partial_transpose(rec, d, n))
+        np.testing.assert_allclose(got, np.sort(want), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(rec),
+                                   np.sort(np.repeat(p, label_ranks(d, n).astype(int))),
+                                   atol=1e-12)
