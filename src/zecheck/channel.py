@@ -28,6 +28,10 @@ from .linalg import DEFAULT_TOL
 # _branch_factors' factors: one of the 216 rows of a (3,2) pass.  Three rows
 # per (3,2) pass made apply_n about 1.5 times slower (OpenBLAS, one thread).
 _CHUNK_AMPLITUDES = 2**15
+# Amplitudes of T per block of sub-tuples J' in output_overlap, d^(2n+1) * ref_dim
+# per J': one block of all 24 at (2,2), 16 a block at (3,2).  All 216 at once,
+# with their Grams, held about 6 MiB for a (3,2) pair.
+_OVERLAP_AMPLITUDES = 2**12
 
 
 @dataclass
@@ -117,10 +121,19 @@ def build_channel(d: int, family: UnitaryFamily) -> FlaggedPhaseChannel:
     return FlaggedPhaseChannel(d=d, design=family, phase_gate=phase, z_powers=z_powers)
 
 
+def _flag_weights(channel, n):
+    """Product weights w_j1 ... w_jn of all m^n flag tuples, in row-major order."""
+    w = channel.design.weights
+    out = w.copy()  # a CQState must not share the design's weights
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, w)  # left to right, like np.prod along a label row
+    return out.ravel()
+
+
 def _flag_tuples(channel, n):
     """All m^n flag tuples in row-major order and their product weights."""
     labels = np.indices((len(channel.design),) * n).reshape(n, -1).T
-    return labels, np.prod(channel.design.weights[labels], axis=1)
+    return labels, _flag_weights(channel, n)
 
 
 def _apply_use(channel, members, inner, ref):
@@ -231,7 +244,7 @@ def conservation_residual(channel: FlaggedPhaseChannel, psi: BlockStateVector) -
     and ||E||_2 <= ||E||_F <= gamma_{k+2} ||V||_F^2; both exact Grams are PSD,
     so every formed branch has lambda_min >= -gamma_{k+2} s_f.
     """
-    _, weights = _flag_tuples(channel, psi.n)
+    weights = _flag_weights(channel, psi.n)
     norms = np.empty(len(weights))
     for start, v in _branch_factors(channel, psi):
         flat = v.view(float).reshape(len(v), -1)
@@ -279,6 +292,13 @@ def output_overlap(
        d^2 x d^2 Grams, Q_j1[delta] = P^dag P per member and G_J'[delta] =
        T T^dag per sub-tuple, and one real GEMM gives every flag's norm.
 
+    Q depends on the design alone and is formed once per call.  Step 2 and
+    the Grams G run over blocks of sub-tuples J' (`_sub_tuple_grams`), so
+    no T of all m^(n-1) sub-tuples is held, and _later_uses' data is freed
+    before Q is formed.  The one real GEMM over all flags comes last: split
+    into column blocks, OpenBLAS's small-matrix kernels (taken at some
+    narrow widths) would sum in another order and move the last bits.
+
     Every flag's ||M_f||_F^2 is still formed on its own and weighted by
     w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
     any use) before squaring would factor the flag sum per use, which is
@@ -286,35 +306,54 @@ def output_overlap(
     Neither Gram sums over members: G holds one sub-tuple J' and Q one
     member j_1, so no design identity enters.
     """
-    d, n, ref = channel.d, x.n, x.ref_dim
-    g = channel.design.members
-    inner = _later_uses(channel, (x, y))
-    _, flags, rest, _ = inner.shape  # rest = d^(n-1) digits a_2..a_n
-    side = d**n
-    phase1 = np.diagonal(channel.phase_gate).reshape(d, d)  # w^{c a} of one use
-    # to (state, J', control, (a_1, a', reference))
-    amp = inner.reshape(d, flags, rest, 2, side, ref).transpose(3, 1, 4, 0, 2, 5)
-    amp = amp.reshape(2, flags, side, side * ref)
-    # w^{c_1 delta} on the y side, one column block per delta
-    t = amp[1].reshape(flags, d, rest, 1, side * ref) * phase1[:, None, :, None]
-    t = np.matmul(amp[0].conj().transpose(0, 2, 1), t.reshape(flags, side, d * side * ref))
-    # to (J', delta, (s, t), ((a', r), (b', r')))
-    block = rest * ref
-    t = t.reshape(flags, d, block, d, d, block).transpose(0, 3, 1, 4, 2, 5)
-    t = t.reshape(flags, d, d * d, block * block)
+    d, g = channel.d, channel.design.members
+    grams = _sub_tuple_grams(channel, x, y)
     # conj(P)[j_1, delta, a_1, (s, t)] = g_j1[a_1, s] conj(g_j1[a_1 + delta, t])
     shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d].conj()  # (j_1, delta, a_1, t)
     pair = np.multiply(g[:, None, :, :, None], shifted[:, :, :, None, :], order="C")
-    # Q = P^dag P and G = T T^dag as Re + Im: for Hermitian Q and G, tr(Q G) =
-    # sum_kl (Re + Im)(Q)_kl (Re + Im)(G)_kl, as each cross term pairs a
-    # symmetric part with an antisymmetric one
-    packed = []
-    for a in (pair.reshape(len(g), d, d, d * d).swapaxes(2, 3), t):
-        gram = a @ a.conj().swapaxes(-1, -2)
-        packed.append((gram.real + gram.imag).reshape(len(a), -1))
-    norms = packed[0] @ packed[1].T  # norms[j_1, J'] = ||M_f||_F^2
-    _, weights = _flag_tuples(channel, n)
-    return float(weights**2 @ norms.ravel())
+    # norms[j_1, J'] = ||M_f||_F^2
+    norms = _packed_grams(pair.reshape(len(g), d, d, d * d).swapaxes(2, 3)) @ grams.T
+    return float(_flag_weights(channel, x.n) ** 2 @ norms.ravel())
+
+
+def _sub_tuple_grams(channel, x, y):
+    """The packed Grams G_J'[delta] = T T^dag of output_overlap, one row per sub-tuple J'.
+
+    T is formed for a block of sub-tuples at a time, about
+    _OVERLAP_AMPLITUDES amplitudes, and only the blocks' packed Grams (d^5
+    reals per J') are kept.
+    """
+    d, ref = channel.d, x.ref_dim
+    inner = _later_uses(channel, (x, y))
+    _, flags, rest, _ = inner.shape  # rest = d^(n-1) digits a_2..a_n
+    side, block = d**x.n, rest * ref
+    phase1 = np.diagonal(channel.phase_gate).reshape(d, d)  # w^{c a} of one use
+    grams = np.empty((flags, d**5))
+    step = max(1, _OVERLAP_AMPLITUDES // (d * side * side * ref))
+    for first in range(0, flags, step):
+        part = inner[:, first : first + step]
+        k = part.shape[1]
+        # to (state, J', control, (a_1, a', reference))
+        amp = part.reshape(d, k, rest, 2, side, ref).transpose(3, 1, 4, 0, 2, 5)
+        amp = amp.reshape(2, k, side, side * ref)
+        # w^{c_1 delta} on the y side, one column block per delta
+        t = amp[1].reshape(k, d, rest, 1, side * ref) * phase1[:, None, :, None]
+        t = np.matmul(amp[0].conj().transpose(0, 2, 1), t.reshape(k, side, d * side * ref))
+        # to (J', delta, (s, t), ((a', r), (b', r')))
+        t = t.reshape(k, d, block, d, d, block).transpose(0, 3, 1, 4, 2, 5)
+        grams[first : first + k] = _packed_grams(t.reshape(k, d, d * d, block * block))
+    return grams
+
+
+def _packed_grams(a):
+    """Re + Im of the Gram a a^dag of every matrix of a stack, one row per leading index.
+
+    For Hermitian Q and G, tr(Q G) = sum_kl (Re + Im)(Q)_kl (Re + Im)(G)_kl,
+    as each cross term pairs a symmetric part with an antisymmetric one, so
+    one real GEMM of packed rows gives every tr(Q G).
+    """
+    gram = a @ a.conj().swapaxes(-1, -2)
+    return (gram.real + gram.imag).reshape(len(a), -1)
 
 
 def random_block_state(

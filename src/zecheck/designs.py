@@ -18,6 +18,9 @@ SUPPORTED_DIMS = (2, 3)
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
 PHASE_ZERO_TOL = 1e-8  # entries at most this large do not count as a phase pivot
+# Products per block of multiplication_table rows: all 216^2 products in one
+# stack traced about 21 MiB at d=3 (products, their keys and the lookups).
+_TABLE_PRODUCTS = 2**12
 
 
 @dataclass
@@ -172,11 +175,23 @@ def isotropic_projection(d: int, m: np.ndarray) -> np.ndarray:
 
 
 def multiplication_table(family: UnitaryFamily) -> np.ndarray:
-    """Index table of pairwise products modulo phase; -1 marks a missing product."""
+    """Index table of pairwise products modulo phase; -1 marks a missing product.
+
+    table[i, j] is the member equal to g_i g_j up to phase.  The rows are
+    built in blocks of about _TABLE_PRODUCTS products (one block of 24 rows
+    at d=2, 18 rows a block at d=3), each canonicalized, keyed and looked up
+    on its own, so the working set beside the m x m table stays bounded.
+    """
     g, m, d = family.members, len(family), family.d
     index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
-    prods = _canonical_phases(np.matmul(g[:, None], g[None, :]).reshape(m * m, d, d))
-    return np.array([index.get(key, -1) for key in _dedup_keys(prods)]).reshape(m, m)
+    table = np.empty((m, m), dtype=int)
+    rows = max(1, _TABLE_PRODUCTS // m)
+    for first in range(0, m, rows):
+        block = g[first : first + rows]
+        prods = _canonical_phases(np.matmul(block[:, None], g[None, :]).reshape(-1, d, d))
+        table[first : first + rows] = np.reshape(
+            [index.get(key, -1) for key in _dedup_keys(prods)], (len(block), m))
+    return table
 
 
 def _closure_mask(table: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ registers are orthogonal across design members, the span reduces to
 {Z^{k-l} (x) V^dag |l><k| V}.  Fixed-diagonal blocks (k = l) contribute
 the full matrix algebra on the data factor; off-diagonal blocks
 contribute exactly the traceless matrices.
+
+Operators with distinct clock powers s = k - l are Hilbert-Schmidt
+orthogonal, since tr(Z^{s'-s}) = 0 for s != s', so `graph_span`
+orthonormalizes one block per s: an SVD of m*d operators of size d x d
+in place of one SVD of all m*d^2 operators of size d^2 x d^2.
 """
 
 from __future__ import annotations
@@ -53,17 +58,24 @@ def full_matrix_space(ambient: int) -> OperatorSpan:
 
 
 def graph_span(channel: FlaggedPhaseChannel) -> OperatorSpan:
-    """Span of Z^{k-l} (x) V^dag |l><k| V over the design and all k, l."""
+    """Span of Z^{k-l} (x) V^dag |l><k| V over the design and all k, l.
+
+    The span is the orthogonal sum over clock powers s of
+    Z^s (x) span{V^dag |l><l+s| V : V, l}: each block is orthonormalized by
+    `operator_span` on its m*d operators, with the rank rule applied per
+    block, and its basis vectors b enter as Z^s (x) b / sqrt(d), which have
+    unit norm as ||Z^s||_F^2 = d.
+    """
     d = channel.d
-    gens = []
-    for v in channel.design.members:
-        vd = v.conj().T
-        for k in range(d):
-            for l in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[l, k] = 1.0
-                gens.append(np.kron(channel.z_powers[(k - l) % d], vd @ unit @ v))
-    return operator_span(np.stack(gens))
+    g = channel.design.members
+    # V^dag |l><l+s| V = conj(V[l]) (x) V[l+s] as an outer product of rows
+    left = g.conj()[:, :, :, None]
+    blocks = []
+    for s in range(d):
+        ops = left * g[:, (np.arange(d) + s) % d, None, :]
+        basis = operator_span(ops.reshape(-1, d, d)).basis
+        blocks.append(np.kron(channel.z_powers[s], basis) / np.sqrt(d))
+    return OperatorSpan(ambient=d * d, basis=np.concatenate(blocks))
 
 
 def contains(span: OperatorSpan, m: np.ndarray) -> bool:

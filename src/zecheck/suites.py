@@ -6,10 +6,12 @@ its value, optionally with a detail.  It passes when the value is <= its
 tolerance, or is 0 when it has none; a claim with another rule returns
 a `_Verdict`.  Shared objects are cached properties of `_Context`, built
 by the first claim that reads them, so that claim's `runtime_ms`
-includes building them.  The try around each claim is the only place
-an exception is caught: one raised in a claim, or while building a
-shared object, fails exactly the claims that need it, with the
-exception text in `detail`.  There is no `<suite>.panic` record.
+includes building them.  A build that raises is not run again: its
+exception is kept and raised to every later reader.  The try around
+each claim is the only place an exception is caught: one raised in a
+claim, or while building a shared object, fails exactly the claims
+that need it, with the exception text in `detail`.  There is no
+`<suite>.panic` record.
 
 All randomness comes from `linalg.case_rng`, counter-based generators
 keyed by (seed, suite, case); the PPT search draws its candidate t as
@@ -28,9 +30,12 @@ identity 10 pairs, `ppt.twirl_invariance` 3 conjugations and
 Claims reduce samples with `_worst`, so a NaN sample fails its claim;
 `_run` records a non-finite value as null and says so in `detail`.
 The equivalence and code-impossibility sweeps draw their cases in order,
-in windows of `_WINDOW` pairs, and evaluate each window's overlap forms
-in one `overlap_forms` call (theorem2's pair and sum/difference forms
-together); a non-finite form counts as a mismatch or a violation.
+in windows of at most `_WINDOW_AMPLITUDES` = 2^12 pairing-vector
+amplitudes, d^(3n) per pair (512 pairs at (2,1), 151 at (3,1), 64 at
+(2,2), 5 at (3,2)), and evaluate each window's overlap forms in one
+`overlap_forms` call (theorem2's pair and sum/difference forms
+together); a non-finite form counts as a mismatch or a violation.  A
+form is the same arithmetic in any window.
 """
 
 from __future__ import annotations
@@ -98,9 +103,32 @@ from .zero_error import (
     overlap_support_projector,
 )
 
-# Pairs per overlap_forms call in the equivalence and code-pair sweeps: few
-# enough that a window's stacks stay small, many enough to amortize the calls.
-_WINDOW = 64
+# Pairing-vector amplitudes per overlap_forms call in the equivalence and
+# code-pair sweeps, d^(3n) per pair: few enough that a window's stacks stay
+# small, many enough to amortize the calls at d=2.  A window of 64 pairs at
+# (3,2) traced about 3.7 MiB in overlap_forms, twice that for theorem2's
+# pair and sum/difference forms together.
+_WINDOW_AMPLITUDES = 2**12
+
+
+class _shared(cached_property):
+    """A cached property that also keeps the exception its build raised.
+
+    `functools.cached_property` caches no exception, so a failing build
+    would run again for every claim that reads it; here it runs once and
+    every reader fails with the same error.
+    """
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        if self.attrname in ctx.failed:
+            raise ctx.failed[self.attrname]
+        try:
+            return super().__get__(ctx, owner)
+        except Exception as exc:
+            ctx.failed[self.attrname] = exc
+            raise
 
 
 class _Context:
@@ -109,20 +137,21 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.d, self.n = config.d, config.n
+        self.failed: dict[str, Exception] = {}  # name -> the error its build raised
 
-    @cached_property
+    @_shared
     def family(self):
         return enumerate_clifford(self.d)
 
-    @cached_property
+    @_shared
     def table(self):
         return multiplication_table(self.family)
 
-    @cached_property
+    @_shared
     def channel(self):
         return build_channel(self.d, self.family)
 
-    @cached_property
+    @_shared
     def alt_family(self):
         """The smallest proper exact 2-design subgroup containing <X, Z>.
 
@@ -135,27 +164,27 @@ class _Context:
                                "reaches frame potential 2")
         return alt
 
-    @cached_property
+    @_shared
     def alt_channel(self):
         return build_channel(self.d, self.alt_family)
 
-    @cached_property
+    @_shared
     def overlap_op(self):
         return overlap_operator(self.d)
 
-    @cached_property
+    @_shared
     def span(self):
         return graph_span(self.channel)
 
-    @cached_property
+    @_shared
     def transcripts(self):
         return [run_protocol(self.channel, msg) for msg in range(self.d)]
 
-    @cached_property
+    @_shared
     def witness(self):
         return build_ppt_witness(self.d)
 
-    @cached_property
+    @_shared
     def search(self):
         return ppt_search(self.d, self.n, 10 * self.config.trials, self.config.seed)
 
@@ -444,10 +473,14 @@ def _dominance(ctx):
     return _worst(worst, tight), f"largest constant {c:.6f}"
 
 
-def _windows(pairs):
-    """Successive lists of at most _WINDOW pairs from an iterator of pairs."""
+def _windows(pairs, d, n):
+    """Successive lists of pairs, at most _WINDOW_AMPLITUDES pairing-vector amplitudes each.
+
+    A pair's pairing vector has d^(3n) amplitudes: 64 pairs a window at
+    (2,2), 5 at (3,2), and always at least one.
+    """
     pairs = iter(pairs)
-    while window := list(islice(pairs, _WINDOW)):
+    while window := list(islice(pairs, max(1, _WINDOW_AMPLITUDES // d ** (3 * n)))):
         yield window
 
 
@@ -472,7 +505,8 @@ def _equivalence(ctx):
     random_pairs = 2 * ctx.config.trials
     structured_pairs = max(50, ctx.config.trials // 2)
     mismatches = 0
-    for window in _windows(_equivalence_pairs(ctx, random_pairs, structured_pairs)):
+    pairs = _equivalence_pairs(ctx, random_pairs, structured_pairs)
+    for window in _windows(pairs, ctx.d, ctx.n):
         forms = overlap_forms(*_block_stacks(window), ctx.d, ctx.n)
         disjoint = np.array([disjoint_support(p1, p2) for p1, p2 in window])
         # a non-finite form decides nothing, so it counts as a mismatch
@@ -547,7 +581,7 @@ def _no_valid_code_pair(ctx):
     pairs = (_code_pair_candidates(d, n, case, case_rng(seed, "theorem2", case))
              for case in range(candidates))
     failures = near_misses = 0
-    for window in _windows(pairs):
+    for window in _windows(pairs, d, n):
         window_failures, window_near = _code_pair_failures(d, n, window)
         failures += window_failures
         near_misses += window_near

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from zecheck.channel import build_channel
@@ -27,3 +29,23 @@ def channel_d3(family_d3):
 @pytest.fixture(scope="session")
 def subdesign_d2(family_d2):
     return find_minimal_subdesign(family_d2, multiplication_table(family_d2))
+
+
+@pytest.fixture(scope="session")
+def subdesign_d3(family_d3):
+    return find_minimal_subdesign(family_d3, multiplication_table(family_d3))
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak of the memory traced by tracemalloc while fn() runs, in MiB."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -368,6 +368,37 @@ def test_output_overlap_matches_flagwise_reference(d, n, ref, channel_d2, channe
         assert abs(len(ch.design) ** n * gap) <= 1e-12
 
 
+@pytest.mark.parametrize("ref", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+def test_output_overlap_does_not_depend_on_the_blocks(d, ref, channel_d2, channel_d3,
+                                                      monkeypatch):
+    ch = channel_d2 if d == 2 else channel_d3
+    rng = np.random.default_rng(37)
+    pairs = [(random_block_state(d, 2, rng, ref_dim=ref), random_block_state(d, 2, rng, ref_dim=ref))
+             for _ in range(3)]
+    default = [output_overlap(ch, p1, p2) for p1, p2 in pairs]  # 1 block at (2,2), 14 at (3,2)
+    for amplitudes in (1, 2**40):  # one sub-tuple J' a block, then all of them in one
+        monkeypatch.setattr(zecheck.channel, "_OVERLAP_AMPLITUDES", amplitudes)
+        assert [output_overlap(ch, p1, p2) for p1, p2 in pairs] == default
+
+
+def test_output_overlap_working_set(channel_d3, traced_peak):
+    rng = np.random.default_rng(5)
+    x, y = random_block_state(3, 2, rng), random_block_state(3, 2, rng)
+    # T and G of all 216 sub-tuples at once traced about 6 MiB
+    assert traced_peak(lambda: output_overlap(channel_d3, x, y)) < 3.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flag_weights_equal_the_label_products(n, family_d2):
+    ch = distinct_weights_channel(family_d2)
+    labels = np.indices((len(family_d2),) * n).reshape(n, -1).T
+    expected = np.prod(ch.design.weights[labels], axis=1)
+    assert np.array_equal(zecheck.channel._flag_weights(ch, n), expected)
+    got_labels, weights = zecheck.channel._flag_tuples(ch, n)
+    assert np.array_equal(got_labels, labels) and np.array_equal(weights, expected)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_output_overlap_matches_flagwise_reference_on_a_one_design(n):
     # the Pauli group is no 2-design: agreement shows the Grams use no design identity

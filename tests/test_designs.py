@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import zecheck.designs
 from zecheck.designs import (
     UnitaryFamily,
     _canonical_phases,
@@ -78,6 +79,31 @@ def test_multiplication_table_matches_pairwise_reference(d, family_d2, family_d3
         for i in rows
     ])
     np.testing.assert_array_equal(multiplication_table(fam)[list(rows)], expected)
+
+
+def one_shot_table(family):
+    """The table from one stack of all m^2 products, the build before row blocks."""
+    g, m, d = family.members, len(family), family.d
+    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
+    prods = _canonical_phases(np.matmul(g[:, None], g[None, :]).reshape(m * m, d, d))
+    return np.array([index.get(key, -1) for key in _dedup_keys(prods)]).reshape(m, m)
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_table_equals_one_shot_build(d, one_row, family_d2, family_d3, monkeypatch):
+    fam = family_d2 if d == 2 else family_d3
+    if one_row:
+        monkeypatch.setattr(zecheck.designs, "_TABLE_PRODUCTS", 1)
+    got = multiplication_table(fam)
+    want = one_shot_table(fam)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_table_working_set(family_d3, traced_peak):
+    # one stack of all 216^2 products traced about 21 MiB
+    assert traced_peak(lambda: multiplication_table(family_d3)) < 4.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -208,6 +234,25 @@ def test_a_run_builds_one_multiplication_table(monkeypatch):
         monkeypatch.setattr(f"{module}.multiplication_table", counted)
     report = execute(RunConfig(d=2, suites=("design", "channel", "ncgraph"), trials=5))
     assert report.overall_pass
+    assert calls == [24]
+
+
+def test_a_failing_table_is_built_once(monkeypatch):
+    calls = []
+
+    def broken(family):
+        calls.append(len(family))
+        raise RuntimeError("multiplication table unavailable")
+
+    monkeypatch.setattr("zecheck.suites.multiplication_table", broken)
+    report = execute(RunConfig(d=2, suites=("design", "channel", "ncgraph"), trials=5))
+    readers = {"design.closure", "channel.alt_design_identity", "ncgraph.design_independence"}
+    for claim in report.claims:
+        if claim.claim_id in readers:
+            assert not claim.passed and claim.value is None, claim.claim_id
+            assert claim.detail == "RuntimeError: multiplication table unavailable"
+        else:
+            assert claim.passed, claim.claim_id
     assert calls == [24]
 
 

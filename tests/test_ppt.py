@@ -461,7 +461,7 @@ def test_search_failure_fails_only_search_floor(monkeypatch):
         claim = claims.pop(cid)
         assert not claim.passed and claim.value is None, cid
         assert "RuntimeError: search diverged" in claim.detail, cid
-    assert calls and set(calls) == {50}  # 10 * trials candidates
+    assert calls == [50]  # one search of 10 * trials candidates, whatever reads it
     assert len(claims) == 5 and all(c.passed for c in claims.values())
 
 

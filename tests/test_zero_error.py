@@ -187,7 +187,7 @@ def dense_overlap_form(psi1, psi2):
 def test_overlap_forms_matches_dense_reference(d, n):
     rng = np.random.default_rng(100 * d + n)
     pairs = [(random_block_state(d, n, rng), random_block_state(d, n, rng))
-             for _ in range(zecheck.suites._WINDOW + 5)]
+             for _ in range(69)]  # more than the 64 pairs of a (2,2) window
     pairs[3] = (BlockStateVector.zero(d, n), BlockStateVector.zero(d, n))
     pairs[7] = (random_block_state(d, n, rng), BlockStateVector.zero(d, n))
     pairs[8] = (BlockStateVector.zero(d, n), random_block_state(d, n, rng))
@@ -262,10 +262,10 @@ def reference_equivalence_claim(d, n, trials, seed):
 
 
 @pytest.mark.parametrize("window", [7, None])
-@pytest.mark.parametrize("d,n,trials", [(2, 2, 20), (3, 1, 15)])
+@pytest.mark.parametrize("d,n,trials", [(2, 2, 20), (3, 1, 15), (3, 2, 4)])
 def test_windowed_sweeps_match_per_candidate_loops(d, n, trials, window, monkeypatch):
-    if window is not None:
-        monkeypatch.setattr(zecheck.suites, "_WINDOW", window)
+    if window is not None:  # pairs per window
+        monkeypatch.setattr(zecheck.suites, "_WINDOW_AMPLITUDES", window * d ** (3 * n))
     seed = 5
     report = execute(RunConfig(d=d, n=n, trials=trials, seed=seed,
                                suites=("zero-error", "theorem2")))
@@ -275,3 +275,18 @@ def test_windowed_sweeps_match_per_candidate_loops(d, n, trials, window, monkeyp
         value, detail = reference(d, n, trials, seed)
         assert (claims[claim_id].value, claims[claim_id].detail) == (value, detail), claim_id
         assert claims[claim_id].passed
+
+
+@pytest.mark.parametrize("d,n,pairs", [(2, 1, 512), (3, 1, 151), (2, 2, 64), (3, 2, 5)])
+def test_windows_hold_a_fixed_number_of_amplitudes(d, n, pairs):
+    sizes = [len(w) for w in zecheck.suites._windows(range(2 * pairs + 1), d, n)]
+    assert sizes == [pairs, pairs, 1]
+
+
+def test_sweep_window_working_set(traced_peak):
+    rng = np.random.default_rng(3)
+    pairs = ((random_block_state(3, 2, rng), random_block_state(3, 2, rng)) for _ in range(100))
+    window = next(zecheck.suites._windows(pairs, 3, 2))
+    stacks = zecheck.suites._block_stacks(window)
+    # a window of 64 (3,2) pairs traced about 3.7 MiB
+    assert traced_peak(lambda: overlap_forms(*stacks, 3, 2)) < 2.0
