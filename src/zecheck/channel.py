@@ -18,6 +18,8 @@ For an input sum_i |i>|a_i> and flag j the receiver branch is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -292,12 +294,13 @@ def output_overlap(
        d^2 x d^2 Grams, Q_j1[delta] = P^dag P per member and G_J'[delta] =
        T T^dag per sub-tuple, and one real GEMM gives every flag's norm.
 
-    Q depends on the design alone and is formed once per call.  Step 2 and
-    the Grams G run over blocks of sub-tuples J' (`_sub_tuple_grams`), so
-    no T of all m^(n-1) sub-tuples is held, and _later_uses' data is freed
-    before Q is formed.  The one real GEMM over all flags comes last: split
-    into column blocks, OpenBLAS's small-matrix kernels (taken at some
-    narrow widths) would sum in another order and move the last bits.
+    Q depends on the design alone: `overlap_kernel` forms it once for a
+    channel, and this call is that kernel's one call.  Step 2 and the
+    Grams G run over blocks of sub-tuples J' (`_sub_tuple_grams`), so no T
+    of all m^(n-1) sub-tuples is held.  The one real GEMM over all flags
+    comes last: split into column blocks, OpenBLAS's small-matrix kernels
+    (taken at some narrow widths) would sum in another order and move the
+    last bits.
 
     Every flag's ||M_f||_F^2 is still formed on its own and weighted by
     w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
@@ -306,13 +309,25 @@ def output_overlap(
     Neither Gram sums over members: G holds one sub-tuple J' and Q one
     member j_1, so no design identity enters.
     """
+    return overlap_kernel(channel)(x, y)
+
+
+def overlap_kernel(
+    channel: FlaggedPhaseChannel,
+) -> Callable[[BlockStateVector, BlockStateVector], float]:
+    """output_overlap(channel, x, y) as a function of (x, y), the design's Grams Q formed once."""
     d, g = channel.d, channel.design.members
-    grams = _sub_tuple_grams(channel, x, y)
     # conj(P)[j_1, delta, a_1, (s, t)] = g_j1[a_1, s] conj(g_j1[a_1 + delta, t])
     shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d].conj()  # (j_1, delta, a_1, t)
     pair = np.multiply(g[:, None, :, :, None], shifted[:, :, :, None, :], order="C")
-    # norms[j_1, J'] = ||M_f||_F^2
-    norms = _packed_grams(pair.reshape(len(g), d, d, d * d).swapaxes(2, 3)) @ grams.T
+    design_grams = _packed_grams(pair.reshape(len(g), d, d, d * d).swapaxes(2, 3))
+    return partial(_pair_overlap, channel, design_grams)
+
+
+def _pair_overlap(channel, design_grams, x, y):
+    """output_overlap of one pair, given the packed design Grams Q (one row per j_1)."""
+    grams = _sub_tuple_grams(channel, x, y)
+    norms = design_grams @ grams.T  # norms[j_1, J'] = ||M_f||_F^2
     return float(_flag_weights(channel, x.n) ** 2 @ norms.ravel())
 
 

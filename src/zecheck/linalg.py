@@ -8,8 +8,12 @@ significant index, i.e. |i>|j> sits at row i * dim_j + j.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -139,6 +143,90 @@ def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, suite, case); every random draw uses one."""
     ss = np.random.SeedSequence([int(seed), SUITE_IDS[suite], int(case)])
     return np.random.Generator(np.random.Philox(ss))
+
+
+def forked_map(fn: Callable, items) -> list:
+    """[fn(x) for x in items], the items dealt round-robin to one worker per CPU.
+
+    With k = min(CPUs in the affinity mask, len(items)) > 1, k - 1 forked
+    children compute items[w::k] for w = 1..k-1 while this process computes
+    items[0::k].  Every worker goes through its items in order and stops at
+    its first exception; the exception of the earliest failing item is
+    raised here, as a serial loop would raise it.  A child pickles its
+    results (or its exception) to its own pipe and leaves with os._exit,
+    so it flushes no inherited stdio and runs no exit handlers; one that
+    exits without a complete payload raises RuntimeError naming its exit
+    status.  No child outlives the call.  fn and everything it reads are
+    inherited, not pickled: build shared objects before calling.  zecheck
+    starts no threads, and OpenBLAS shuts its own pool down across a fork.
+    """
+    items = list(items)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    k = min(cpus, len(items))
+    if k <= 1:
+        return [fn(x) for x in items]
+    pids: dict[int, int] = {}  # worker -> pid, until it is reaped
+    pipes = {}  # worker -> read end of its pipe
+    try:
+        for w in range(1, k):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _forked_worker(fn, items[w::k], write)
+            os.close(write)
+            pids[w], pipes[w] = pid, open(read, "rb")
+        shares = [_run_share(fn, items[0::k])]
+        for w in range(1, k):
+            payload = pipes[w].read()  # to EOF: the child has sent everything or died
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+            if status != 0 or not payload:  # status 0 comes only after the whole payload
+                raise RuntimeError(f"forked worker {w} exited with status {status} "
+                                   "without its results")
+            shares.append(pickle.loads(payload))
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # each worker's first failure is its item w + k * (items it finished)
+    failures = [(w + k * len(done), exc) for w, (done, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out: list = [None] * len(items)
+    for w, (done, _) in enumerate(shares):
+        out[w::k] = done
+    return out
+
+
+def _run_share(fn: Callable, share: list) -> tuple[list, Exception | None]:
+    """fn over one worker's items in order, up to its first exception, and that exception."""
+    done = []
+    try:
+        for x in share:
+            done.append(fn(x))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _forked_worker(fn: Callable, share: list, write: int) -> None:
+    """A forked child's whole life: its share, one pickled payload, os._exit; never returns.
+
+    An exception that escapes (a result that does not pickle, a
+    KeyboardInterrupt) leaves with status 1 and no complete payload.
+    """
+    status = 1
+    try:
+        payload = pickle.dumps(_run_share(fn, share))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,9 @@ no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
 The randomized search draws its candidate t from
 case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.  It
-draws and projects the candidates in order, a window at a time: one
+draws and projects the candidates a window at a time; the windows go to
+forked workers, one per CPU (`linalg.forked_map`), and come back in
+candidate order, so every value is that of a one-CPU run.  One
 window holds _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates
 at 16x16, 50 at 9x9 and 256 at 4x4, and each round of the alternation
 makes one Cholesky, eigh and transpose call for the whole window.
@@ -31,6 +33,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     case_rng,
+    forked_map,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
@@ -330,24 +333,30 @@ def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
     """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
 
     Candidates are random PSD matrices pushed into the PPT cone by
-    alternating clipping, a window of them at a time; non-convergent
-    candidates are skipped and counted.  The returned minimum staying
-    away from zero is the certified prediction.  The result also holds
-    the twirl coefficients of every accepted candidate.
+    alternating clipping, a window of them at a time, the windows spread
+    over forked workers; non-convergent candidates are skipped and
+    counted.  The returned minimum staying away from zero is the certified
+    prediction.  The result also holds the twirl coefficients of every
+    accepted candidate, in candidate order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     constraint, basis = _label_operators(d, n)[-1], _twirl_basis(d, n)
     side = d ** (2 * n)
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
-    scores, coefficients = [], []
-    for start in range(0, trials, window):
+
+    def search_window(start):
+        """The scores and twirl coefficients of the window's accepted candidates."""
         stop = min(start + window, trials)
         projected = _project_stack(_search_candidates(d, n, seed, start, stop), d, n, first=start)
         accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
-        scores += [trace_inner(constraint, m).real for m in accepted]
-        coefficients.append(_twirl_coefficients(accepted, basis))
+        return ([trace_inner(constraint, m).real for m in accepted],
+                _twirl_coefficients(accepted, basis))
+
+    windows = forked_map(search_window, range(0, trials, window))
+    scores = [score for window_scores, _ in windows for score in window_scores]
     # np.min keeps a NaN score, which a running builtin min can drop
     min_value = float(np.min(scores)) if scores else None
     return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),
-                           min_value=min_value, coefficients=np.concatenate(coefficients))
+                           min_value=min_value,
+                           coefficients=np.concatenate([c for _, c in windows]))

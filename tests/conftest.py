@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -49,3 +50,24 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one exited child, if any
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("the test left a child process " + ("running" if pid == 0 else f"{pid} unreaped"))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes linalg.forked_map see k CPUs in the affinity mask."""
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return set_cpus

@@ -162,6 +162,15 @@ def test_determinism_same_config():
     assert normalized(execute(cfg)) == normalized(execute(cfg))
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
+def test_report_does_not_depend_on_the_cpu_count(d, n, cpus):
+    cfg = RunConfig(d=d, n=n, trials=20, seed=11)  # every mapped loop has 2 items or more
+    cpus(1)
+    alone = normalized(execute(cfg))
+    cpus(3)
+    assert normalized(execute(cfg)) == alone
+
+
 # (suite, claim_id, tolerance) in report order, the same at every d
 PINNED_CLAIMS = [
     ("design", "design.members", 1e-9),

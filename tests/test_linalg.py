@@ -1,8 +1,12 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
 from zecheck.linalg import (
     basis_state,
+    forked_map,
     max_entangled,
     max_entangled_projector,
     partial_trace,
@@ -187,3 +191,74 @@ def test_random_unitary_is_unitary():
 def test_max_entangled_vector():
     v = max_entangled(2)
     np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forked_map_keeps_item_order(k, cpus):
+    cpus(k)
+    out = forked_map(lambda x: (x * x, os.getpid()), range(7))
+    assert [v for v, _ in out] == [x * x for x in range(7)]
+    # worker w computes items w, w + k, ...; worker 0 is this process
+    assert out[0][1] == os.getpid() and len({pid for _, pid in out}) == k
+    assert all(pid == out[i % k][1] for i, (_, pid) in enumerate(out))
+    assert forked_map(lambda x: x, []) == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forked_map_raises_the_earliest_failure(k, cpus):
+    # k=2: a child fails at 3, this process at 4; k=3: this process at 3, a child at 4
+    cpus(k)
+
+    def fn(x):
+        if x in (3, 4, 9):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match=r"^item 3$"):
+        forked_map(fn, range(12))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("status", [0, 3])
+def test_forked_map_names_a_worker_that_dies(status, cpus):
+    cpus(2)
+
+    def fn(x):
+        if x == 1:  # item 1 is the child's
+            os._exit(status)
+        return x
+
+    with pytest.raises(RuntimeError, match=rf"^forked worker 1 exited with status {status} "):
+        forked_map(fn, range(4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_forked_map_kills_its_workers_when_interrupted(cpus):
+    cpus(3)
+
+    def fn(x):
+        if x == 0:  # this process's first item; the children sleep
+            raise Interrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        forked_map(fn, range(3))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):
+    cpus(2)
+    path = tmp_path / "out.txt"
+    with open(path, "w") as f:
+        f.write("once\n")  # still in the buffer when the worker forks
+        assert forked_map(lambda x: x, range(2)) == [0, 1]
+    assert path.read_text() == "once\n"

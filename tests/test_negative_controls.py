@@ -124,7 +124,7 @@ def nan_report(monkeypatch):
     """A run whose overlap, residual, eigenvalue and twirl helpers return NaN."""
     nan = float("nan")
     patches = {
-        "output_overlap": lambda *args: nan,
+        "overlap_kernel": lambda channel: lambda x, y: nan,
         "conservation_residual": lambda *args: nan,
         "averaged_output_overlap": lambda *args: nan,
         "overlap_forms": lambda blocks1, blocks2, d, n: np.full(len(blocks1), nan),

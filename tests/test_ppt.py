@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -372,12 +374,46 @@ def test_search_does_not_depend_on_the_window(d, n, monkeypatch):
         assert_same_search(ppt_search(d, n, trials, 7), default)
 
 
+@pytest.mark.parametrize("d,n,trials", [(3, 2, 6), (2, 2, 64)])
+def test_search_does_not_depend_on_the_cpu_count(d, n, trials, cpus):
+    cpus(1)
+    alone = ppt_search(d, n, trials, 7)
+    cpus(3)
+    assert_same_search(ppt_search(d, n, trials, 7), alone)
+
+
+def test_a_worker_failure_fails_search_floor_as_one_cpu_does(monkeypatch, cpus):
+    draw = zecheck.ppt._search_candidates
+
+    def poisoned(d, n, seed, start, stop):
+        ms = draw(d, n, seed, start, stop)
+        # windows 1 and 2 of 16 candidates: with 2 CPUs a child's and this
+        # process's share, with 3 each a child's
+        for t in (20, 40):
+            if start <= t < stop:
+                ms[t - start, 0, 1] = np.nan
+        return ms
+
+    monkeypatch.setattr(zecheck.ppt, "_search_candidates", poisoned)
+    details = []
+    for k in (1, 2, 3):
+        cpus(k)
+        config = RunConfig(d=2, n=2, suites=("ppt",), trials=5)
+        floor = next(c for c in execute(config).claims if c.claim_id == "ppt.search_floor")
+        assert not floor.passed and floor.value is None
+        details.append(floor.detail)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert details == ["ValueError: candidate 20 is not finite"] * 3
+
+
 @pytest.mark.parametrize("d,n,trials,windows", [
     (2, 2, 40, [16, 16, 8]),
     (3, 1, 105, [50, 50, 5]),
     (3, 2, 2, [1, 1]),  # an 81x81 candidate is projected alone
 ])
-def test_search_windows(d, n, trials, windows, monkeypatch):
+def test_search_windows(d, n, trials, windows, monkeypatch, cpus):
+    cpus(1)  # one worker projects every window, in order
     sizes = []
     project = zecheck.ppt._project_stack
 
