@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -190,6 +189,8 @@ def forked_map(fn: Callable, items) -> list:
         for pipe in pipes.values():
             pipe.close()
         for pid in pids.values():
+            import signal  # only on this failure path: it adds about 1 ms to every start-up
+
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     # each worker's first failure is its item w + k * (items it finished)
