@@ -7,6 +7,15 @@ the PPT twirl certificate, and analyzes the channel's non-commutative
 graph, all at desk scale (d in {2, 3}, up to two uses).
 """
 
+import os
+
+# One BLAS thread per process: the PPT search, conservation and identity
+# loops run in one forked process per CPU (linalg.forked_map), and
+# OpenBLAS's default pool of one thread per CPU in each of them made
+# `verify --d 3 --n 2` on 2 CPUs 2x slower than a serial run.  This only
+# takes effect before numpy loads OpenBLAS; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (
     BlockStateVector,
     CQState,

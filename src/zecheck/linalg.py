@@ -157,7 +157,9 @@ def forked_map(fn: Callable, items) -> list:
     exits without a complete payload raises RuntimeError naming its exit
     status.  No child outlives the call.  fn and everything it reads are
     inherited, not pickled: build shared objects before calling.  zecheck
-    starts no threads, and OpenBLAS shuts its own pool down across a fork.
+    starts no threads, and OpenBLAS shuts its own pool down across a fork;
+    importing zecheck before numpy keeps that pool at one thread (see
+    `zecheck/__init__.py`), so k workers do not run k BLAS threads each.
     """
     items = list(items)
     try:
