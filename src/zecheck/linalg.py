@@ -159,7 +159,7 @@ def forked_map(fn: Callable, items) -> list:
     inherited, not pickled: build shared objects before calling.  zecheck
     starts no threads, and OpenBLAS shuts its own pool down across a fork;
     importing zecheck before numpy keeps that pool at one thread (see
-    `zecheck/__init__.py`), so k workers do not run k BLAS threads each.
+    `zecheck/__init__.py`), so the k workers do not each run one per CPU.
     """
     items = list(items)
     try:
