@@ -25,7 +25,7 @@ from .channel import (
     build_channel,
     conservation_residual,
     cq_overlap,
-    output_overlap,
+    overlap_kernel,
     random_block_state,
 )
 from .designs import (

@@ -18,7 +18,6 @@ For an input sum_i |i>|a_i> and flag j the receiver branch is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,7 @@ from .linalg import DEFAULT_TOL
 # _branch_factors' factors: one of the 216 rows of a (3,2) pass.  Three rows
 # per (3,2) pass made apply_n about 1.5 times slower (OpenBLAS, one thread).
 _CHUNK_AMPLITUDES = 2**15
-# Amplitudes of T per block of sub-tuples J' in output_overlap, d^(2n+1) * ref_dim
+# Amplitudes of T per block of sub-tuples J' in overlap_kernel, d^(2n+1) * ref_dim
 # per J': one block of all 24 at (2,2), 16 a block at (3,2).  All 216 at once,
 # with their Grams, held about 6 MiB for a (3,2) pair.
 _OVERLAP_AMPLITUDES = 2**12
@@ -82,13 +81,13 @@ class BlockStateVector:
         return float(np.linalg.norm(self.blocks))
 
     @classmethod
-    def zero(cls, d: int, n: int, ref_dim: int = 1) -> "BlockStateVector":
-        return cls(d, n, np.zeros((d**n, d**n * ref_dim), dtype=complex), ref_dim)
+    def zero(cls, d: int, n: int) -> "BlockStateVector":
+        return cls(d, n, np.zeros((d**n, d**n), dtype=complex))
 
     @classmethod
-    def from_blocks(cls, d: int, n: int, mapping, ref_dim: int = 1) -> "BlockStateVector":
+    def from_blocks(cls, d: int, n: int, mapping) -> "BlockStateVector":
         """Build from {control tuple: amplitude vector}; missing tuples are zero."""
-        out = cls.zero(d, n, ref_dim)
+        out = cls.zero(d, n)
         for label, vec in mapping.items():
             out.blocks[out.flat_index(label)] = np.asarray(vec, dtype=complex)
         return out
@@ -273,10 +272,10 @@ def cq_overlap(x: CQState, y: CQState) -> float:
     return float(val.real)
 
 
-def output_overlap(
-    channel: FlaggedPhaseChannel, x: BlockStateVector, y: BlockStateVector
-) -> float:
-    """cq_overlap(apply_n(channel, x), apply_n(channel, y)) without the outputs.
+def overlap_kernel(
+    channel: FlaggedPhaseChannel,
+) -> Callable[[BlockStateVector, BlockStateVector], float]:
+    """cq_overlap(apply_n(channel, x), apply_n(channel, y)) as a function of (x, y).
 
     Per flag tuple f, tr(V_x V_x^dag V_y V_y^dag) = ||M_f||_F^2 with
     M_f = V_x^dag V_y, so the overlap is sum_f w_f^2 ||M_f||_F^2.  The
@@ -294,13 +293,13 @@ def output_overlap(
        d^2 x d^2 Grams, Q_j1[delta] = P^dag P per member and G_J'[delta] =
        T T^dag per sub-tuple, and one real GEMM gives every flag's norm.
 
-    Q depends on the design alone: `overlap_kernel` forms it once for a
-    channel, and this call is that kernel's one call.  Step 2 and the
-    Grams G run over blocks of sub-tuples J' (`_sub_tuple_grams`), so no T
-    of all m^(n-1) sub-tuples is held.  The one real GEMM over all flags
-    comes last: split into column blocks, OpenBLAS's small-matrix kernels
-    (taken at some narrow widths) would sum in another order and move the
-    last bits.
+    Q depends on the design alone, so it is formed once here and every
+    pair the returned function takes reuses it.  Step 2 and the Grams G
+    run over blocks of sub-tuples J' (`_sub_tuple_grams`), so no T of all
+    m^(n-1) sub-tuples is held.  The one real GEMM over all flags comes
+    last: split into column blocks, OpenBLAS's small-matrix kernels (taken
+    at some narrow widths) would sum in another order and move the last
+    bits.
 
     Every flag's ||M_f||_F^2 is still formed on its own and weighted by
     w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
@@ -309,30 +308,21 @@ def output_overlap(
     Neither Gram sums over members: G holds one sub-tuple J' and Q one
     member j_1, so no design identity enters.
     """
-    return overlap_kernel(channel)(x, y)
-
-
-def overlap_kernel(
-    channel: FlaggedPhaseChannel,
-) -> Callable[[BlockStateVector, BlockStateVector], float]:
-    """output_overlap(channel, x, y) as a function of (x, y), the design's Grams Q formed once."""
     d, g = channel.d, channel.design.members
     # conj(P)[j_1, delta, a_1, (s, t)] = g_j1[a_1, s] conj(g_j1[a_1 + delta, t])
     shifted = g[:, (np.arange(d)[:, None] + np.arange(d)) % d].conj()  # (j_1, delta, a_1, t)
     pair = np.multiply(g[:, None, :, :, None], shifted[:, :, :, None, :], order="C")
     design_grams = _packed_grams(pair.reshape(len(g), d, d, d * d).swapaxes(2, 3))
-    return partial(_pair_overlap, channel, design_grams)
 
+    def overlap(x: BlockStateVector, y: BlockStateVector) -> float:
+        norms = design_grams @ _sub_tuple_grams(channel, x, y).T  # norms[j_1, J'] = ||M_f||_F^2
+        return float(_flag_weights(channel, x.n) ** 2 @ norms.ravel())
 
-def _pair_overlap(channel, design_grams, x, y):
-    """output_overlap of one pair, given the packed design Grams Q (one row per j_1)."""
-    grams = _sub_tuple_grams(channel, x, y)
-    norms = design_grams @ grams.T  # norms[j_1, J'] = ||M_f||_F^2
-    return float(_flag_weights(channel, x.n) ** 2 @ norms.ravel())
+    return overlap
 
 
 def _sub_tuple_grams(channel, x, y):
-    """The packed Grams G_J'[delta] = T T^dag of output_overlap, one row per sub-tuple J'.
+    """The packed Grams G_J'[delta] = T T^dag of overlap_kernel, one row per sub-tuple J'.
 
     T is formed for a block of sub-tuples at a time, about
     _OVERLAP_AMPLITUDES amplitudes, and only the blocks' packed Grams (d^5

@@ -73,31 +73,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zecheck {TOOLKIT_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run verification suites and emit a report")
+    verify = sub.add_parser("verify", help="run verification suites and emit a report",
+                            epilog="ZEC_SUITE takes comma-separated suite names.")
     default = {f.name: f.default for f in fields(RunConfig)}
-    verify.add_argument(
-        "--d", type=int, help=f"qudit dimension, one of {SUPPORTED_D} (default {default['d']})"
-    )
-    verify.add_argument(
-        "--n", type=int, help=f"channel uses, one of {SUPPORTED_N} (default {default['n']})"
-    )
+    default.update(suites="all", output="stdout")
+    fallback = {name: f"(default: ${ENV_PREFIX}{key}, else {default[name]})"
+                for name, key, _ in _SETTINGS}
+    verify.add_argument("--d", type=int,
+                        help=f"qudit dimension, one of {SUPPORTED_D} {fallback['d']}")
+    verify.add_argument("--n", type=int, help=f"channel uses, one of {SUPPORTED_N} {fallback['n']}")
     verify.add_argument(
         "--suite",
         action="append",
         choices=SUITE_NAMES,
         dest="suites",
-        help="suite to run, repeatable (default all)",
+        help=f"suite to run, repeatable {fallback['suites']}",
     )
-    verify.add_argument(
-        "--trials", type=int, help=f"sample-count base (default {default['trials']})"
-    )
-    verify.add_argument(
-        "--seed", type=int, help=f"unsigned 64-bit master seed (default {default['seed']})"
-    )
-    verify.add_argument("--output", help="report path (default stdout)")
-    verify.add_argument(
-        "--format", choices=FORMATS, dest="fmt", help=f"report format (default {default['fmt']})"
-    )
+    verify.add_argument("--trials", type=int, help=f"sample-count base {fallback['trials']}")
+    verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {fallback['seed']}")
+    verify.add_argument("--output", help=f"report path {fallback['output']}")
+    verify.add_argument("--format", choices=FORMATS, dest="fmt",
+                        help=f"report format {fallback['fmt']}")
     return parser
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, max_entangled_projector
+from .report import SUPPORTED_D
 
-SUPPORTED_DIMS = (2, 3)
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
 PHASE_ZERO_TOL = 1e-8  # entries at most this large do not count as a phase pivot
@@ -81,6 +81,11 @@ def _dedup_keys(us: np.ndarray) -> list[bytes]:
     return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
 
 
+def _member_index(us: np.ndarray) -> dict[bytes, int]:
+    """Row of each matrix of the stack, keyed by its phase-canonical dedup key."""
+    return {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(us)))}
+
+
 def enumerate_clifford(d: int) -> UnitaryFamily:
     """Close the generator set {F, S, X, Z} under products modulo phase.
 
@@ -88,8 +93,8 @@ def enumerate_clifford(d: int) -> UnitaryFamily:
     2-design before being returned.  Growing past SIZE_CAP members
     raises, since the qudit Clifford group modulo phase is far smaller.
     """
-    if d not in SUPPORTED_DIMS:
-        raise ValueError(f"unsupported qudit dimension {d}; expected one of {SUPPORTED_DIMS}")
+    if d not in SUPPORTED_D:
+        raise ValueError(f"unsupported qudit dimension {d}; expected one of {SUPPORTED_D}")
     gens = _canonical_phases(np.stack(clifford_generators(d)))
     ident = np.eye(d, dtype=complex)
     members: dict[bytes, np.ndarray] = {_dedup_keys(ident[None])[0]: ident}
@@ -138,7 +143,7 @@ def verify_two_design(family: UnitaryFamily) -> bool:
     unitary = max(
         float(np.abs(u.conj().T @ u - eye).max()) for u in g
     )
-    distinct = len(set(_dedup_keys(_canonical_phases(g)))) == m
+    distinct = len(_member_index(g)) == m
     w = family.weights
     weights_ok = w.min() >= -DEFAULT_TOL and abs(w.sum() - 1.0) <= DEFAULT_TOL
     fp_ok = abs(frame_potential(family) - 2.0) <= DEFAULT_TOL
@@ -183,7 +188,7 @@ def multiplication_table(family: UnitaryFamily) -> np.ndarray:
     on its own, so the working set beside the m x m table stays bounded.
     """
     g, m, d = family.members, len(family), family.d
-    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
+    index = _member_index(g)
     table = np.empty((m, m), dtype=int)
     rows = max(1, _TABLE_PRODUCTS // m)
     for first in range(0, m, rows):
@@ -220,9 +225,8 @@ def find_minimal_subdesign(family: UnitaryFamily, table: np.ndarray) -> UnitaryF
     if (table < 0).any():
         raise ValueError("family is not closed under products; cannot search subgroups")
     d, m = family.d, len(family)
-    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(family.members)))}
-    xz = _dedup_keys(_canonical_phases(np.stack([shift(d), clock(d)])))
-    hw_seeds = np.array([index[key] for key in xz])
+    index = _member_index(family.members)
+    hw_seeds = np.array([index[key] for key in _member_index(np.stack([shift(d), clock(d)]))])
     hw = np.flatnonzero(_closure_mask(table, hw_seeds))
     covered = np.zeros(m, dtype=bool)
     reps = []

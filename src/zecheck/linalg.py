@@ -246,7 +246,6 @@ def trace_one_gram(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random trace-one PSD matrix (Wishart-style)."""
-    k = dim if rank is None else rank
-    return trace_one_gram(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))
+def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank trace-one PSD matrix (Wishart-style)."""
+    return trace_one_gram(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

@@ -44,6 +44,8 @@ from .linalg import (
 
 SEARCH_CASE_BASE = 40_000  # the only other ppt case key, 31_000, sits below it
 _WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
+_MAX_ROUNDS = 200  # alternation rounds before a candidate counts as unconverged
+_PSD_TOL = 1e-10  # a matrix with lambda_min >= -_PSD_TOL needs no clip
 
 
 @dataclass
@@ -234,13 +236,13 @@ def recursion_certificate(
     return all(abs(r.implied) <= tol for r in records)
 
 
-def _psd_clip(ms: np.ndarray, tol: float) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Mask of the stack's matrices with lambda_min < -tol, and their clips in mask order.
+def _psd_clip(ms: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Mask of the stack's matrices with lambda_min < -_PSD_TOL, and their clips in mask order.
 
     A clip is the matrix with its negative eigenvalues set to 0; both
     entries are None when no matrix needs one.  One Cholesky
-    factorization of the stack ms + (tol/2) I accepts every matrix: its
-    success certifies lambda_min >= -tol/2 minus a backward error of
+    factorization of the stack ms + (_PSD_TOL/2) I accepts every matrix: its
+    success certifies lambda_min >= -_PSD_TOL/2 minus a backward error of
     O(dim * eps * ||m||), with ||m|| <= 1 for a trace-one PSD matrix and
     for its partial transpose, so the eigenvalue test would accept each
     of them too.  Only a failed factorization pays for one stacked
@@ -249,14 +251,14 @@ def _psd_clip(ms: np.ndarray, tol: float) -> tuple[np.ndarray | None, np.ndarray
     it would get alone.
     """
     shifted = ms.copy()
-    shifted.reshape(len(ms), -1)[:, :: ms.shape[-1] + 1] += tol / 2  # the diagonals
+    shifted.reshape(len(ms), -1)[:, :: ms.shape[-1] + 1] += _PSD_TOL / 2  # the diagonals
     try:
         np.linalg.cholesky(shifted)
         return None, None
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(ms)
-    clip = ~(w.min(axis=-1) >= -tol)
+    clip = ~(w.min(axis=-1) >= -_PSD_TOL)
     if not clip.any():
         return None, None
     if not clip.all():
@@ -277,31 +279,29 @@ def _hermitized(ms: np.ndarray) -> np.ndarray:
     return (ms + ms.conj().swapaxes(-1, -2)) / 2
 
 
-def _project_stack(
-    ms: np.ndarray, d: int, n: int, max_rounds: int = 200, tol: float = 1e-10, first: int = 0
-) -> list[np.ndarray | None]:
+def _project_stack(ms: np.ndarray, d: int, n: int, first: int = 0) -> list[np.ndarray | None]:
     """Alternating eigenvalue clipping on each matrix of a stack and on its pairwise transpose.
 
     Entry i, for candidate first+i, is a trace-one PPT matrix, or None when its
-    alternation does not converge within `max_rounds`; the matrix alone would
-    get the same.  Each
-    round applies `_psd_clip` to the active stack, then to its pairwise
-    transpose; a matrix whose transpose passes retires, so callers need not
-    check it: it passed at tol too, or is that round's clip, PSD up to
-    rounding.  A matrix that is not finite after a normalization raises
-    `ValueError` naming it: a Cholesky factorization of NaN can succeed.
+    alternation does not converge within _MAX_ROUNDS rounds; the matrix alone
+    would get the same.  Each round applies `_psd_clip` to the active stack,
+    then to its pairwise transpose; a matrix whose transpose passes retires,
+    so callers need not check it: it passed at _PSD_TOL too, or is that
+    round's clip, PSD up to rounding.  A matrix that is not finite after a
+    normalization raises `ValueError` naming it: a Cholesky factorization of
+    NaN can succeed.
     """
     out: list[np.ndarray | None] = [None] * len(ms)
     names = np.arange(first, first + len(ms))
     cur = _normalized(_hermitized(np.asarray(ms, dtype=complex)), names)
-    for _ in range(max_rounds):
-        clip, psd = _psd_clip(cur, tol)
+    for _ in range(_MAX_ROUNDS):
+        clip, psd = _psd_clip(cur)
         if psd is not None and len(psd) == len(cur):
             cur = _normalized(psd, names)
         elif psd is not None:
             cur[clip] = _normalized(psd, names[clip])
         g = pairwise_partial_transpose(cur, d, n)
-        clip, ppt = _psd_clip(g, tol)
+        clip, ppt = _psd_clip(g)
         if ppt is None or len(ppt) < len(cur):
             for i in range(len(cur)) if ppt is None else np.flatnonzero(~clip):
                 out[names[i] - first] = cur[i]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import BlockStateVector
-from .designs import UnitaryFamily
+from .designs import UnitaryFamily, clock, conjugate_twirl
 from .linalg import max_entangled_projector, projector
 
 BLOCK_ZERO_TOL = 1e-8
@@ -47,26 +47,15 @@ def design_average_overlap_operator(family: UnitaryFamily) -> np.ndarray:
     """Brute-force average of the per-member operators over the family.
 
     Each member contributes sum_ik |i><k| (x) m (x) conj(m) with
-    m = g^dag Z^{k-i} g; agreement with `overlap_operator` certifies the
-    closed form.
+    m = g^dag Z^{k-i} g, so block (i, k) of the average is the conjugate
+    twirl of Z^{k-i} (x) conj(Z^{k-i}); agreement with `overlap_operator`
+    certifies the closed form.
     """
     d = family.d
-    k = np.arange(d)
-    z_powers = [np.diag(np.exp(2j * np.pi * l * k / d)) for l in range(d)]
-    twirled = []
-    for delta in range(d):
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for g, w in zip(family.members, family.weights):
-            m = g.conj().T @ z_powers[delta] @ g
-            acc += w * np.kron(m, m.conj())
-        twirled.append(acc)
-    out = np.zeros((d**3, d**3), dtype=complex)
-    for i in range(d):
-        for kk in range(d):
-            unit = np.zeros((d, d))
-            unit[i, kk] = 1.0
-            out += np.kron(unit, twirled[(kk - i) % d])
-    return out
+    powers = (np.linalg.matrix_power(clock(d), delta) for delta in range(d))
+    twirled = np.stack([conjugate_twirl(family, np.kron(z, z.conj())) for z in powers])
+    shifts = (np.arange(d) - np.arange(d)[:, None]) % d  # shifts[i, k] = k - i mod d
+    return twirled[shifts].transpose(0, 2, 1, 3).reshape(d**3, d**3)
 
 
 def _check_pair(psi1: BlockStateVector, psi2: BlockStateVector) -> None:

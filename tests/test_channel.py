@@ -10,7 +10,7 @@ from zecheck.channel import (
     build_channel,
     conservation_residual,
     cq_overlap,
-    output_overlap,
+    overlap_kernel,
     random_block_state,
 )
 from zecheck.designs import UnitaryFamily, enumerate_clifford
@@ -288,7 +288,7 @@ def test_central_identity(d, n, channel_d2, channel_d3):
     for _ in range(5):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
-        lhs = (m**n) * output_overlap(ch, p1, p2)
+        lhs = (m**n) * overlap_kernel(ch)(p1, p2)
         rhs = averaged_output_overlap(p1, p2)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -303,7 +303,7 @@ def test_output_overlap_matches_cq_overlap(d, n, pairs, ref, channel_d2, channel
         p1 = random_block_state(d, n, rng, ref_dim=ref)
         p2 = random_block_state(d, n, rng, ref_dim=ref)
         expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
-        assert abs(scale * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+        assert abs(scale * (overlap_kernel(ch)(p1, p2) - expected)) <= 1e-12
 
 
 def distinct_weights_channel(family):
@@ -330,7 +330,7 @@ def test_output_overlap_with_distinct_weights(n, ref, family_d2):
         p1 = random_block_state(2, n, rng, ref_dim=ref)
         p2 = random_block_state(2, n, rng, ref_dim=ref)
         expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
-        assert abs(len(fam) ** n * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+        assert abs(len(fam) ** n * (overlap_kernel(ch)(p1, p2) - expected)) <= 1e-12
 
 
 def test_output_overlap_alternating_channels(channel_d2, family_d2, subdesign_d2):
@@ -343,7 +343,7 @@ def test_output_overlap_alternating_channels(channel_d2, family_d2, subdesign_d2
         p2 = random_block_state(2, n, rng)
         for ch in [*channels, channels[0]]:
             expected = cq_overlap(apply_n(ch, p1), apply_n(ch, p2))
-            assert abs(len(ch.design) ** n * (output_overlap(ch, p1, p2) - expected)) <= 1e-12
+            assert abs(len(ch.design) ** n * (overlap_kernel(ch)(p1, p2) - expected)) <= 1e-12
 
 
 def flagwise_overlap(ch, x, y):
@@ -364,7 +364,7 @@ def test_output_overlap_matches_flagwise_reference(d, n, ref, channel_d2, channe
     p1 = random_block_state(d, n, rng, ref_dim=ref)
     p2 = random_block_state(d, n, rng, ref_dim=ref)
     for ch in (clifford, distinct_weights_channel(clifford.design)):
-        gap = output_overlap(ch, p1, p2) - flagwise_overlap(ch, p1, p2)
+        gap = overlap_kernel(ch)(p1, p2) - flagwise_overlap(ch, p1, p2)
         assert abs(len(ch.design) ** n * gap) <= 1e-12
 
 
@@ -376,17 +376,17 @@ def test_output_overlap_does_not_depend_on_the_blocks(d, ref, channel_d2, channe
     rng = np.random.default_rng(37)
     pairs = [(random_block_state(d, 2, rng, ref_dim=ref), random_block_state(d, 2, rng, ref_dim=ref))
              for _ in range(3)]
-    default = [output_overlap(ch, p1, p2) for p1, p2 in pairs]  # 1 block at (2,2), 14 at (3,2)
+    default = [overlap_kernel(ch)(p1, p2) for p1, p2 in pairs]  # 1 block at (2,2), 14 at (3,2)
     for amplitudes in (1, 2**40):  # one sub-tuple J' a block, then all of them in one
         monkeypatch.setattr(zecheck.channel, "_OVERLAP_AMPLITUDES", amplitudes)
-        assert [output_overlap(ch, p1, p2) for p1, p2 in pairs] == default
+        assert [overlap_kernel(ch)(p1, p2) for p1, p2 in pairs] == default
 
 
 def test_output_overlap_working_set(channel_d3, traced_peak):
     rng = np.random.default_rng(5)
     x, y = random_block_state(3, 2, rng), random_block_state(3, 2, rng)
     # T and G of all 216 sub-tuples at once traced about 6 MiB
-    assert traced_peak(lambda: output_overlap(channel_d3, x, y)) < 3.0
+    assert traced_peak(lambda: overlap_kernel(channel_d3)(x, y)) < 3.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -407,7 +407,7 @@ def test_output_overlap_matches_flagwise_reference_on_a_one_design(n):
     for ref in (1, 2):
         p1 = random_block_state(2, n, rng, ref_dim=ref)
         p2 = random_block_state(2, n, rng, ref_dim=ref)
-        assert abs(output_overlap(ch, p1, p2) - flagwise_overlap(ch, p1, p2)) <= 1e-12
+        assert abs(overlap_kernel(ch)(p1, p2) - flagwise_overlap(ch, p1, p2)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
@@ -446,8 +446,8 @@ def test_output_overlap_special_states(channel_d2):
     rng = np.random.default_rng(47)
     psi = random_block_state(d, n, rng)
     zero = BlockStateVector.zero(d, n)
-    assert abs(output_overlap(channel_d2, zero, psi)) <= 1e-12
-    assert abs(output_overlap(channel_d2, psi, zero)) <= 1e-12
+    assert abs(overlap_kernel(channel_d2)(zero, psi)) <= 1e-12
+    assert abs(overlap_kernel(channel_d2)(psi, zero)) <= 1e-12
 
     def single(label):
         vec = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
@@ -456,10 +456,10 @@ def test_output_overlap_special_states(channel_d2):
     for a, b in [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 0))]:
         x, y = single(a), single(b)
         expected = cq_overlap(apply_n(channel_d2, x), apply_n(channel_d2, y))
-        assert abs(scale * (output_overlap(channel_d2, x, y) - expected)) <= 1e-12
+        assert abs(scale * (overlap_kernel(channel_d2)(x, y) - expected)) <= 1e-12
     x = random_block_state(d, n, rng, support=[(0, 0), (1, 1)])
     y = random_block_state(d, n, rng, support=[(0, 1), (1, 0)])
-    assert abs(output_overlap(channel_d2, x, y)) <= 1e-12
+    assert abs(overlap_kernel(channel_d2)(x, y)) <= 1e-12
 
 
 def test_output_overlap_rejects_mismatched_inputs(channel_d2):
@@ -471,9 +471,9 @@ def test_output_overlap_rejects_mismatched_inputs(channel_d2):
         random_block_state(2, 1, rng, ref_dim=2),  # ref_dim
     ):
         with pytest.raises(ValueError):
-            output_overlap(channel_d2, psi, other)
+            overlap_kernel(channel_d2)(psi, other)
         with pytest.raises(ValueError):
-            output_overlap(channel_d2, other, psi)
+            overlap_kernel(channel_d2)(other, psi)
 
 
 def test_block_state_shape_validation():

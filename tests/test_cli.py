@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,9 +62,29 @@ def test_every_verify_option_has_help():
     stated = {"suites": "all", "output": "stdout"}
     for f in dataclasses.fields(RunConfig):
         action = next(a for a in verify._actions if a.dest == f.name)
-        assert f"(default {stated.get(f.name, f.default)})" in action.help, action.help
+        assert f"else {stated.get(f.name, f.default)})" in action.help, action.help
     assert str(SUPPORTED_D) in next(a for a in verify._actions if a.dest == "d").help
     assert str(SUPPORTED_N) in next(a for a in verify._actions if a.dest == "n").help
+
+
+# a value differing from RunConfig's default, per setting, as its ZEC_ variable's text
+ENV_SAMPLES = {"d": ("3", 3), "n": ("2", 2), "suites": ("ppt,privacy", ("privacy", "ppt")),
+               "trials": ("7", 7), "seed": ("9", 9), "output": ("r.json", "r.json"),
+               "fmt": ("text", "text")}
+
+
+def test_help_names_the_variable_that_sets_each_flag():
+    verify = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+    flags = [a for a in verify._actions if a.option_strings and a.dest != "help"]
+    assert sorted(a.dest for a in flags) == sorted(ENV_SAMPLES)
+    for action in flags:
+        match = re.search(r"\(default: \$(ZEC_[A-Z]+), else [^)]+\)$", action.help)
+        assert match, action.help
+        # the named variable sets the setting this flag sets
+        text, value = ENV_SAMPLES[action.dest]
+        assert getattr(parse_config(["verify"], env={match[1]: text}), action.dest) == value
+        assert getattr(parse_config(["verify"], env={}), action.dest) != value
 
 
 def test_env_seed_fallback():

@@ -269,6 +269,21 @@ def test_closure_size_cap(monkeypatch):
         enumerate_clifford(3)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_enumeration_supports_exactly_the_run_dimensions(d, family_d2, family_d3, monkeypatch):
+    try:
+        RunConfig(d=d)
+    except ValueError:
+        # the dimension check comes first: no generator is built for an unsupported d
+        monkeypatch.setattr(zecheck.designs, "clifford_generators", None)
+        with pytest.raises(ValueError, match="unsupported qudit dimension"):
+            enumerate_clifford(d)
+    else:
+        family = enumerate_clifford(d)
+        assert family.verified
+        assert np.array_equal(family.members, (family_d2 if d == 2 else family_d3).members)
+
+
 def test_family_enumeration_is_charged_to_the_first_claim(family_d2, monkeypatch):
     def slow(d):
         time.sleep(0.2)

@@ -12,12 +12,12 @@ from zecheck.linalg import (
     partial_trace,
     partial_transpose,
     projector,
-    random_psd,
     random_unitary,
     support_null,
     tensor,
     trace_distance,
     trace_inner,
+    trace_one_gram,
 )
 
 
@@ -138,7 +138,7 @@ def test_support_null_rank_one():
 
 def test_support_null_projector_properties():
     rng = np.random.default_rng(3)
-    m = random_psd(6, rng, rank=3)
+    m = trace_one_gram(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))  # rank 3
     support, null = support_null(m)
     ps, pn = support.projector(), null.projector()
     np.testing.assert_allclose(ps + pn, np.eye(6), atol=1e-9)

@@ -20,7 +20,7 @@ import pytest
 import zecheck.ppt
 import zecheck.privacy
 import zecheck.suites
-from zecheck.channel import build_channel, output_overlap, random_block_state
+from zecheck.channel import build_channel, overlap_kernel, random_block_state
 from zecheck.designs import (
     UnitaryFamily,
     _canonical_phases,
@@ -80,7 +80,7 @@ def test_pauli_group_breaks_central_identity(n):
         rng = case_rng(1, "channel", case)
         p1 = random_block_state(2, n, rng)
         p2 = random_block_state(2, n, rng)
-        lhs = (len(fam) ** n) * output_overlap(ch, p1, p2)
+        lhs = (len(fam) ** n) * overlap_kernel(ch)(p1, p2)
         worst = max(worst, abs(lhs - averaged_output_overlap(p1, p2)))
     assert worst > 0.05
 

@@ -31,9 +31,17 @@ from zecheck.report import RunConfig
 from zecheck.suites import execute
 
 
-def project_to_ppt(m, d, n, **kwargs):
+def project_stack(ms, d, n, max_rounds=None, first=0):
+    """_project_stack, with ppt._MAX_ROUNDS set to max_rounds for the call when one is given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if max_rounds is not None:
+            mp.setattr(zecheck.ppt, "_MAX_ROUNDS", max_rounds)
+        return _project_stack(ms, d, n, first=first)
+
+
+def project_to_ppt(m, d, n, max_rounds=None):
     """One matrix through the stacked projector: a trace-one PPT matrix or None."""
-    return _project_stack(np.asarray(m)[None], d, n, **kwargs)[0]
+    return project_stack(np.asarray(m)[None], d, n, max_rounds)[0]
 
 
 def is_ppt(m, d, n, tol):
@@ -269,7 +277,7 @@ def transpose_edge_input(d, n, lam, rng):
     pytest.param(2.0, False, True, "direct", id="direct-2.0-False-True"),
 ])
 def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, side, monkeypatch):
-    tol = 1e-10
+    tol = zecheck.ppt._PSD_TOL
     m = transpose_edge_input(d, n, -scale * tol, np.random.default_rng(31))
     if side == "direct":
         m = pairwise_partial_transpose(m, d, n)
@@ -289,9 +297,9 @@ def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, 
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    one_round = project_to_ppt(m, d, n, max_rounds=1, tol=tol)
+    one_round = project_to_ppt(m, d, n, max_rounds=1)
     assert len(eigh_calls) == (0 if certified else 1)
-    got = project_to_ppt(m, d, n, tol=tol)
+    got = project_to_ppt(m, d, n)
     assert got is not None and np.array_equal(got, want)
     if not clipped:
         assert np.array_equal(one_round, start) and np.array_equal(got, start)
@@ -338,7 +346,7 @@ def test_stack_matches_each_matrix_alone(d, n, monkeypatch):
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
 def test_stack_at_one_round_mixes_converged_and_none(d, n):
     stack = mixed_stack(d, n)
-    got = _project_stack(stack, d, n, max_rounds=1)
+    got = project_stack(stack, d, n, max_rounds=1)
     want = [project_to_ppt(m, d, n, max_rounds=1) for m in stack]
     assert [a is None for a in got] == [b is None for b in want]
     assert any(a is None for a in got) and any(a is not None for a in got)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecheck.designs import conjugate_twirl, isotropic_projection
-from zecheck.linalg import min_eigenvalue, random_psd
+from zecheck.linalg import min_eigenvalue, trace_one_gram
 from zecheck.ppt import isotropic_twirl_n, pairwise_partial_transpose
 
 seeds = st.integers(0, 2**32 - 1)
@@ -45,7 +45,7 @@ def test_conjugate_twirl_is_idempotent_and_matches_closed_form(d, seed, family_d
 def test_isotropic_twirl_keeps_trace_positivity_and_ppt(n, seed, rank, mix):
     d = 2
     side = d ** (2 * n)
-    rho = random_psd(side, np.random.default_rng(seed), rank=min(rank, side))
+    rho = trace_one_gram(gaussian(np.random.default_rng(seed), (side, min(rank, side))))
     rec = isotropic_twirl_n(rho, d, n).reconstruct()
     assert abs(np.trace(rec).real - 1.0) <= 1e-12
     assert min_eigenvalue(rec) >= -1e-12

@@ -25,6 +25,8 @@ from zecheck.zero_error import (
     overlap_support_projector,
 )
 
+from test_negative_controls import bypassed
+
 
 def raw_average_oracle(family):
     """Fully expanded summation over the family, one kron per (i, k, member)."""
@@ -40,6 +42,41 @@ def raw_average_oracle(family):
                 m = g.conj().T @ z @ g
                 out += weight * np.kron(unit, np.kron(m, m.conj()))
     return out
+
+
+def member_loop_average(family):
+    """The design average as one loop over the members per clock power delta.
+
+    Block (i, k) is sum_j w_j m_j (x) conj(m_j) with m_j = g_j^dag Z^{k-i} g_j,
+    built without the conjugate twirl.
+    """
+    d = family.d
+    k = np.arange(d)
+    z_powers = [np.diag(np.exp(2j * np.pi * l * k / d)) for l in range(d)]
+    twirled = []
+    for delta in range(d):
+        acc = np.zeros((d * d, d * d), dtype=complex)
+        for g, w in zip(family.members, family.weights):
+            m = g.conj().T @ z_powers[delta] @ g
+            acc += w * np.kron(m, m.conj())
+        twirled.append(acc)
+    out = np.zeros((d**3, d**3), dtype=complex)
+    for i in range(d):
+        for kk in range(d):
+            unit = np.zeros((d, d))
+            unit[i, kk] = 1.0
+            out += np.kron(unit, twirled[(kk - i) % d])
+    return out
+
+
+@pytest.mark.parametrize("name", ["clifford_d2", "clifford_d3", "subdesign_d2", "pauli"])
+def test_design_average_matches_member_loop(name, family_d2, family_d3, subdesign_d2):
+    fam = {"clifford_d2": family_d2, "clifford_d3": family_d3, "subdesign_d2": subdesign_d2,
+           "pauli": bypassed()}[name]
+    if name == "subdesign_d2":
+        assert len(fam) == 12
+    gap = np.abs(design_average_overlap_operator(fam) - member_loop_average(fam)).max()
+    assert gap <= 1e-14
 
 
 def test_coupling_matrix_d2():
