@@ -14,38 +14,32 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zecheck"
 
 
-def used_names(tree, skip=None):
-    """Every name, attribute and import alias below tree, outside the subtree `skip`."""
-    names, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def used_names(tree):
+    """Every name, attribute and import alias below tree."""
+    names = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
-        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
 def callerless_public_api(package=PACKAGE, root=ROOT):
     """'module.name' of every public top-level function or class no code outside it names."""
-    modules = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))
-               if p.name != "__init__.py"}
     readers = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
     outside = set().union(*(used_names(ast.parse(p.read_text())) for p in readers))
-    found = []
-    for path, tree in modules.items():
-        others = set().union(*(used_names(t) for p, t in modules.items() if p != path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in outside | others | used_names(tree, skip=node)):
-                found.append(f"{path.stem}.{node.name}")
-    return found
+    # the names each top-level statement of each module uses, so that a definition's own
+    # body is left out by skipping its statement
+    statements = [(path.stem, node, used_names(node))
+                  for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text()).body]
+    return [f"{module}.{node.name}" for module, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in outside
+            and not any(node.name in names for _, other, names in statements if other is not node)]
 
 
 def test_every_public_function_and_class_has_a_caller():

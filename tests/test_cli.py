@@ -49,6 +49,12 @@ def test_parse_rejects_unknown_flag():
     assert err.value.code == 2
 
 
+# per setting, a ZEC_ variable's text and the value it sets, not RunConfig's default
+ENV_SAMPLES = {"d": ("3", 3), "n": ("2", 2), "suites": ("ppt,privacy", ("privacy", "ppt")),
+               "trials": ("7", 7), "seed": ("9", 9), "output": ("r.json", "r.json"),
+               "fmt": ("text", "text")}
+
+
 def test_every_verify_option_has_help():
     subparsers = next(
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -58,33 +64,20 @@ def test_every_verify_option_has_help():
         a.option_strings for a in verify._actions if a.option_strings and not a.help
     ]
     assert missing == []
-    # every setting states RunConfig's default, so help and behavior cannot drift
+    # every setting states the ZEC_ variable that sets it and RunConfig's default, so help
+    # and behavior cannot drift
+    flags = {a.dest: a.help for a in verify._actions if a.option_strings and a.dest != "help"}
+    assert sorted(flags) == sorted(ENV_SAMPLES)
     stated = {"suites": "all", "output": "stdout"}
     for f in dataclasses.fields(RunConfig):
-        action = next(a for a in verify._actions if a.dest == f.name)
-        assert f"else {stated.get(f.name, f.default)})" in action.help, action.help
-    assert str(SUPPORTED_D) in next(a for a in verify._actions if a.dest == "d").help
-    assert str(SUPPORTED_N) in next(a for a in verify._actions if a.dest == "n").help
-
-
-# a value differing from RunConfig's default, per setting, as its ZEC_ variable's text
-ENV_SAMPLES = {"d": ("3", 3), "n": ("2", 2), "suites": ("ppt,privacy", ("privacy", "ppt")),
-               "trials": ("7", 7), "seed": ("9", 9), "output": ("r.json", "r.json"),
-               "fmt": ("text", "text")}
-
-
-def test_help_names_the_variable_that_sets_each_flag():
-    verify = next(a for a in _build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)).choices["verify"]
-    flags = [a for a in verify._actions if a.option_strings and a.dest != "help"]
-    assert sorted(a.dest for a in flags) == sorted(ENV_SAMPLES)
-    for action in flags:
-        match = re.search(r"\(default: \$(ZEC_[A-Z]+), else [^)]+\)$", action.help)
-        assert match, action.help
-        # the named variable sets the setting this flag sets
-        text, value = ENV_SAMPLES[action.dest]
-        assert getattr(parse_config(["verify"], env={match[1]: text}), action.dest) == value
-        assert getattr(parse_config(["verify"], env={}), action.dest) != value
+        default = re.escape(str(stated.get(f.name, f.default)))
+        match = re.search(rf"\(default: \$(ZEC_[A-Z]+), else {default}\)$", flags[f.name])
+        assert match, flags[f.name]
+        text, value = ENV_SAMPLES[f.name]
+        assert getattr(parse_config(["verify"], env={match[1]: text}), f.name) == value
+        assert getattr(RunConfig(), f.name) != value
+    assert str(SUPPORTED_D) in flags["d"]
+    assert str(SUPPORTED_N) in flags["n"]
 
 
 def test_env_seed_fallback():

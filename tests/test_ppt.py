@@ -31,12 +31,12 @@ from zecheck.report import RunConfig
 from zecheck.suites import execute
 
 
-def project_stack(ms, d, n, max_rounds=None, first=0):
+def project_stack(ms, d, n, max_rounds=None):
     """_project_stack, with ppt._MAX_ROUNDS set to max_rounds for the call when one is given."""
     with pytest.MonkeyPatch.context() as mp:
         if max_rounds is not None:
             mp.setattr(zecheck.ppt, "_MAX_ROUNDS", max_rounds)
-        return _project_stack(ms, d, n, first=first)
+        return _project_stack(ms, d, n)
 
 
 def project_to_ppt(m, d, n, max_rounds=None):
