@@ -185,15 +185,14 @@ def _later_uses(channel, states):
     return inner
 
 
-def _branch_factors(channel, psi):
-    """Yield (start, v) per chunk of flag tuples.
+def _first_use_chunks(channel, psi):
+    """Yield (start, w) per chunk of whole first-use rows j_1.
 
-    v[f] is the (control) x (data, reference) amplitude matrix V of psi
-    under flag tuple labels[start + f], where labels are the row-major
-    _flag_tuples: the receiver branch is V V^dag and the environment branch
-    V^T conj(V).  A chunk is a run of whole first-use rows j_1: _apply_use
-    applies their first use to _later_uses' data, and one copy brings the
-    result to (flag, control, data, reference).
+    _apply_use applies the chunk's first use to _later_uses' data:
+    w[j, (j_2..j_n), a_1, (a_2..a_n), (control, reference)] belongs to flag
+    tuple labels[start + j * m^(n-1) + (j_2..j_n)] of the row-major
+    _flag_tuples.  w is a view whose first two axes are apart in memory:
+    w.swapaxes(1, 2) is C-contiguous.
     """
     d, ref = channel.d, psi.ref_dim
     side = d**psi.n
@@ -202,10 +201,24 @@ def _branch_factors(channel, psi):
     flags = inner.shape[1]
     rows = max(1, _CHUNK_AMPLITUDES // (flags * side * side * ref))
     for first in range(0, len(g), rows):
-        w = _apply_use(channel, g[first : first + rows], inner, ref)[0]
+        yield first * flags, _apply_use(channel, g[first : first + rows], inner, ref)[0]
+
+
+def _branch_factors(channel, psi):
+    """Yield (start, v) per chunk of flag tuples.
+
+    v[f] is the (control) x (data, reference) amplitude matrix V of psi
+    under flag tuple labels[start + f], where labels are the row-major
+    _flag_tuples: the receiver branch is V V^dag and the environment branch
+    V^T conj(V).  One copy per _first_use_chunks chunk brings it to
+    (flag, control, data, reference).
+    """
+    d, ref = channel.d, psi.ref_dim
+    side = d**psi.n
+    for start, w in _first_use_chunks(channel, psi):
         # to (j_1, (j_2..j_n), control, a_1, (a_2..a_n), reference)
-        w = w.reshape(len(w), flags, d, side // d, side, ref).transpose(0, 1, 4, 2, 3, 5)
-        yield first * flags, np.ascontiguousarray(w).reshape(-1, side, side * ref)
+        w = w.reshape(*w.shape[:3], side // d, side, ref).transpose(0, 1, 4, 2, 3, 5)
+        yield start, np.ascontiguousarray(w).reshape(-1, side, side * ref)
 
 
 def _branch_matrices(channel, psi, complementary: bool):
@@ -235,7 +248,9 @@ def conservation_residual(channel: FlaggedPhaseChannel, psi: BlockStateVector) -
     """Trace and positivity residual of apply_n and apply_complementary_n; NaN stays NaN.
 
     One pass reads s_f = ||V_f||_F^2 = tr(V V^dag) = tr(V^T conj(V)) per flag
-    tuple f, for both outputs, and builds neither.  The value is the largest
+    tuple f, for both outputs, and builds neither: the sum of squares does not
+    depend on the order of V's entries, so it reads _first_use_chunks' output
+    as it lies in memory, without _branch_factors' copy.  The value is the largest
     of |sum_f w_f s_f - 1|, max_f |s_f - 1| (each flag's map is unitary, so a
     unit input gives every branch trace 1) and gamma_{k+2} max_f s_f, with
     k = psi.block_len and gamma_j = j u / (1 - j u) for unit roundoff u.  An
@@ -247,9 +262,10 @@ def conservation_residual(channel: FlaggedPhaseChannel, psi: BlockStateVector) -
     """
     weights = _flag_weights(channel, psi.n)
     norms = np.empty(len(weights))
-    for start, v in _branch_factors(channel, psi):
-        flat = v.view(float).reshape(len(v), -1)
-        norms[start : start + len(v)] = np.einsum("fe,fe->f", flat, flat)
+    for start, w in _first_use_chunks(channel, psi):
+        rows, flags, d = w.shape[:3]
+        flat = w.swapaxes(1, 2).view(float).reshape(rows, d, flags, -1)
+        norms[start : start + rows * flags] = np.einsum("jafe,jafe->jf", flat, flat).ravel()
     k, u = psi.block_len + 2, np.finfo(float).eps / 2
     total = np.sum(weights * norms)  # pairwise: one BLAS dot over (3,2)'s flags drifts 2e-14
     return float(np.max([abs(total - 1.0), np.abs(norms - 1.0).max(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -144,87 +145,146 @@ def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def forked_map(fn: Callable, items) -> list:
-    """[fn(x) for x in items], the items dealt round-robin to one worker per CPU.
+# CPUs held by the children of started ForkedMaps that are not yet joined or closed
+_held_cpus = 0
+# Most queue entries of one map, 4 bytes each: the whole queue fits in one 4 KiB pipe page
+_QUEUE_RUNS = 1024
 
-    With k = min(CPUs in the affinity mask, len(items)) > 1, k - 1 forked
-    children compute items[w::k] for w = 1..k-1 while this process computes
-    items[0::k].  Every worker goes through its items in order and stops at
-    its first exception; the exception of the earliest failing item is
-    raised here, as a serial loop would raise it.  A child pickles its
-    results (or its exception) to its own pipe and leaves with os._exit,
-    so it flushes no inherited stdio and runs no exit handlers; one that
-    exits without a complete payload raises RuntimeError naming its exit
-    status.  No child outlives the call.  fn and everything it reads are
-    inherited, not pickled: build shared objects before calling.  zecheck
-    starts no threads, and OpenBLAS shuts its own pool down across a fork;
-    importing zecheck before numpy keeps that pool at one thread (see
+
+class ForkedMap:
+    """[fn(x) for x in items], started on forked workers now, gathered by join().
+
+    The constructor forks k - 1 children, with k = min(CPUs in the affinity
+    mask that no child of another started, unjoined map holds, len(items)),
+    so a map started while another is in flight runs in this process when
+    every CPU is taken.  With k <= 1 it forks nothing and join() computes
+    every item.  Otherwise the items are cut into at most 1024 runs of
+    contiguous items, and the run numbers go, in increasing order, into a
+    pipe that serves as a shared queue: the 4-byte entries are written
+    before the children fork, so the write never blocks, and on Linux a
+    4-byte read of a pipe is atomic.  The children take runs from it at
+    once; join() has this process take runs too until the queue is empty,
+    so every worker finishes about when the last run does.  A worker computes a run's
+    items in order and stops at its first exception.  Runs leave the queue
+    in increasing order, so every item before a failing one was taken and
+    computed: join() raises the exception of the earliest failing item, as
+    a serial loop would, and otherwise returns the results in item order.
+
+    A child pickles what it computed (or its exception) to its own pipe and
+    leaves with os._exit, so it flushes no inherited stdio and runs no exit
+    handlers; join() raises RuntimeError naming the status of one that
+    exits without a complete payload.  close() kills and reaps the children
+    of a map that will not be joined; join() closes the map, so no child
+    outlives either call.  fn and everything it reads are inherited, not
+    pickled: build shared objects before starting.  zecheck starts no
+    threads, and OpenBLAS shuts its own pool down across a fork; importing
+    zecheck before numpy keeps that pool at one thread (see
     `zecheck/__init__.py`), so the k workers do not each run one per CPU.
     """
-    items = list(items)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        cpus = os.cpu_count() or 1
-    k = min(cpus, len(items))
-    if k <= 1:
-        return [fn(x) for x in items]
-    pids: dict[int, int] = {}  # worker -> pid, until it is reaped
-    pipes = {}  # worker -> read end of its pipe
-    try:
-        for w in range(1, k):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _forked_worker(fn, items[w::k], write)
-            os.close(write)
-            pids[w], pipes[w] = pid, open(read, "rb")
-        shares = [_run_share(fn, items[0::k])]
-        for w in range(1, k):
-            payload = pipes[w].read()  # to EOF: the child has sent everything or died
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
-            if status != 0 or not payload:  # status 0 comes only after the whole payload
-                raise RuntimeError(f"forked worker {w} exited with status {status} "
-                                   "without its results")
-            shares.append(pickle.loads(payload))
-    finally:
-        for pipe in pipes.values():
+
+    def __init__(self, fn: Callable, items):
+        global _held_cpus
+        self.fn, self.items = fn, list(items)
+        self.pids: dict[int, int] = {}  # worker -> pid, until it is reaped
+        self.pipes = {}  # worker -> read end of its result pipe
+        self.queue: int | None = None  # read end of the queue of runs, if the map forked
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without affinity masks
+            cpus = os.cpu_count() or 1
+        k = min(cpus - _held_cpus, len(self.items))
+        if k <= 1:
+            return
+        runs = min(len(self.items), _QUEUE_RUNS)
+        self.bounds = [len(self.items) * r // runs for r in range(runs + 1)]
+        self.queue, write = os.pipe()
+        try:
+            os.write(write, struct.pack(f"={runs}I", *range(runs)))
+            os.close(write)  # once the queue is empty, a read returns EOF
+            for w in range(1, k):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(self, write)
+                os.close(write)
+                self.pids[w], self.pipes[w] = pid, open(read, "rb")
+                _held_cpus += 1  # until close(), which gives back one CPU per pipe
+        except BaseException:
+            self.close()
+            raise
+
+    def join(self) -> list:
+        """Take runs until the queue is empty, gather every worker's, and close the map."""
+        try:
+            if self.queue is None:
+                return [self.fn(x) for x in self.items]
+            taken = _take_runs(self)
+            for w in list(self.pids):
+                payload = self.pipes[w].read()  # to EOF: the child has sent everything or died
+                status = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(w), 0)[1])
+                if status != 0 or not payload:  # status 0 comes only after the whole payload
+                    raise RuntimeError(f"forked worker {w} exited with status {status} "
+                                       "without its results")
+                taken += pickle.loads(payload)
+        finally:
+            self.close()
+        failures = [(self.bounds[run] + len(done), exc)
+                    for run, done, exc in taken if exc is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        runs: list = [None] * (len(self.bounds) - 1)
+        for run, done, _ in taken:
+            runs[run] = done
+        return [y for done in runs for y in done]
+
+    def close(self) -> None:
+        """Kill and reap the children not yet reaped, and give their CPUs back."""
+        global _held_cpus
+        for pipe in self.pipes.values():
             pipe.close()
-        for pid in pids.values():
+        if self.queue is not None:
+            os.close(self.queue)
+            self.queue = None
+        for pid in self.pids.values():
             import signal  # only on this failure path: it adds about 1 ms to every start-up
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # each worker's first failure is its item w + k * (items it finished)
-    failures = [(w + k * len(done), exc) for w, (done, exc) in enumerate(shares) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out: list = [None] * len(items)
-    for w, (done, _) in enumerate(shares):
-        out[w::k] = done
-    return out
+        _held_cpus -= len(self.pipes)
+        self.pipes.clear()
+        self.pids.clear()
 
 
-def _run_share(fn: Callable, share: list) -> tuple[list, Exception | None]:
-    """fn over one worker's items in order, up to its first exception, and that exception."""
-    done = []
-    try:
-        for x in share:
-            done.append(fn(x))
-    except Exception as exc:
-        return done, exc
-    return done, None
+def forked_map(fn: Callable, items) -> list:
+    """[fn(x) for x in items], spread over the idle CPUs: `ForkedMap(fn, items).join()`."""
+    return ForkedMap(fn, items).join()
 
 
-def _forked_worker(fn: Callable, share: list, write: int) -> None:
-    """A forked child's whole life: its share, one pickled payload, os._exit; never returns.
+def _take_runs(fmap: ForkedMap) -> list[tuple[int, list, Exception | None]]:
+    """(run, results, exception) per run taken from the queue, until it is empty or one raises."""
+    taken = []
+    while entry := os.read(fmap.queue, 4):
+        (run,) = struct.unpack("=I", entry)
+        done: list = []
+        try:
+            for x in fmap.items[fmap.bounds[run] : fmap.bounds[run + 1]]:
+                done.append(fmap.fn(x))
+        except Exception as exc:
+            taken.append((run, done, exc))
+            break
+        taken.append((run, done, None))
+    return taken
+
+
+def _forked_worker(fmap: ForkedMap, write: int) -> None:
+    """A forked child's whole life: its runs, one pickled payload, os._exit; never returns.
 
     An exception that escapes (a result that does not pickle, a
     KeyboardInterrupt) leaves with status 1 and no complete payload.
     """
     status = 1
     try:
-        payload = pickle.dumps(_run_share(fn, share))
+        payload = pickle.dumps(_take_runs(fmap))
         with open(write, "wb") as pipe:
             pipe.write(payload)
         status = 0

@@ -8,9 +8,13 @@ no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
 The randomized search draws its candidate t from
 case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.  It
-draws and projects the candidates a window at a time; the windows go to
-forked workers, one per CPU (`linalg.forked_map`), and come back in
-candidate order, so every value is that of a one-CPU run.  One
+draws and projects the candidates a window at a time.  The windows go
+to forked workers, one per idle CPU, that take them from one shared
+queue in candidate order (`linalg.ForkedMap`), and come back in
+candidate order, so every value is that of a one-CPU run.
+`start_search` forks the workers ahead of the ppt_search call that
+joins them: `suites.execute` starts the search before its first claim,
+and the join has this process take the windows still queued.  One
 window holds _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates
 at 16x16, 50 at 9x9 and 256 at 4x4, and each round of the alternation
 makes one Cholesky, eigh and transpose call for the whole window.
@@ -25,15 +29,16 @@ about 0.2-0.5 MiB.  Every candidate gets the values it would get alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    ForkedMap,
     case_rng,
-    forked_map,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
@@ -46,6 +51,9 @@ SEARCH_CASE_BASE = 40_000  # the only other ppt case key, 31_000, sits below it
 _WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 _MAX_ROUNDS = 200  # alternation rounds before a candidate counts as unconverged
 _PSD_TOL = 1e-10  # a matrix with lambda_min >= -_PSD_TOL needs no clip
+
+# the searches start_search forked, by (d, n, trials, seed), until a ppt_search call joins one
+_started: dict[tuple[int, int, int, int], ForkedMap] = {}
 
 
 @dataclass
@@ -329,31 +337,68 @@ def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.n
     return trace_one_gram(re + 1j * im)
 
 
-def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
-    """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
-
-    Candidates are random PSD matrices pushed into the PPT cone by
-    alternating clipping, a window of them at a time, the windows spread
-    over forked workers; non-convergent candidates are skipped and
-    counted.  The returned minimum staying away from zero is the certified
-    prediction.  The result also holds the twirl coefficients of every
-    accepted candidate, in candidate order.
-    """
+def _window_map(d: int, n: int, trials: int, seed: int) -> ForkedMap:
+    """ppt_search's windows, started; each gives its accepted candidates' scores and twirls."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    constraint, basis = _label_operators(d, n)[-1], _twirl_basis(d, n)
     side = d ** (2 * n)
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
 
+    @cache
+    def constants():
+        """The constraint and the twirl basis, which each worker builds at its first window.
+
+        Built before the fork, the (2^n, side, side) label stack behind them
+        raised the peak RSS of a d=3, n=2 run by about 1 MiB: the run holds
+        the search from its start, through every claim before the ppt suite.
+        """
+        return _label_operators(d, n)[-1].copy(), _twirl_basis(d, n)
+
     def search_window(start):
         """The scores and twirl coefficients of the window's accepted candidates."""
+        constraint, basis = constants()
         stop = min(start + window, trials)
         projected = _project_stack(_search_candidates(d, n, seed, start, stop), d, n, first=start)
         accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
         return ([trace_inner(constraint, m).real for m in accepted],
                 _twirl_coefficients(accepted, basis))
 
-    windows = forked_map(search_window, range(0, trials, window))
+    return ForkedMap(search_window, range(0, trials, window))
+
+
+def start_search(d: int, n: int, trials: int, seed: int) -> Callable[[], None]:
+    """Fork the workers of ppt_search(d, n, trials, seed) ahead of that call; returns their stop.
+
+    The workers start taking windows at once.  The next ppt_search call
+    with the same arguments joins them instead of starting its own: this
+    process takes the windows still queued, then gathers every window in
+    order, so the result is the same.  The returned function kills and
+    reaps workers that no call joined, and does nothing after a join.
+    """
+    key = (d, n, trials, seed)
+    started = _started[key] = _window_map(d, n, trials, seed)
+
+    def stop():
+        if _started.get(key) is started:
+            del _started[key]
+        started.close()
+
+    return stop
+
+
+def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
+    """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
+
+    Candidates are random PSD matrices pushed into the PPT cone by
+    alternating clipping, a window of them at a time, the windows spread
+    over forked workers (or taken over from `start_search`'s);
+    non-convergent candidates are skipped and counted.  The returned
+    minimum staying away from zero is the certified prediction.  The
+    result also holds the twirl coefficients of every accepted candidate,
+    in candidate order.
+    """
+    started = _started.pop((d, n, trials, seed), None)
+    windows = (started or _window_map(d, n, trials, seed)).join()
     scores = [score for window_scores, _ in windows for score in window_scores]
     # np.min keeps a NaN score, which a running builtin min can drop
     min_value = float(np.min(scores)) if scores else None

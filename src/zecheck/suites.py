@@ -6,12 +6,17 @@ its value, optionally with a detail.  It passes when the value is <= its
 tolerance, or is 0 when it has none; a claim with another rule returns
 a `_Verdict`.  Shared objects are cached properties of `_Context`, built
 by the first claim that reads them, so that claim's `runtime_ms`
-includes building them.  A build that raises is not run again: its
-exception is kept and raised to every later reader.  The try around
-each claim is the only place an exception is caught: one raised in a
-claim, or while building a shared object, fails exactly the claims
-that need it, with the exception text in `detail`.  There is no
-`<suite>.panic` record.
+includes building them.  The one exception is the PPT search: `execute`
+forks its workers before the first claim, and `ppt.search_floor`, which
+reads it first, joins them, so its `runtime_ms` counts only the part of
+the search the run waited for.  A build that raises is not run again:
+its exception is kept and raised to every later reader.  Exceptions are
+caught only in the try around each claim and in the start of the
+search, which counts as a build of it: one raised in a claim, while
+building a shared object or while starting the search fails exactly
+the claims that need it, with the exception text in `detail`.  There
+is no `<suite>.panic` record.  No forked worker outlives `execute`,
+whatever escapes it.
 
 All randomness comes from `linalg.case_rng`, counter-based generators
 keyed by (seed, suite, case); the PPT search draws its candidate t as
@@ -37,18 +42,25 @@ amplitudes, d^(3n) per pair (512 pairs at (2,1), 151 at (3,1), 64 at
 together); a non-finite form counts as a mismatch or a violation.  A
 form is the same arithmetic in any window.
 
-Three loops spread their cases over every CPU of the affinity mask with
-`linalg.forked_map`: the PPT search's windows, the conservation cases
+Three loops spread their cases over the CPUs of the affinity mask with
+`linalg.ForkedMap`: the PPT search's windows, the conservation cases
 and the identity pairs of `channel.central_identity` and
 `channel.alt_design_identity`.  Each builds what its cases share (the
-channel, the design's overlap Grams, the search's constraint and twirl
-basis) before the workers fork, and reduces their values in case
-order, so a report does not depend on the CPU count.  The equivalence
-and code-impossibility sweeps stay in this process: a fork costs about
-as much as one of their 64-pair windows at d=2, so in a prototype on a
-2-vCPU host spreading them too moved the wall time of d=2, n=2 at 300
-trials only from 0.77 to 0.74 of the serial run's, and its CPU time
-from 1.04 to 1.15 of it.
+channel, the design's overlap Grams) before the workers fork, except
+the search, whose workers each build its constraint and twirl basis
+at their first window; the workers take cases from one shared
+queue in case order, and the values are reduced in case order, so a
+report does not depend on the CPU count.  The search starts when the
+run does: on 2 CPUs its one child works through the windows while this
+process runs every claim before the ppt suite, and `ppt.search_floor`'s
+join has this process take the windows still queued.  A map forks only
+onto CPUs that no child of an unjoined map holds, so while the search
+is in flight the conservation and identity loops run in this process.
+The equivalence and code-impossibility sweeps stay in this process: a
+fork costs about as much as one of their 64-pair windows at d=2, so in
+a prototype on a 2-vCPU host spreading them too moved the wall time of
+d=2, n=2 at 300 trials only from 0.77 to 0.74 of the serial run's, and
+its CPU time from 1.04 to 1.15 of it.
 """
 
 from __future__ import annotations
@@ -103,6 +115,7 @@ from .ppt import (
     ppt_search,
     recursion_certificate,
     recursion_trace,
+    start_search,
     transposed_eigenvalues,
 )
 from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
@@ -152,6 +165,8 @@ class _Context:
         self.config = config
         self.d, self.n = config.d, config.n
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
+        # the run's one PPT search; start_search and ppt_search must get the same arguments
+        self.search_args = (self.d, self.n, 10 * config.trials, config.seed)
 
     @_shared
     def family(self):
@@ -198,9 +213,21 @@ class _Context:
     def witness(self):
         return build_ppt_witness(self.d)
 
+    def fork_search(self) -> Callable[[], None] | None:
+        """Start the PPT search's workers, which `search` joins; returns their stop.
+
+        A start that raises is kept as the failed build of `search`, so the
+        claims that read the search fail with it and the run goes on.
+        """
+        try:
+            return start_search(*self.search_args)
+        except Exception as exc:
+            self.failed["search"] = exc
+            return None
+
     @_shared
     def search(self):
-        return ppt_search(self.d, self.n, 10 * self.config.trials, self.config.seed)
+        return ppt_search(*self.search_args)
 
 
 class _Verdict(NamedTuple):
@@ -839,7 +866,12 @@ def _design_independence(ctx):
 def execute(config: RunConfig) -> VerificationReport:
     """Run the registered claims of the configured suites in order and assemble the report."""
     ctx = _Context(config)
-    claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
+    stop_search = ctx.fork_search() if "ppt" in config.suites else None
+    try:
+        claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
+    finally:
+        if stop_search is not None:  # a no-op once ppt.search_floor has joined the workers
+            stop_search()
     warnings = [] if config.suites else ["no suites selected; the result is vacuously passing"]
     return VerificationReport(
         version=TOOLKIT_VERSION,

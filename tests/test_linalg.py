@@ -1,10 +1,13 @@
 import os
+import select
 import time
 
 import numpy as np
 import pytest
 
 from zecheck.linalg import (
+    _QUEUE_RUNS,
+    ForkedMap,
     basis_state,
     forked_map,
     max_entangled,
@@ -198,15 +201,20 @@ def test_forked_map_keeps_item_order(k, cpus):
     cpus(k)
     out = forked_map(lambda x: (x * x, os.getpid()), range(7))
     assert [v for v, _ in out] == [x * x for x in range(7)]
-    # worker w computes items w, w + k, ...; worker 0 is this process
-    assert out[0][1] == os.getpid() and len({pid for _, pid in out}) == k
-    assert all(pid == out[i % k][1] for i, (_, pid) in enumerate(out))
+    assert len({pid for _, pid in out}) <= k  # any worker may take any item
     assert forked_map(lambda x: x, []) == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_forked_map_keeps_item_order_past_the_queue_length(k, cpus):
+    cpus(k)
+    items = range(3 * _QUEUE_RUNS + 7)  # runs of 3 and 4 contiguous items
+    assert forked_map(lambda x: x * x, items) == [x * x for x in items]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_forked_map_raises_the_earliest_failure(k, cpus):
-    # k=2: a child fails at 3, this process at 4; k=3: this process at 3, a child at 4
+    # whichever worker takes 3, the others may have taken 4 and 9 already
     cpus(k)
 
     def fn(x):
@@ -220,17 +228,44 @@ def test_forked_map_raises_the_earliest_failure(k, cpus):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forked_map_raises_the_earliest_failure_across_runs(k, cpus):
+    # 3000 items in 1024 runs of 2 or 3: 1498 sits inside run 511 (1497-1499),
+    # 1502 and 2000 start runs 513 and 683, and 2999 ends the last one
+    cpus(k)
+
+    def fn(x):
+        if x in (1498, 1502, 2000, 2999):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match=r"^item 1498$"):
+        forked_map(fn, range(3000))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("status", [0, 3])
 def test_forked_map_names_a_worker_that_dies(status, cpus):
     cpus(2)
+    parent = os.getpid()
+    taken, send_taken = os.pipe()
 
     def fn(x):
-        if x == 1:  # item 1 is the child's
+        if os.getpid() != parent:  # the child leaves on the first item it takes
+            os.write(send_taken, b"!")
             os._exit(status)
+        if x == 0:  # this process holds item 0 until the child has taken another
+            select.select([taken], [], [], 30)
         return x
 
-    with pytest.raises(RuntimeError, match=rf"^forked worker 1 exited with status {status} "):
-        forked_map(fn, range(4))
+    try:
+        with pytest.raises(RuntimeError, match=rf"^forked worker 1 exited with status {status} "):
+            forked_map(fn, range(4))
+        assert os.read(taken, 1) == b"!"
+    finally:
+        os.close(taken)
+        os.close(send_taken)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -241,9 +276,10 @@ class Interrupt(BaseException):
 
 def test_forked_map_kills_its_workers_when_interrupted(cpus):
     cpus(3)
+    parent = os.getpid()
 
     def fn(x):
-        if x == 0:  # this process's first item; the children sleep
+        if os.getpid() == parent:  # two children take one item each at most, and sleep
             raise Interrupt
         time.sleep(60)
 
@@ -253,6 +289,31 @@ def test_forked_map_kills_its_workers_when_interrupted(cpus):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_map_forks_only_onto_cpus_no_unjoined_map_holds(cpus):
+    cpus(3)
+    first = ForkedMap(lambda x: x, range(2))  # one child, on one of the three CPUs
+    second = ForkedMap(lambda x: x, range(4))  # one child: two CPUs were free
+    assert len(first.pids) == len(second.pids) == 1
+    # every CPU is taken: the third map runs in this process
+    assert forked_map(lambda x: os.getpid(), range(4)) == [os.getpid()] * 4
+    assert first.join() == [0, 1] and second.join() == [0, 1, 2, 3]
+    third = ForkedMap(lambda x: x, range(4))  # the joined maps gave their CPUs back
+    assert len(third.pids) == 2
+    assert third.join() == [0, 1, 2, 3]
+
+
+def test_closing_a_started_map_kills_its_workers(cpus):
+    cpus(2)
+    started = ForkedMap(lambda x: time.sleep(60), range(3))
+    start = time.monotonic()
+    started.close()
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    again = ForkedMap(lambda x: x, range(2))  # the closed map gave its CPU back
+    assert len(again.pids) == 1 and again.join() == [0, 1]
 
 
 def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):

@@ -1,9 +1,11 @@
 import os
+import time
 
 import numpy as np
 import pytest
 
 import zecheck.ppt
+import zecheck.suites
 from zecheck.linalg import (
     case_rng,
     max_entangled_projector,
@@ -25,6 +27,7 @@ from zecheck.ppt import (
     ppt_search,
     recursion_certificate,
     recursion_trace,
+    start_search,
     transposed_eigenvalues,
 )
 from zecheck.report import RunConfig
@@ -395,8 +398,7 @@ def test_a_worker_failure_fails_search_floor_as_one_cpu_does(monkeypatch, cpus):
 
     def poisoned(d, n, seed, start, stop):
         ms = draw(d, n, seed, start, stop)
-        # windows 1 and 2 of 16 candidates: with 2 CPUs a child's and this
-        # process's share, with 3 each a child's
+        # windows 1 and 2 of 16 candidates, whichever worker takes them
         for t in (20, 40):
             if start <= t < stop:
                 ms[t - start, 0, 1] = np.nan
@@ -413,6 +415,90 @@ def test_a_worker_failure_fails_search_floor_as_one_cpu_does(monkeypatch, cpus):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert details == ["ValueError: candidate 20 is not finite"] * 3
+
+
+def test_a_search_that_fails_to_start_fails_its_claims_as_one_cpu_does(monkeypatch, cpus):
+    calls = []
+
+    def broken(fn, items):
+        calls.append(len(items))
+        raise RuntimeError("no window map")
+
+    monkeypatch.setattr(zecheck.ppt, "ForkedMap", broken)
+    for k in (1, 2, 3):
+        cpus(k)
+        report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
+        claims = {c.claim_id: c for c in report.claims}
+        for cid in SEARCH_CLAIMS:
+            claim = claims.pop(cid)
+            assert not claim.passed and claim.value is None, cid
+            assert claim.detail == "RuntimeError: no window map", cid
+        assert len(claims) == 5 and all(c.passed for c in claims.values())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert calls == [4] * 3  # 50 candidates in windows of 16; the claims retry no failed start
+
+
+def test_a_fork_that_fails_mid_start_fails_the_search_claims(monkeypatch, cpus):
+    cpus(3)  # the search would fork two children; the second fork fails
+    fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5)).claims}
+    for cid in SEARCH_CLAIMS:
+        assert claims.pop(cid).detail == "BlockingIOError: [Errno 11] fork refused", cid
+    assert len(claims) == 5 and all(c.passed for c in claims.values())
+    assert len(forks) == 2 and not zecheck.ppt._started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_a_base_exception_before_search_floor_leaves_no_search_worker(monkeypatch, cpus):
+    cpus(2)  # the search's child is forked before the first claim
+    parent = os.getpid()
+    draw = zecheck.ppt._search_candidates
+
+    def slow_in_children(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return draw(*args)
+
+    def interrupt(ctx):
+        raise Interrupt
+
+    monkeypatch.setattr(zecheck.ppt, "_search_candidates", slow_in_children)
+    monkeypatch.setattr(zecheck.suites, "_CLAIMS", [
+        spec._replace(compute=interrupt) if spec.claim_id == "ppt.uniform_score" else spec
+        for spec in zecheck.suites._CLAIMS
+    ])
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
+    assert time.monotonic() - start < 30 and not zecheck.ppt._started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ppt_search_joins_the_started_search(cpus):
+    cpus(2)
+    alone = ppt_search(2, 2, 64, 7)
+    stop = start_search(2, 2, 64, 7)
+    assert_same_search(ppt_search(2, 2, 64, 7), alone)
+    assert not zecheck.ppt._started
+    stop()  # nothing left to end after the join
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("d,n,trials,windows", [
