@@ -17,6 +17,7 @@ For an input sum_i |i>|a_i> and flag j the receiver branch is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -391,9 +392,27 @@ def random_block_state(
     psi = BlockStateVector(d, n, blocks, ref_dim)
     if support is not None:
         keep = np.zeros(d**n, dtype=bool)
-        keep[[psi.flat_index(label) for label in support]] = True
+        keep[_support_rows(psi, support)] = True
         psi.blocks[~keep] = 0.0
-    norm = psi.total_norm()
+    # total_norm() as np.linalg.norm forms it for complex input, without its call overhead
+    flat = psi.blocks.ravel(order="K")
+    norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
     if norm > 0:
         psi.blocks /= norm
     return psi
+
+
+def _support_rows(psi: BlockStateVector, support):
+    """The rows of psi's control tuples in support, in one pass over them as a (k, n) array.
+
+    A support that is no such array of in-range digits (tuples of mixed
+    length, a digit out of range, no tuple at all) goes through flat_index
+    tuple by tuple instead, which raises naming the first bad tuple.
+    """
+    try:
+        digits = np.asarray(support)
+        if digits.ndim == 2:
+            return np.ravel_multi_index(tuple(digits.T), (psi.d,) * psi.n)
+    except (TypeError, ValueError):
+        pass
+    return [psi.flat_index(label) for label in support]

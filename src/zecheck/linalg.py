@@ -4,6 +4,13 @@ Operators are plain complex ndarrays; operations that care about tensor
 structure take an explicit tuple of factor dimensions.  The basis
 convention is fixed globally: the leftmost factor is the most
 significant index, i.e. |i>|j> sits at row i * dim_j + j.
+
+The module also holds the one seeding scheme: every random draw takes
+the Philox stream of a case (seed, suite, case), whose key is numpy's
+SeedSequence key of those three numbers, derived for a block of cases
+at a time.  `case_rng` builds an independent generator of one case's
+stream; `case_rngs` and `rekeyed_rng` re-key the process's one
+generator instead, which stays valid only until the next re-key.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ import os
 import pickle
 import struct
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable
+from functools import cache, lru_cache, reduce
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -139,10 +146,137 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex)).min())
 
 
+# numpy's SeedSequence hash with its default pool of 4 words (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+# Cases per derived block of keys, 16 KiB of them; a divisor of 2^32, so every case of a
+# block has the same number of 32-bit words
+_KEY_BLOCK = 1024
+
+
+def _words(x: int) -> list[int]:
+    """The 32-bit words SeedSequence makes of a non-negative int, least significant first."""
+    if x < 0:
+        raise ValueError(f"seed, suite id and case must be non-negative, got {x}")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_sequence_keys(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy words).generate_state(2, np.uint64) of many entropies: (keys, 2).
+
+    Each entropy word is an int, the same for every key, or a uint64
+    array holding one 32-bit word per key; at least one is an array.  The
+    hash runs on all keys at once, its products masked to 32 bits.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = _INIT_B, []
+    for word in pool:  # generate_state: 4 output words, read as 2 little-endian uint64
+        word = word ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = (word * hash_const) & _MASK32
+        state.append(word ^ (word >> 16))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+@lru_cache(maxsize=4)
+def _key_block(seed: int, suite: str, block: int) -> np.ndarray:
+    """The Philox keys of cases block*_KEY_BLOCK onwards: (_KEY_BLOCK, 2), read-only.
+
+    Key i is SeedSequence([seed, SUITE_IDS[suite], case]).generate_state(2,
+    np.uint64) of case block*_KEY_BLOCK + i, derived for the whole block
+    in one pass (about 0.2 us a case, against about 13 us for a
+    SeedSequence).  Blocks start at multiples of _KEY_BLOCK, so only the
+    lowest word of a block's cases varies.  The cache keeps the last few
+    blocks, so key memory does not grow with the number of cases.
+    """
+    first = block * _KEY_BLOCK
+    low, *high = _words(first)
+    cases = np.arange(low, low + _KEY_BLOCK, dtype=np.uint64)
+    keys = _seed_sequence_keys([*_words(seed), SUITE_IDS[suite], cases, *high])
+    keys.flags.writeable = False
+    return keys
+
+
+def _case_key(seed: int, suite: str, case: int) -> np.ndarray:
+    """The Philox key of case (seed, suite, case), from its cached block."""
+    block, i = divmod(int(case), _KEY_BLOCK)
+    return _key_block(int(seed), suite, block)[i]
+
+
+def _keyed_generator(key) -> np.random.Generator:
+    """A new Generator on the Philox stream with this key, counter 0 and an empty buffer."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, suite, case); every random draw uses one."""
-    ss = np.random.SeedSequence([int(seed), SUITE_IDS[suite], int(case)])
-    return np.random.Generator(np.random.Philox(ss))
+    """A new generator of case (seed, suite, case)'s counter-based stream, for a one-off draw.
+
+    Every random draw takes the stream of a case: the Philox stream of
+    SeedSequence([seed, SUITE_IDS[suite], case]), bit for bit, with its
+    key from `_key_block`.  A loop over cases takes `case_rngs` instead,
+    which builds no generator.
+    """
+    return _keyed_generator(_case_key(seed, suite, case))
+
+
+@cache
+def _process_generator() -> np.random.Generator:
+    """This process's one generator, which rekeyed_rng re-keys; a forked child gets a copy."""
+    return _keyed_generator(0)
+
+
+def rekeyed_rng(seed: int, suite: str, case: int) -> np.random.Generator:
+    """This process's one generator, re-keyed to case_rng(seed, suite, case)'s stream.
+
+    Setting the Philox state (key, zero counter, empty buffer) costs about
+    2 us, against about 11 us to build a generator, and gives the same
+    draws.  The generator is valid until the next rekeyed_rng call or
+    case_rngs draw in this process re-keys it, so keep no generator
+    across one; a forked worker re-keys its own copy.
+    """
+    rng = _process_generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _case_key(seed, suite, case)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def case_rngs(seed: int, suite: str, cases) -> Iterator[np.random.Generator]:
+    """rekeyed_rng(seed, suite, case) for each case in turn: the streams of case_rng.
+
+    As with the groups of `itertools.groupby`, each yielded generator is
+    this process's one generator and is valid only until the next is drawn.
+    """
+    for case in cases:
+        yield rekeyed_rng(seed, suite, case)
 
 
 # CPUs held by the children of started ForkedMaps that are not yet joined or closed

@@ -6,12 +6,16 @@ which the per-pair invariants {Phi, I-Phi} map to SWAP/d and
 I - SWAP/d.  The certificate replays, label by label, the argument that
 no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
-The randomized search draws its candidate t from
-case_rng(seed, "ppt", 40_000 + t), above every other ppt case key.  It
-draws and projects the candidates a window at a time.  The windows go
-to forked workers, one per idle CPU, that take them from one shared
-queue in candidate order (`linalg.ForkedMap`), and come back in
-candidate order, so every value is that of a one-CPU run.
+The randomized search draws its candidate t from the stream of
+case_rng(seed, "ppt", 40_000 + t), above every other ppt case key, but
+builds no generator for it: `linalg.case_rngs` re-keys the process's
+one generator to each candidate's stream in turn, and each re-keyed
+generator serves only until the next is drawn.  `_window_map` builds
+that generator before the workers fork, so each worker re-keys its own
+copy.  The search draws and projects the candidates a window at a
+time.  The windows go to forked workers, one per idle CPU, that take
+them from one shared queue in candidate order (`linalg.ForkedMap`), and
+come back in candidate order, so every value is that of a one-CPU run.
 `start_search` forks the workers ahead of the ppt_search call that
 joins them: `suites.execute` starts the search before its first claim,
 and the join has this process take the windows still queued.  One
@@ -38,10 +42,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ForkedMap,
-    case_rng,
+    case_rngs,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
+    rekeyed_rng,
     tensor,
     trace_inner,
     trace_one_gram,
@@ -324,14 +329,15 @@ def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.n
     """The trace-one PSD matrices ppt_search projects as candidates start..stop-1.
 
     Candidate t is random_psd(d^(2n), case_rng(seed, "ppt", 40_000 + t)):
-    the same two draws, with the Wishart product and its trace formed on
-    the stack.
+    the same two draws, taken from `case_rngs`, which re-keys this
+    process's one generator to each candidate's stream in turn, with the
+    Wishart product and its trace formed on the stack.
     """
     side = d ** (2 * n)
     re = np.empty((stop - start, side, side))
     im = np.empty_like(re)
-    for i, t in enumerate(range(start, stop)):
-        rng = case_rng(seed, "ppt", SEARCH_CASE_BASE + t)
+    cases = range(SEARCH_CASE_BASE + start, SEARCH_CASE_BASE + stop)
+    for i, rng in enumerate(case_rngs(seed, "ppt", cases)):
         rng.standard_normal(out=re[i])
         rng.standard_normal(out=im[i])
     return trace_one_gram(re + 1j * im)
@@ -343,6 +349,9 @@ def _window_map(d: int, n: int, trials: int, seed: int) -> ForkedMap:
         raise ValueError("trials must be at least 1")
     side = d ** (2 * n)
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
+    # this process's generator, built before the fork: the workers inherit it, numpy.random
+    # and the key block of the first candidates instead of each building them again
+    rekeyed_rng(seed, "ppt", SEARCH_CASE_BASE)
 
     @cache
     def constants():

@@ -18,10 +18,15 @@ the claims that need it, with the exception text in `detail`.  There
 is no `<suite>.panic` record.  No forked worker outlives `execute`,
 whatever escapes it.
 
-All randomness comes from `linalg.case_rng`, counter-based generators
-keyed by (seed, suite, case); the PPT search draws its candidate t as
-case 40_000 + t of the ppt suite.  Running any subset of suites thus
-reproduces the full run's numbers exactly.
+All randomness comes from counter-based Philox streams keyed by (seed,
+suite, case); the PPT search draws its candidate t as case 40_000 + t
+of the ppt suite.  A one-off draw takes an independent generator from
+`linalg.case_rng`.  A loop takes its cases' generators from
+`linalg.case_rngs`, or `linalg.rekeyed_rng` per item in a forked map:
+both re-key the process's one generator to the case's stream, so a
+generator is valid only until the next is drawn, and a pair's states
+are drawn in full before the loop moves on.  Running any subset of
+suites thus reproduces the full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
 `trials` pairs, the conservation check max(1, trials // 10) inputs (every
@@ -66,7 +71,7 @@ its CPU time from 1.04 to 1.15 of it.
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product
 from typing import Callable, NamedTuple
 
@@ -92,6 +97,7 @@ from .designs import (
 from .linalg import (
     basis_state,
     case_rng,
+    case_rngs,
     forked_map,
     max_entangled_projector,
     min_eigenvalue,
@@ -99,6 +105,7 @@ from .linalg import (
     projector,
     random_psd,
     random_unitary,
+    rekeyed_rng,
     support_null,
     tensor,
     trace_distance,
@@ -124,7 +131,6 @@ from .zero_error import (
     BLOCK_ZERO_TOL,
     averaged_output_overlap,
     design_average_overlap_operator,
-    disjoint_support,
     overlap_forms,
     overlap_operator,
     overlap_support_projector,
@@ -357,7 +363,7 @@ def _identity_gap(ctx, channel, first_case, pairs):
     overlap = overlap_kernel(channel)  # the design's Grams, formed before the workers fork
 
     def gap(case):
-        rng = case_rng(ctx.config.seed, "channel", case)
+        rng = rekeyed_rng(ctx.config.seed, "channel", case)
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         return abs(scale * overlap(p1, p2) - averaged_output_overlap(p1, p2))
@@ -393,7 +399,7 @@ def _conservation(ctx):
     channel = ctx.channel  # built before the workers fork
 
     def residual(case):
-        rng = case_rng(ctx.config.seed, "channel", 100_000 + case)
+        rng = rekeyed_rng(ctx.config.seed, "channel", 100_000 + case)
         psi = random_block_state(ctx.d, ctx.n, rng, ref_dim=1 + case % 2)
         return conservation_residual(channel, psi)
 
@@ -416,20 +422,28 @@ def _alt_design_identity(ctx):
 # ---------------------------------------------------------------- zero-error
 
 
+@cache
+def _control_tuples(d, n):
+    """Every control tuple as a read-only (d^n, n) array; row r is the tuple of flat index r."""
+    tuples = np.array(list(product(range(d), repeat=n)))
+    tuples.flags.writeable = False
+    return tuples
+
+
 def _disjoint_pair(d, n, rng):
     """Random states on the two sides of a random partition of the control tuples."""
-    tuples = list(product(range(d), repeat=n))
+    tuples = _control_tuples(d, n)
     cut = int(rng.integers(1, len(tuples)))
     order = rng.permutation(len(tuples))
     return (
-        random_block_state(d, n, rng, support=[tuples[i] for i in order[:cut]]),
-        random_block_state(d, n, rng, support=[tuples[i] for i in order[cut:]]),
+        random_block_state(d, n, rng, support=tuples[order[:cut]]),
+        random_block_state(d, n, rng, support=tuples[order[cut:]]),
     )
 
 
 def _single_tuple_pair(d, n, rng):
     """Random states each on one control tuple, the two tuples distinct."""
-    tuples = list(product(range(d), repeat=n))
+    tuples = _control_tuples(d, n)
     a, b = rng.choice(len(tuples), size=2, replace=False)
     return (
         random_block_state(d, n, rng, support=[tuples[a]]),
@@ -439,7 +453,7 @@ def _single_tuple_pair(d, n, rng):
 
 def _structured_pair(d, n, kind, rng):
     """Adversarial pair families; every kind keeps both routes decisively apart."""
-    tuples = list(product(range(d), repeat=n))
+    tuples = _control_tuples(d, n)
     if kind == 0:
         return _disjoint_pair(d, n, rng)
     if kind == 1:  # one shared tuple with heavy blocks
@@ -534,12 +548,13 @@ def _block_stacks(window):
 
 def _equivalence_pairs(ctx, random_pairs, structured_pairs):
     d, n, seed = ctx.d, ctx.n, ctx.config.seed
-    for case in range(random_pairs):
-        rng = case_rng(seed, "zero-error", case)
-        mask_support = [t for t in product(range(d), repeat=n) if rng.random() < 0.6] or None
-        yield random_block_state(d, n, rng, support=mask_support), random_block_state(d, n, rng)
-    for case in range(structured_pairs):
-        rng = case_rng(seed, "zero-error", 10_000 + case)
+    tuples = _control_tuples(d, n)
+    for rng in case_rngs(seed, "zero-error", range(random_pairs)):
+        kept = rng.random(len(tuples)) < 0.6  # one uniform draw per tuple, in row order
+        support = tuples[kept] if kept.any() else None
+        yield random_block_state(d, n, rng, support=support), random_block_state(d, n, rng)
+    cases = range(10_000, 10_000 + structured_pairs)
+    for case, rng in enumerate(case_rngs(seed, "zero-error", cases)):
         yield _structured_pair(d, n, case % 6, rng)
 
 
@@ -551,8 +566,11 @@ def _equivalence(ctx):
     mismatches = 0
     pairs = _equivalence_pairs(ctx, random_pairs, structured_pairs)
     for window in _windows(pairs, ctx.d, ctx.n):
-        forms = overlap_forms(*_block_stacks(window), ctx.d, ctx.n)
-        disjoint = np.array([disjoint_support(p1, p2) for p1, p2 in window])
+        b1, b2 = _block_stacks(window)
+        forms = overlap_forms(b1, b2, ctx.d, ctx.n)
+        # disjoint_support of each pair, on the stacks: no tuple carries a block of both
+        shared = np.minimum(np.linalg.norm(b1, axis=2), np.linalg.norm(b2, axis=2))
+        disjoint = np.all(shared <= BLOCK_ZERO_TOL, axis=1)
         # a non-finite form decides nothing, so it counts as a mismatch
         mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= BLOCK_ZERO_TOL))))
     return mismatches, f"pairs={random_pairs + structured_pairs}"
@@ -563,8 +581,7 @@ def _equivalence(ctx):
 def _form_properties(ctx):
     d, n = ctx.d, ctx.n
     worst = 0.0
-    for case in range(10):
-        rng = case_rng(ctx.config.seed, "zero-error", 20_000 + case)
+    for rng in case_rngs(ctx.config.seed, "zero-error", range(20_000, 20_010)):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         v12 = averaged_output_overlap(p1, p2)
@@ -622,8 +639,9 @@ def _code_pair_failures(d, n, window):
 def _no_valid_code_pair(ctx):
     d, n, seed = ctx.d, ctx.n, ctx.config.seed
     candidates = 5 * ctx.config.trials
-    pairs = (_code_pair_candidates(d, n, case, case_rng(seed, "theorem2", case))
-             for case in range(candidates))
+    cases = range(candidates)
+    pairs = (_code_pair_candidates(d, n, case, rng)
+             for case, rng in zip(cases, case_rngs(seed, "theorem2", cases)))
     failures = near_misses = 0
     for window in _windows(pairs, d, n):
         window_failures, window_near = _code_pair_failures(d, n, window)

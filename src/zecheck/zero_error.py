@@ -9,6 +9,7 @@ vanishes iff no control tuple carries both inputs.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,14 +27,20 @@ def _coupling_matrix(d: int) -> np.ndarray:
     return a
 
 
+@cache
 def overlap_operator(d: int) -> np.ndarray:
-    """sum_ik |i><k| (x) (a_ik (I-Phi) + Phi), a_ii = 1, a_ik = -1/(d^2-1)."""
+    """sum_ik |i><k| (x) (a_ik (I-Phi) + Phi), a_ii = 1, a_ik = -1/(d^2-1).
+
+    Built once per d and shared, read-only, by every caller.
+    """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     phi = max_entangled_projector(d)
     comp = np.eye(d * d) - phi
     ones = np.ones((d, d))
-    return np.kron(_coupling_matrix(d), comp) + np.kron(ones, phi)
+    op = np.kron(_coupling_matrix(d), comp) + np.kron(ones, phi)
+    op.flags.writeable = False
+    return op
 
 
 def overlap_support_projector(d: int) -> np.ndarray:

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from zecheck.linalg import (
+    _KEY_BLOCK,
     _QUEUE_RUNS,
+    SUITE_IDS,
     ForkedMap,
+    _case_key,
+    _key_block,
     basis_state,
+    case_rng,
+    case_rngs,
     forked_map,
     max_entangled,
     max_entangled_projector,
@@ -323,3 +329,50 @@ def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):
         f.write("once\n")  # still in the buffer when the worker forks
         assert forked_map(lambda x: x, range(2)) == [0, 1]
     assert path.read_text() == "once\n"
+
+
+def seed_sequence_key(seed, suite, case):
+    return np.random.SeedSequence([seed, SUITE_IDS[suite], case]).generate_state(2, np.uint64)
+
+
+# one and two 32-bit words, and the largest seed a RunConfig takes
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_block_keys_are_seed_sequence_keys(seed):
+    # ranges that cross a key-block boundary; the last one crosses into two-word cases
+    for first in (0, _KEY_BLOCK - 3, 40 * _KEY_BLOCK - 2, 2**32 - 3):
+        for suite in ("design", "ppt"):
+            for case in range(first, first + 6):
+                assert np.array_equal(_case_key(seed, suite, case),
+                                      seed_sequence_key(seed, suite, case)), (suite, case)
+
+
+def test_a_whole_key_block_is_seed_sequence_keys():
+    block = _key_block(9, "theorem2", 39)
+    expected = [seed_sequence_key(9, "theorem2", 39 * _KEY_BLOCK + i) for i in range(_KEY_BLOCK)]
+    assert block.shape == (_KEY_BLOCK, 2) and not block.flags.writeable
+    assert np.array_equal(block, expected)
+
+
+def test_key_memory_does_not_grow_with_the_cases():
+    for rng in case_rngs(3, "channel", range(0, 40 * _KEY_BLOCK, 97)):
+        pass
+    assert _key_block.cache_info().currsize <= _key_block.cache_info().maxsize == 4
+
+
+def draw_everything(rng):
+    """One of each draw zecheck makes; the last leaves half a 64-bit word buffered."""
+    out = np.empty((3, 4))
+    rng.standard_normal(out=out)
+    return [out, rng.standard_normal((2, 5)), rng.integers(1, 7), rng.integers(3, size=4),
+            rng.permutation(9), rng.choice(9, size=2, replace=False), rng.random(),
+            rng.random(6), rng.random(dtype=np.float32)]
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_rekeyed_streams_equal_case_rng(seed):
+    cases = [0, 5, _KEY_BLOCK - 1, _KEY_BLOCK, 40_005]
+    expected = [draw_everything(case_rng(seed, "zero-error", case)) for case in cases]
+    got = [draw_everything(rng) for rng in case_rngs(seed, "zero-error", cases)]
+    for case, want, have in zip(cases, expected, got):
+        for a, b in zip(want, have):
+            assert np.array_equal(a, b), case

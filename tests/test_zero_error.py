@@ -90,6 +90,15 @@ def test_coupling_matrix_d2():
     np.testing.assert_allclose(op, expected, atol=1e-12)
 
 
+def test_overlap_operator_is_built_once_and_read_only():
+    op = overlap_operator(2)
+    assert overlap_operator(2) is op
+    with pytest.raises(ValueError, match="read-only"):
+        op[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        op *= 2.0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_design_average_matches_closed_form(d, family_d2, family_d3):
     fam = family_d2 if d == 2 else family_d3
