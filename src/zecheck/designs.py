@@ -1,6 +1,7 @@
 """Exact unitary 2-designs: qudit Clifford enumeration, certification, twirls.
 
-A family is certified exact by its frame potential; the conjugate twirl
+A family is certified exact by its frame potential, and closed by its m x 4
+products with the generators F, S, X and Z; the conjugate twirl
 averages (g (x) conj(g))^dag M (g (x) conj(g)) over the family, whose
 image for an exact 2-design is spanned by the maximally entangled
 projector and its complement.
@@ -18,9 +19,6 @@ from .report import SUPPORTED_D
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
 PHASE_ZERO_TOL = 1e-8  # entries at most this large do not count as a phase pivot
-# Products per block of multiplication_table rows: all 216^2 products in one
-# stack traced about 21 MiB at d=3 (products, their keys and the lookups).
-_TABLE_PRODUCTS = 2**12
 
 
 @dataclass
@@ -179,68 +177,72 @@ def isotropic_projection(d: int, m: np.ndarray) -> np.ndarray:
     return p_phi * phi + p_comp * comp
 
 
-def multiplication_table(family: UnitaryFamily) -> np.ndarray:
-    """Index table of pairwise products modulo phase; -1 marks a missing product.
+def _product_indices(left: np.ndarray, right: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
+    """(len(left), len(right)) member index of l_i r_k modulo phase; -1 where none matches."""
+    d = left.shape[-1]
+    prods = _canonical_phases(np.matmul(left[:, None], right[None]).reshape(-1, d, d))
+    return np.reshape([index.get(key, -1) for key in _dedup_keys(prods)], (len(left), len(right)))
 
-    table[i, j] is the member equal to g_i g_j up to phase.  The rows are
-    built in blocks of about _TABLE_PRODUCTS products (one block of 24 rows
-    at d=2, 18 rows a block at d=3), each canonicalized, keyed and looked up
-    on its own, so the working set beside the m x m table stays bounded.
+
+def _reached(succ: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes a BFS from `start` reaches along the edges i -> succ[i, k]; -1 is none."""
+    seen = [False] * len(succ)
+    seen[start] = True
+    queue, rows = [start], succ.tolist()
+    for i in queue:  # the queue grows while it is read
+        for j in rows[i]:
+            if j >= 0 and not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return np.array(seen)
+
+
+def closure_defect(family: UnitaryFamily) -> int:
+    """Missing products g F, g S, g X, g Z plus the members a BFS from I along them misses.
+
+    0 iff the family is the group F, S, X and Z generate modulo phase: a member
+    set closed under right multiplication by them, all reached from I, is it.
     """
-    g, m, d = family.members, len(family), family.d
+    g, d = family.members, family.d
     index = _member_index(g)
-    table = np.empty((m, m), dtype=int)
-    rows = max(1, _TABLE_PRODUCTS // m)
-    for first in range(0, m, rows):
-        block = g[first : first + rows]
-        prods = _canonical_phases(np.matmul(block[:, None], g[None, :]).reshape(-1, d, d))
-        table[first : first + rows] = np.reshape(
-            [index.get(key, -1) for key in _dedup_keys(prods)], (len(block), m))
-    return table
+    succ = _product_indices(g, _canonical_phases(np.stack(clifford_generators(d))), index)
+    start = index.get(_dedup_keys(np.eye(d, dtype=complex)[None])[0])  # the identity
+    reached = 0 if start is None else int(_reached(succ, start).sum())
+    return int((succ < 0).sum()) + len(g) - reached
 
 
-def _closure_mask(table: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Members of the subgroup generated by `seeds`: a BFS that right-multiplies by the seeds."""
-    mask = np.zeros(len(table), dtype=bool)
-    mask[seeds] = True
-    frontier = seeds
-    while len(frontier):
-        grown = np.zeros_like(mask)
-        grown[table[np.ix_(frontier, seeds)].ravel()] = True
-        grown &= ~mask
-        mask |= grown
-        frontier = np.flatnonzero(grown)
-    return mask
+def find_minimal_subdesign(family: UnitaryFamily) -> UnitaryFamily | None:
+    """Smallest 2-design subgroup containing HW = <X, Z> that is proper in `family`.
 
-
-def find_minimal_subdesign(family: UnitaryFamily, table: np.ndarray) -> UnitaryFamily | None:
-    """Smallest 2-design subgroup containing <X, Z> that is proper in `family`.
-
-    `table` is the family's `multiplication_table`.  Every subgroup
-    containing the Heisenberg-Weyl group HW = <X, Z> is searched through
-    the closures of HW with two HW coset representatives; among the
-    proper ones the smallest that reaches frame potential 2 is returned
-    (12 members at d=2, HW x Q8 with 72 at d=3), or None when none does.
+    `family` must be a group in which HW is normal, as the Clifford group is.
+    Members are mapped to HW cosets by their products g X^a Z^b, and HW closed
+    with two coset representatives is a BFS on the q x q table of their
+    products (q = 6 at d=2, 24 at d=3).  The first smallest proper closure of
+    frame potential 2 wins (12 members at d=2, HW x Q8 with 72 at d=3), else
+    None.  Raises ValueError when a product it reads is not a member.
     """
-    if (table < 0).any():
+    d, m, g = family.d, len(family), family.members
+    index = _member_index(g)
+    hw = np.stack([np.linalg.matrix_power(shift(d), a) @ np.linalg.matrix_power(clock(d), b)
+                   for a in range(d) for b in range(d)])
+    in_coset = _product_indices(g, hw, index)
+    first = in_coset.min(axis=1)  # the first member of each member's coset
+    reps = np.flatnonzero(first == np.arange(m))
+    products = _product_indices(g[reps], g[reps], index)
+    if (in_coset < 0).any() or (products < 0).any():
         raise ValueError("family is not closed under products; cannot search subgroups")
-    d, m = family.d, len(family)
-    index = _member_index(family.members)
-    hw_seeds = np.array([index[key] for key in _member_index(np.stack([shift(d), clock(d)]))])
-    hw = np.flatnonzero(_closure_mask(table, hw_seeds))
-    covered = np.zeros(m, dtype=bool)
-    reps = []
-    for a in range(m):
-        if not covered[a]:
-            reps.append(a)
-            covered[table[a, hw]] = True
-    best = None
-    for i, a in enumerate(reps):
-        for b in reps[i:]:
-            closed = np.flatnonzero(_closure_mask(table, np.append(hw_seeds, [a, b])))
-            if len(closed) == m or (best is not None and len(closed) >= len(best)):
+    coset = np.searchsorted(reps, first)
+    quotient = coset[products]
+    best, seen = None, set()
+    for i in range(len(reps)):
+        for j in range(i, len(reps)):
+            # from coset i, products with cosets i and j reach all of <HW, i, j>
+            inside = _reached(quotient[:, [i, j]], i)
+            closed, key = np.flatnonzero(inside[coset]), inside.tobytes()
+            if len(closed) == m or key in seen or (best is not None and len(closed) >= len(best)):
                 continue
-            sub = UnitaryFamily(d, family.members[closed], np.full(len(closed), 1.0 / len(closed)))
+            seen.add(key)
+            sub = UnitaryFamily(d, g[closed], np.full(len(closed), 1.0 / len(closed)))
             if abs(frame_potential(sub) - 2.0) <= DEFAULT_TOL:
                 best = sub
     if best is not None:

@@ -87,12 +87,12 @@ from .channel import (
 )
 from .designs import (
     clock,
+    closure_defect,
     conjugate_twirl,
     enumerate_clifford,
     find_minimal_subdesign,
     frame_potential,
     isotropic_projection,
-    multiplication_table,
 )
 from .linalg import (
     basis_state,
@@ -179,10 +179,6 @@ class _Context:
         return enumerate_clifford(self.d)
 
     @_shared
-    def table(self):
-        return multiplication_table(self.family)
-
-    @_shared
     def channel(self):
         return build_channel(self.d, self.family)
 
@@ -193,7 +189,7 @@ class _Context:
         12 members at d=2; at d=3 the 72-member HW x Q8 group (Gross,
         Audenaert & Eisert 2007).  Raises when the search finds none.
         """
-        alt = find_minimal_subdesign(self.family, self.table)
+        alt = find_minimal_subdesign(self.family)
         if alt is None:
             raise RuntimeError("no proper sub-design: no subgroup containing <X, Z> "
                                "reaches frame potential 2")
@@ -303,7 +299,7 @@ def _members(ctx):
 
 @_claim("design", "design.closure", "the family is closed under products modulo global phase")
 def _closure(ctx):
-    return int((ctx.table < 0).sum())
+    return closure_defect(ctx.family)
 
 
 @_claim("design", "design.frame_potential",

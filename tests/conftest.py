@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from zecheck.channel import build_channel
-from zecheck.designs import enumerate_clifford, find_minimal_subdesign, multiplication_table
+from zecheck.designs import enumerate_clifford, find_minimal_subdesign
 
 
 @pytest.fixture(scope="session")
@@ -29,12 +29,12 @@ def channel_d3(family_d3):
 
 @pytest.fixture(scope="session")
 def subdesign_d2(family_d2):
-    return find_minimal_subdesign(family_d2, multiplication_table(family_d2))
+    return find_minimal_subdesign(family_d2)
 
 
 @pytest.fixture(scope="session")
 def subdesign_d3(family_d3):
-    return find_minimal_subdesign(family_d3, multiplication_table(family_d3))
+    return find_minimal_subdesign(family_d3)
 
 
 @pytest.fixture

@@ -371,14 +371,14 @@ def test_main_writes_a_device_in_place():
 def test_failing_claim_exit_code_and_anchor(monkeypatch, capsys):
     # a raising kernel must surface as one failed claim, not a crash
     def broken(family):
-        raise RuntimeError("multiplication table unavailable")
+        raise RuntimeError("closure certificate unavailable")
 
-    monkeypatch.setattr("zecheck.suites.multiplication_table", broken)
+    monkeypatch.setattr("zecheck.suites.closure_defect", broken)
     code = main(["verify", "--d", "2", "--suite", "design", "--trials", "5", "--format", "text"])
     captured = capsys.readouterr()
     assert code == 1
     assert "[FAIL] design.closure" in captured.out
-    assert "multiplication table unavailable" in captured.out
+    assert "closure certificate unavailable" in captured.out
 
 
 def test_subprocess_entrypoint(tmp_path):

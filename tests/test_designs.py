@@ -8,14 +8,17 @@ from zecheck.designs import (
     UnitaryFamily,
     _canonical_phases,
     _dedup_keys,
+    _member_index,
+    _product_indices,
+    clifford_generators,
     clock,
+    closure_defect,
     conjugate_twirl,
     enumerate_clifford,
     find_minimal_subdesign,
     fourier,
     frame_potential,
     isotropic_projection,
-    multiplication_table,
     shift,
     verify_two_design,
 )
@@ -62,14 +65,47 @@ def test_verified_flag(family_d2):
     assert not broken.verified
 
 
+def missing_products(family, right):
+    """(m, k) mask of the products g_i r_k modulo phase that are not members."""
+    g, d = family.members, family.d
+    keys = set(_dedup_keys(_canonical_phases(g)))
+    prods = _canonical_phases(np.matmul(g[:, None], right[None]).reshape(-1, d, d))
+    return np.reshape([key not in keys for key in _dedup_keys(prods)], (len(g), len(right)))
+
+
+def all_pairs_missing(family):
+    """Products g_i g_j modulo phase that are not members: the m^2 reference check."""
+    return int(missing_products(family, family.members).sum())
+
+
+def missing_generator_products(family):
+    return missing_products(family, np.stack(clifford_generators(family.d)))
+
+
+def without_a_member(full):
+    m = len(full)
+    keep = np.arange(m) != m // 2  # member 0 is the identity
+    return UnitaryFamily(full.d, full.members[keep], np.full(m - 1, 1.0 / (m - 1)), verified=True)
+
+
+def with_t_coset(family_d2):
+    """G u T G with T = diag(1, e^{i pi/4}): closed under the generators, half unreachable."""
+    t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    members = np.concatenate([family_d2.members, _canonical_phases(t @ family_d2.members)])
+    return UnitaryFamily(2, members, np.full(48, 1.0 / 48))
+
+
 def test_group_closure(family_d2, family_d3):
-    for fam in (family_d2, family_d3):
-        table = multiplication_table(fam)
-        assert (table >= 0).all()
+    # the generator certificate agrees with the all-pairs check on closed and open families
+    for fam, closed in [(family_d2, True), (family_d3, True), (without_a_member(family_d2), False),
+                        (without_a_member(family_d3), False), (with_t_coset(family_d2), False)]:
+        assert (closure_defect(fam) == 0) == closed
+        assert (all_pairs_missing(fam) == 0) == closed
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_multiplication_table_matches_pairwise_reference(d, family_d2, family_d3):
+    # the product-index table the closure check and the sub-design search read
     fam = family_d2 if d == 2 else family_d3
     g = fam.members
     rows = range(0, len(g), 1 if d == 2 else 6)  # 36 of the 216 rows at d=3
@@ -78,50 +114,33 @@ def test_multiplication_table_matches_pairwise_reference(d, family_d2, family_d3
         [index.get(_dedup_keys(_canonical_phases((g[i] @ b)[None]))[0], -1) for b in g]
         for i in rows
     ])
-    np.testing.assert_array_equal(multiplication_table(fam)[list(rows)], expected)
-
-
-def one_shot_table(family):
-    """The table from one stack of all m^2 products, the build before row blocks."""
-    g, m, d = family.members, len(family), family.d
-    index = {key: i for i, key in enumerate(_dedup_keys(_canonical_phases(g)))}
-    prods = _canonical_phases(np.matmul(g[:, None], g[None, :]).reshape(m * m, d, d))
-    return np.array([index.get(key, -1) for key in _dedup_keys(prods)]).reshape(m, m)
-
-
-@pytest.mark.parametrize("one_row", [False, True])
-@pytest.mark.parametrize("d", [2, 3])
-def test_blocked_table_equals_one_shot_build(d, one_row, family_d2, family_d3, monkeypatch):
-    fam = family_d2 if d == 2 else family_d3
-    if one_row:
-        monkeypatch.setattr(zecheck.designs, "_TABLE_PRODUCTS", 1)
-    got = multiplication_table(fam)
-    want = one_shot_table(fam)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
-
-
-def test_table_working_set(family_d3, traced_peak):
-    # one stack of all 216^2 products traced about 21 MiB
-    assert traced_peak(lambda: multiplication_table(family_d3)) < 4.0
+    got = _product_indices(g[list(rows)], g, _member_index(g))
+    np.testing.assert_array_equal(got, expected)
+    assert (got >= 0).all()
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_closure_fails_without_a_member(d, family_d2, family_d3, monkeypatch):
-    full = family_d2 if d == 2 else family_d3
-    m = len(full)
-    keep = np.arange(m) != m // 2  # member 0 is the identity
-    fam = UnitaryFamily(d, full.members[keep], np.full(m - 1, 1.0 / (m - 1)), verified=True)
-    table = multiplication_table(fam)
-    # g_i g_j hits the deleted member for exactly one j in every non-identity row i
-    assert (table[0] >= 0).all()
-    assert ((table < 0).sum(axis=1)[1:] == 1).all()
+    fam = without_a_member(family_d2 if d == 2 else family_d3)
+    # g s hits the deleted member for exactly one surviving g per generator s
+    assert (missing_generator_products(fam).sum(axis=0) == 1).all()
+    assert closure_defect(fam) == 4  # and every surviving member is still reached from I
 
     monkeypatch.setattr("zecheck.suites.enumerate_clifford", lambda d: fam)
     report = execute(RunConfig(d=d, suites=("design",), trials=5))
     closure = next(c for c in report.claims if c.claim_id == "design.closure")
     assert not closure.passed
-    assert closure.value == m - 2
+    assert closure.value == 4
+
+
+def test_closure_fails_on_members_unreached_from_the_identity(family_d2, monkeypatch):
+    fam = with_t_coset(family_d2)
+    assert not missing_generator_products(fam).any()  # only the reachability half can fail it
+    monkeypatch.setattr("zecheck.suites.enumerate_clifford", lambda d: fam)
+    report = execute(RunConfig(d=2, suites=("design",), trials=5))
+    closure = next(c for c in report.claims if c.claim_id == "design.closure")
+    assert not closure.passed
+    assert closure.value == 24  # the 24 members of T G
 
 
 def test_canonical_phase_normalizes():
@@ -205,62 +224,61 @@ def test_subdesign_search(family_d2, subdesign_d2):
     # the members the all-pairs closure search returned, in the same order
     assert member_indices(family_d2, subdesign_d2) == [0, 3, 4, 5, 8, 12, 14, 15, 16, 19, 20, 21]
     # inside the 12-member design only HW itself and the whole family contain <X, Z>
-    assert find_minimal_subdesign(subdesign_d2, multiplication_table(subdesign_d2)) is None
+    assert find_minimal_subdesign(subdesign_d2) is None
 
 
-def test_subdesign_search_d3(family_d3):
-    table = multiplication_table(family_d3)
-    sub = find_minimal_subdesign(family_d3, table)
-    assert len(sub) == 72
-    assert sub.verified
-    assert abs(frame_potential(sub) - 2.0) <= 1e-9
-    idx = member_indices(family_d3, sub)
-    inside = np.zeros(len(family_d3), dtype=bool)
-    inside[idx] = True
-    assert inside[table[np.ix_(idx, idx)]].all()  # closed under products
-    assert not inside.all()
+def test_subdesign_search_d3(family_d3, subdesign_d3):
+    assert len(subdesign_d3) == 72
+    assert subdesign_d3.verified
+    assert abs(frame_potential(subdesign_d3) - 2.0) <= 1e-9
+    assert all_pairs_missing(subdesign_d3) == 0  # closed under products
+    idx = member_indices(family_d3, subdesign_d3)
+    # the members the all-pairs closure search returned, in the same order
+    assert idx == [0, 1, 3, 4, 5, 7, 8, 13, 15, 16, 17, 18, 20, 21, 26, 28, 29, 42, 44, 49, 50, 52,
+                   53, 57, 59, 71, 73, 78, 83, 89, 101, 104, 105, 110, 114, 123, 129, 134, 142,
+                   144, 154, 155, 156, 158, 160, 162, 163, 167, 169, 171, 175, 177, 184, 186, 193,
+                   194, 195, 196, 197, 200, 202, 205, 206, 207, 208, 209, 210, 211, 212, 213, 214,
+                   215]
     hw = member_indices(family_d3, UnitaryFamily(3, np.stack([shift(3), clock(3)]), np.ones(2)))
-    assert inside[hw].all()
+    assert set(hw) <= set(idx)
 
 
-def test_a_run_builds_one_multiplication_table(monkeypatch):
+def test_a_run_searches_the_subdesign_once(monkeypatch):
     calls = []
 
     def counted(family):
         calls.append(len(family))
-        return multiplication_table(family)
+        return find_minimal_subdesign(family)
 
-    for module in ("zecheck.suites", "zecheck.designs"):
-        monkeypatch.setattr(f"{module}.multiplication_table", counted)
+    monkeypatch.setattr("zecheck.suites.find_minimal_subdesign", counted)
     report = execute(RunConfig(d=2, suites=("design", "channel", "ncgraph"), trials=5))
     assert report.overall_pass
     assert calls == [24]
 
 
-def test_a_failing_table_is_built_once(monkeypatch):
+def test_a_failing_subdesign_search_runs_once(monkeypatch):
     calls = []
 
     def broken(family):
         calls.append(len(family))
-        raise RuntimeError("multiplication table unavailable")
+        raise RuntimeError("sub-design search unavailable")
 
-    monkeypatch.setattr("zecheck.suites.multiplication_table", broken)
+    monkeypatch.setattr("zecheck.suites.find_minimal_subdesign", broken)
     report = execute(RunConfig(d=2, suites=("design", "channel", "ncgraph"), trials=5))
-    readers = {"design.closure", "channel.alt_design_identity", "ncgraph.design_independence"}
+    readers = {"channel.alt_design_identity", "ncgraph.design_independence"}
     for claim in report.claims:
         if claim.claim_id in readers:
             assert not claim.passed and claim.value is None, claim.claim_id
-            assert claim.detail == "RuntimeError: multiplication table unavailable"
+            assert claim.detail == "RuntimeError: sub-design search unavailable"
         else:
             assert claim.passed, claim.claim_id
     assert calls == [24]
 
 
-def test_subdesign_search_needs_a_closed_table(family_d2):
-    table = multiplication_table(family_d2)
-    table[1, 2] = -1
-    with pytest.raises(ValueError):
-        find_minimal_subdesign(family_d2, table)
+@pytest.mark.parametrize("d", [2, 3])
+def test_subdesign_search_needs_a_closed_family(d, family_d2, family_d3):
+    with pytest.raises(ValueError, match="not closed under products"):
+        find_minimal_subdesign(without_a_member(family_d2 if d == 2 else family_d3))
 
 
 def test_closure_size_cap(monkeypatch):

@@ -86,7 +86,7 @@ def test_pauli_group_breaks_central_identity(n):
 
 
 def test_missing_subdesign_fails_both_alt_claims(monkeypatch):
-    monkeypatch.setattr(zecheck.suites, "find_minimal_subdesign", lambda family, table: None)
+    monkeypatch.setattr(zecheck.suites, "find_minimal_subdesign", lambda family: None)
     report = execute(RunConfig(d=2, n=1, trials=5))
     alt = {c.claim_id: c for c in report.claims if c.claim_id in
            ("channel.alt_design_identity", "ncgraph.design_independence")}
