@@ -9,6 +9,7 @@ projector and its complement.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .report import SUPPORTED_D
 SIZE_CAP = 10_000
 DEDUP_DECIMALS = 10
 PHASE_ZERO_TOL = 1e-8  # entries at most this large do not count as a phase pivot
+_CONJUGATION_BLOCK_ENTRIES = 2**15  # entries of one block of conjugation_blocks, 512 KiB
 
 
 @dataclass
@@ -129,6 +131,11 @@ def frame_potential(family: UnitaryFamily) -> float:
     return float(family.weights @ t @ family.weights)
 
 
+def unitarity_defect(us: np.ndarray) -> float:
+    """max |u^dag u - I| over the entries of every matrix of the stack."""
+    return float(np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])).max())
+
+
 def verify_two_design(family: UnitaryFamily) -> bool:
     """Check unitarity, phase-distinctness, weights and frame potential."""
     g = family.members
@@ -137,10 +144,7 @@ def verify_two_design(family: UnitaryFamily) -> bool:
     if m == 0 or g.shape != (m, d, d):
         family.verified = False
         return False
-    eye = np.eye(d)
-    unitary = max(
-        float(np.abs(u.conj().T @ u - eye).max()) for u in g
-    )
+    unitary = unitarity_defect(g)
     distinct = len(_member_index(g)) == m
     w = family.weights
     weights_ok = w.min() >= -DEFAULT_TOL and abs(w.sum() - 1.0) <= DEFAULT_TOL
@@ -150,21 +154,42 @@ def verify_two_design(family: UnitaryFamily) -> bool:
     return family.verified
 
 
+def conjugation_blocks(family: UnitaryFamily) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The family's K_j = g_j (x) conj(g_j) and weights, a block of members at a time.
+
+    A block (k, w) holds k[r, j, c] = K_j[r, c], a (d^2, b, d^2) array, and the
+    b weights w_j.  With j inside, m K_j for every j is the one product
+    m @ k.reshape(d^2, -1), and K_j m is k.reshape(-1, d^2) @ m.  A block holds
+    _CONJUGATION_BLOCK_ENTRIES entries or fewer, one member at least: every
+    member at d <= 3, 52 members at a time at d = 5.
+    """
+    d, dd = family.d, family.d**2
+    step = max(1, _CONJUGATION_BLOCK_ENTRIES // dd**2)
+    for lo in range(0, len(family), step):
+        g = family.members[lo : lo + step]
+        k = np.einsum("jab,jcd->acjbd", g, g.conj()).reshape(dd, len(g), dd)
+        yield k, family.weights[lo : lo + step]
+
+
 def conjugate_twirl(family: UnitaryFamily, m: np.ndarray) -> np.ndarray:
     """Weighted average of (g (x) conj(g))^dag m (g (x) conj(g)).
 
     For an exact 2-design this equals the projection
     tr(m P) P + tr(m (I-P)) (I-P) / (d^2 - 1) with P the maximally
-    entangled projector.
+    entangled projector.  Per block of `conjugation_blocks`, the sum
+    sum_j w_j K_j^dag (m K_j) is two matrix products, and the block's K
+    and w_j m K_j are the only stacks it holds.
     """
     d = family.d
     m = np.asarray(m, dtype=complex)
     if m.shape != (d * d, d * d):
         raise ValueError(f"twirl input must act on two {d}-dimensional factors")
     out = np.zeros_like(m)
-    for g, w in zip(family.members, family.weights):
-        k = np.kron(g, g.conj())
-        out += w * (k.conj().T @ m @ k)
+    for k, w in conjugation_blocks(family):
+        mk = (m @ k.reshape(d * d, -1)).reshape(k.shape)
+        mk *= w[:, None]
+        # rows (r, j) of both: sum_{r, j} conj(K_j[r, a]) w_j (m K_j)[r, c]
+        out += np.conj(k, out=k).reshape(-1, d * d).T @ mk.reshape(-1, d * d)
     return out
 
 

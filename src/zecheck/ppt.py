@@ -20,8 +20,13 @@ come back in candidate order, so every value is that of a one-CPU run.
 joins them: `suites.execute` starts the search before its first claim,
 and the join has this process take the windows still queued.  One
 window holds _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates
-at 16x16, 50 at 9x9 and 256 at 4x4, and each round of the alternation
-makes one Cholesky, eigh and transpose call for the whole window.
+at 16x16, 50 at 9x9 and 256 at 4x4, and each step of the alternation
+is one call for the whole window (`_project_stack`): round 0 transposes
+the window, decides it by one eigh and transposes the clips back, and
+each later check makes one Cholesky factorization, and one eigh if that
+fails.  Nearly every window at (2,2) and (3,2) takes one eigh, one
+Cholesky factorization and two transposes in all: at seed 7, every one
+of 188 windows of 16 and of 1000 windows of one.
 Below about 16x16 a candidate's cost is numpy and LAPACK call overhead,
 which the stack shares out; at 81x81 the eigh itself dominates, a
 stacked one saves nothing and the larger stacks cost time, so there
@@ -253,15 +258,15 @@ def _psd_clip(ms: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Mask of the stack's matrices with lambda_min < -_PSD_TOL, and their clips in mask order.
 
     A clip is the matrix with its negative eigenvalues set to 0; both
-    entries are None when no matrix needs one.  One Cholesky
-    factorization of the stack ms + (_PSD_TOL/2) I accepts every matrix: its
-    success certifies lambda_min >= -_PSD_TOL/2 minus a backward error of
-    O(dim * eps * ||m||), with ||m|| <= 1 for a trace-one PSD matrix and
-    for its partial transpose, so the eigenvalue test would accept each
-    of them too.  Only a failed factorization pays for one stacked
-    `eigh`, which decides every matrix; one whose own factorization
-    passed is accepted by it as well, so each matrix gets the decision
-    it would get alone.
+    entries are None when no matrix needs one.  The stack must hold
+    Hermitian matrices of norm at most about 1, as a trace-one PSD matrix
+    and its partial transpose are.  One Cholesky factorization of the
+    stack ms + (_PSD_TOL/2) I accepts every matrix: its success certifies
+    lambda_min >= -_PSD_TOL/2 minus a backward error of
+    O(dim * eps * ||m||), so the eigenvalue test would accept each of
+    them too.  Only a failed factorization pays for `_eigh_clip`, which
+    decides every matrix; one whose own factorization passed is accepted
+    by it as well, so each matrix gets the decision it would get alone.
     """
     shifted = ms.copy()
     shifted.reshape(len(ms), -1)[:, :: ms.shape[-1] + 1] += _PSD_TOL / 2  # the diagonals
@@ -269,14 +274,19 @@ def _psd_clip(ms: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         np.linalg.cholesky(shifted)
         return None, None
     except np.linalg.LinAlgError:
-        pass
+        return _eigh_clip(ms)
+
+
+def _eigh_clip(ms: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """`_psd_clip`'s result from one stacked `eigh`, with no Cholesky factorization first."""
     w, v = np.linalg.eigh(ms)
     clip = ~(w.min(axis=-1) >= -_PSD_TOL)
     if not clip.any():
         return None, None
     if not clip.all():
         w, v = w[clip], v[clip]
-    return clip, (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    vw = v * np.clip(w, 0.0, None)[:, None, :]
+    return clip, vw @ np.conj(v, out=v).swapaxes(-1, -2)
 
 
 def _normalized(ms: np.ndarray, names: np.ndarray) -> np.ndarray:
@@ -289,39 +299,56 @@ def _normalized(ms: np.ndarray, names: np.ndarray) -> np.ndarray:
 
 
 def _hermitized(ms: np.ndarray) -> np.ndarray:
-    return (ms + ms.conj().swapaxes(-1, -2)) / 2
+    """ms, which the caller owns, overwritten by (ms + ms^dag) / 2."""
+    ms += ms.conj().swapaxes(-1, -2)
+    ms /= 2
+    return ms
 
 
 def _project_stack(ms: np.ndarray, d: int, n: int, first: int = 0) -> list[np.ndarray | None]:
-    """Alternating eigenvalue clipping on each matrix of a stack and on its pairwise transpose.
+    """Alternating eigenvalue clipping on each Gram matrix of a stack and on its pairwise transpose.
 
+    `ms` must hold Gram matrices G G^dag, as `_search_candidates` draws them.
     Entry i, for candidate first+i, is a trace-one PPT matrix, or None when its
     alternation does not converge within _MAX_ROUNDS rounds; the matrix alone
-    would get the same.  Each round applies `_psd_clip` to the active stack,
-    then to its pairwise transpose; a matrix whose transpose passes retires,
-    so callers need not check it: it passed at _PSD_TOL too, or is that
-    round's clip, PSD up to rounding.  A matrix that is not finite after a
-    normalization raises `ValueError` naming it: a Cholesky factorization of
-    NaN can succeed.
+    would get the same.  A round checks the direct side and then the pairwise
+    transpose; a side that needs no clip retires the matrix, so callers need
+    not check it, and a side that does is clipped (`_psd_clip`) and the
+    alternation goes on from the clip.  Two checks whose outcome is known are
+    left out.  An entry of a formed Gram or clip V D V^dag (D >= 0, as G G^dag
+    or as `_eigh_clip` forms it) is a complex inner product of length <= k,
+    the side, so its error obeys |E| <= gamma_{k+3} |V| D |V^dag| (Higham,
+    Accuracy and Stability of Numerical Algorithms, sections 3.5-3.6) and
+    ||E||_2 <= gamma_{k+3} tr(V D V^dag); the exact product is PSD, so over
+    its trace the formed matrix has lambda_min >= -gamma_{k+3}, about 1e-14 at
+    k = 81, far above the Cholesky shift -_PSD_TOL/2:
+    - round 0's direct side is such a Gram, so it is not checked;
+    - a later round's transpose of a matrix whose direct side passed is
+      exactly the previous round's clip, hermitized and over its trace (the
+      pairwise transpose is a permutation that commutes with the adjoint and
+      keeps the diagonal), so the matrix retires on its direct side.
+    Round 0 decides the transposed side by `_eigh_clip` alone: a random Gram
+    is almost never PPT, and no search window's stacked Cholesky
+    factorization of it passed at any supported (d, n).  A matrix that is
+    not finite after a normalization raises `ValueError` naming it: a
+    Cholesky factorization of NaN can succeed.
     """
     out: list[np.ndarray | None] = [None] * len(ms)
     names = np.arange(first, first + len(ms))
-    cur = _normalized(_hermitized(np.asarray(ms, dtype=complex)), names)
-    for _ in range(_MAX_ROUNDS):
-        clip, psd = _psd_clip(cur)
-        if psd is not None and len(psd) == len(cur):
-            cur = _normalized(psd, names)
-        elif psd is not None:
-            cur[clip] = _normalized(psd, names[clip])
-        g = pairwise_partial_transpose(cur, d, n)
-        clip, ppt = _psd_clip(g)
-        if ppt is None or len(ppt) < len(cur):
-            for i in range(len(cur)) if ppt is None else np.flatnonzero(~clip):
-                out[names[i] - first] = cur[i]
-            if ppt is None:
-                return out
-            names = names[clip]
-        cur = _normalized(_hermitized(pairwise_partial_transpose(ppt, d, n)), names)
+    cur = _normalized(_hermitized(np.array(ms, dtype=complex)), names)
+    # the transposed side at even steps, the direct side at odd ones: round 0 is step 0 alone
+    for step in range(2 * _MAX_ROUNDS - 1):
+        transposed = step % 2 == 0
+        check = _eigh_clip if step == 0 else _psd_clip
+        clip, fixed = check(pairwise_partial_transpose(cur, d, n) if transposed else cur)
+        for i in range(len(cur)) if fixed is None else np.flatnonzero(~clip):
+            out[names[i] - first] = cur[i]
+        if fixed is None:
+            return out
+        names = names[clip]
+        if transposed:
+            fixed = _hermitized(pairwise_partial_transpose(fixed, d, n))
+        cur = _normalized(fixed, names)
     return out
 
 

@@ -89,10 +89,12 @@ from .designs import (
     clock,
     closure_defect,
     conjugate_twirl,
+    conjugation_blocks,
     enumerate_clifford,
     find_minimal_subdesign,
     frame_potential,
     isotropic_projection,
+    unitarity_defect,
 )
 from .linalg import (
     basis_state,
@@ -292,8 +294,7 @@ def _run(spec: _Spec, ctx: _Context) -> ClaimResult:
 @_claim("design", "design.members", "every family member is unitary and phase-distinct", tol=1e-9)
 def _members(ctx):
     fam = ctx.family
-    eye = np.eye(ctx.d)
-    worst = _worst(*(np.abs(g.conj().T @ g - eye).max() for g in fam.members))
+    worst = unitarity_defect(fam.members)
     return _Verdict(worst, worst <= 1e-9 and fam.verified, f"members={len(fam)}")
 
 
@@ -341,10 +342,11 @@ def _design_twirl_invariance(ctx):
     fam = ctx.family
     m = random_psd(ctx.d * ctx.d, case_rng(ctx.config.seed, "design", 1))
     twirled = conjugate_twirl(fam, m)
-    worst = _worst(*(
-        np.abs(twirled @ np.kron(g, g.conj()) - np.kron(g, g.conj()) @ twirled).max()
-        for g in fam.members
-    ))
+    dd = ctx.d * ctx.d
+    # per block, twirled K_j and K_j twirled for every j, in conjugation_blocks' (r, j, c) layout
+    worst = _worst(*(np.abs((twirled @ k.reshape(dd, -1)).reshape(k.shape)
+                            - (k.reshape(-1, dd) @ twirled).reshape(k.shape)).max()
+                     for k, _ in conjugation_blocks(fam)))
     worst = _worst(worst, abs(np.trace(twirled).real - np.trace(m).real))
     return _worst(worst, -min_eigenvalue(twirled))
 
@@ -802,13 +804,12 @@ def _recursion_refutes(ctx):
         "conjugated unit blocks span the full algebra (k=l) or the traceless "
         "matrices (k!=l)")
 def _block_dims(ctx):
-    d = ctx.d
+    d, g = ctx.d, ctx.family.members
     bad = 0
     for k in range(d):
         for l in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[l, k] = 1.0
-            dim = operator_span(np.stack([v.conj().T @ unit @ v for v in ctx.family.members])).dim
+            # V^dag |l><k| V = conj(V[l]) (x) V[k] as an outer product of rows, for every member V
+            dim = operator_span(g.conj()[:, l, :, None] * g[:, k, None, :]).dim
             if dim != (d * d if k == l else d * d - 1):
                 bad += 1
     return bad, "diagonal blocks d^2, off-diagonal d^2-1"

@@ -14,12 +14,14 @@ from zecheck.designs import (
     clock,
     closure_defect,
     conjugate_twirl,
+    conjugation_blocks,
     enumerate_clifford,
     find_minimal_subdesign,
     fourier,
     frame_potential,
     isotropic_projection,
     shift,
+    unitarity_defect,
     verify_two_design,
 )
 from zecheck.linalg import max_entangled_projector, random_psd
@@ -205,6 +207,49 @@ def test_twirl_output_commutes_with_family(family_d2):
     for g in family_d2.members:
         k = np.kron(g, g.conj())
         assert np.abs(t @ k - k @ t).max() <= 1e-9
+
+
+def looped_twirl(family, m):
+    """conjugate_twirl as a loop over the members."""
+    out = np.zeros(m.shape, dtype=complex)
+    for g, w in zip(family.members, family.weights):
+        k = np.kron(g, g.conj())
+        out += w * (k.conj().T @ m @ k)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["clifford", "subdesign", "weighted"])
+def test_stacked_twirl_matches_the_member_loop(d, kind, family_d2, family_d3,
+                                               subdesign_d2, subdesign_d3):
+    fam = ((subdesign_d2, subdesign_d3) if kind == "subdesign" else (family_d2, family_d3))[d - 2]
+    rng = np.random.default_rng(5)
+    if kind == "weighted":
+        w = rng.random(len(fam))
+        fam = UnitaryFamily(d, fam.members, w / w.sum())
+    m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    assert np.abs(conjugate_twirl(fam, m) - looped_twirl(fam, m)).max() <= 1e-12
+
+
+def test_twirl_blocks_bound_the_stacks(family_d3, monkeypatch):
+    # 7 members of 81 entries per block: 30 full blocks and one of 6 at m = 216
+    monkeypatch.setattr(zecheck.designs, "_CONJUGATION_BLOCK_ENTRIES", 7 * 81 + 80)
+    blocks = list(conjugation_blocks(family_d3))
+    assert [k.shape for k, _ in blocks] == [(9, 7, 9)] * 30 + [(9, 6, 9)]
+    k = np.concatenate([k for k, _ in blocks], axis=1)
+    g = family_d3.members
+    assert np.abs(k.transpose(1, 0, 2) - [np.kron(u, u.conj()) for u in g]).max() <= 1e-15
+    assert np.array_equal(np.concatenate([w for _, w in blocks]), family_d3.weights)
+    m = random_psd(9, np.random.default_rng(6))
+    assert np.abs(conjugate_twirl(family_d3, m) - looped_twirl(family_d3, m)).max() <= 1e-12
+
+
+def test_unitarity_defect_is_the_worst_member(family_d3):
+    g = family_d3.members.copy()
+    assert unitarity_defect(g) <= 1e-12
+    g[100] *= 1 + 1e-6
+    looped = max(np.abs(u.conj().T @ u - np.eye(3)).max() for u in g)
+    assert unitarity_defect(g) == pytest.approx(looped) and looped > 1e-6
 
 
 def test_twirl_dimension_mismatch(family_d2):

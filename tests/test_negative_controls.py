@@ -85,6 +85,27 @@ def test_pauli_group_breaks_central_identity(n):
     assert worst > 0.05
 
 
+def test_pauli_group_fails_the_twirl_claims(monkeypatch):
+    monkeypatch.setattr(zecheck.suites, "enumerate_clifford", lambda d: bypassed())
+    report = execute(RunConfig(d=2, n=1, trials=5, suites=("design", "ncgraph")))
+    claims = {c.claim_id: c for c in report.claims}
+    for claim_id in ("design.frame_potential", "design.twirl_clock_form",
+                     "design.twirl_projection", "ncgraph.twirl_units"):
+        assert not claims[claim_id].passed and claims[claim_id].value > 0.1
+    # the four Paulis conjugate |l><k| to only d^2 = 4 operators, some of them alike
+    assert not claims["ncgraph.block_dims"].passed and claims["ncgraph.block_dims"].value > 0
+    # a group's twirl commutes with its own conjugations, so the Pauli twirl does too
+    assert claims["design.twirl_invariance"].passed
+
+
+def test_an_identity_twirl_fails_twirl_invariance(monkeypatch):
+    # m itself commutes with no g (x) conj(g) but the identity: the stacked commutator sees it
+    monkeypatch.setattr(zecheck.suites, "conjugate_twirl", lambda family, m: m)
+    claim = execute(RunConfig(d=3, n=1, trials=5, suites=("design",))).claims
+    claim = {c.claim_id: c for c in claim}["design.twirl_invariance"]
+    assert not claim.passed and claim.value > 0.01
+
+
 def test_missing_subdesign_fails_both_alt_claims(monkeypatch):
     monkeypatch.setattr(zecheck.suites, "find_minimal_subdesign", lambda family: None)
     report = execute(RunConfig(d=2, n=1, trials=5))

@@ -17,7 +17,10 @@ from zecheck.linalg import (
 from zecheck.ppt import (
     IsotropicDecomposition,
     PPTSearchResult,
+    _hermitized,
+    _normalized,
     _project_stack,
+    _psd_clip,
     _search_candidates,
     build_ppt_witness,
     constraint_score,
@@ -30,7 +33,7 @@ from zecheck.ppt import (
     start_search,
     transposed_eigenvalues,
 )
-from zecheck.report import RunConfig
+from zecheck.report import SUPPORTED_D, SUPPORTED_N, RunConfig
 from zecheck.suites import execute
 
 
@@ -205,20 +208,23 @@ def test_projection_produces_ppt():
         assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
 
 
+# the search candidates (d, n, seed, t) whose alternation clips the direct side after round 0
+DIRECT_CLIP_CANDIDATES = [(3, 1, 5, 616), (3, 1, 7, 486), (2, 2, 5, 110)]
+
+
 def test_projection_clips_the_direct_side():
-    # Phi^Gamma = SWAP/2 is trace one with eigenvalue -1/2 and its partial
-    # transpose Phi is PSD, so only the direct-side clip can make it PSD
-    swap = partial_transpose(max_entangled_projector(2), (2, 2), 0)
-    u = random_unitary(4, np.random.default_rng(13))
-    mixed = u @ np.diag([0.6, 0.5, 0.2, -0.3]) @ u.conj().T
-    for m in (swap, mixed):
-        assert np.trace(m).real == pytest.approx(1.0)
-        assert np.linalg.eigvalsh(m).min() < -0.1
-        cand = project_to_ppt(m, 2, 1)
-        assert cand is not None
-        assert np.linalg.eigvalsh(cand).min() >= -1e-8
+    tol = zecheck.ppt._PSD_TOL
+    for d, n, seed, t in DIRECT_CLIP_CANDIDATES:
+        m = _search_candidates(d, n, seed, t, t + 1)[0]
+        # round 0 clips the transpose, and the matrix it leaves has a direct side to clip
+        w, v = np.linalg.eigh(pairwise_partial_transpose(m, d, n))
+        assert w.min() < -tol
+        after = pairwise_partial_transpose((v * np.clip(w, 0.0, None)) @ v.conj().T, d, n)
+        assert np.linalg.eigvalsh(after).min() < -tol * np.trace(after).real
+        cand = project_to_ppt(m, d, n)
+        assert cand is not None and np.array_equal(cand, two_eigh_project_to_ppt(m, d, n))
         # the returned matrix itself passed both checks at project_to_ppt's tol
-        assert is_ppt(cand, 2, 1, tol=1e-10)
+        assert is_ppt(cand, d, n, tol=tol)
         assert np.trace(cand).real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -269,9 +275,22 @@ def transpose_edge_input(d, n, lam, rng):
     return tensor(pair, *[np.eye(d * d) / (d * d)] * (n - 1))
 
 
+def counted_calls(monkeypatch, module, name):
+    """The argument shapes of every call of module.name from now on, in call order."""
+    calls = []
+    f = getattr(module, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return f(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
 @pytest.mark.parametrize("scale,certified,clipped,side", [
-    # the side under test has lambda_min = -scale * tol, the other is PD
+    # the edge matrix has lambda_min = -scale * tol; the other side of it is PD
     pytest.param(0.25, True, False, "transpose", id="0.25-True-False"),  # Cholesky accepts
     pytest.param(0.75, False, False, "transpose", id="0.75-False-False"),  # eigh accepts
     pytest.param(2.0, False, True, "transpose", id="2.0-False-True"),  # eigh clips
@@ -280,65 +299,64 @@ def transpose_edge_input(d, n, lam, rng):
     pytest.param(2.0, False, True, "direct", id="direct-2.0-False-True"),
 ])
 def test_projection_at_the_transpose_tolerance(d, n, scale, certified, clipped, side, monkeypatch):
+    """`_psd_clip`, the rule of every check after round 0, at its tolerance edge.
+
+    "transpose" gives it the edge alone, as the pairwise transpose of a PD
+    matrix, and projects that matrix, whose round 0 decides the transposed
+    side by one eigh; "direct" gives it the edge as the direct side of a
+    stack's second matrix, beside a PD one, as a later round's direct check
+    sees its active matrices.
+    """
     tol = zecheck.ppt._PSD_TOL
     m = transpose_edge_input(d, n, -scale * tol, np.random.default_rng(31))
-    if side == "direct":
-        m = pairwise_partial_transpose(m, d, n)
     start = (m + m.conj().T) / 2
     start = start / np.trace(start).real
-    edge, other = start, pairwise_partial_transpose(start, d, n)
-    if side == "transpose":
-        edge, other = other, edge
-    assert np.linalg.eigvalsh(other).min() > 0.01
+    edge = pairwise_partial_transpose(start, d, n)
+    assert np.linalg.eigvalsh(start).min() > 0.01
     assert np.linalg.eigvalsh(edge).min() == pytest.approx(-scale * tol, rel=1e-3)
-    want = two_eigh_project_to_ppt(m, d, n)
-    eigh_calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        eigh_calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    one_round = project_to_ppt(m, d, n, max_rounds=1)
+    stack = edge[None] if side == "transpose" else np.array([start, edge])
+    eigh_calls = counted_calls(monkeypatch, np.linalg, "eigh")
+    clip, fixed = _psd_clip(stack)
     assert len(eigh_calls) == (0 if certified else 1)
+    if not clipped:
+        assert clip is None and fixed is None
+    else:
+        assert clip.tolist() == [False] * (len(stack) - 1) + [True]
+        w, v = np.linalg.eigh(edge)
+        assert np.array_equal(fixed[0], (v * np.clip(w, 0.0, None)) @ v.conj().T)
+    if side == "direct":
+        return
+    want = two_eigh_project_to_ppt(m, d, n)
+    eigh_calls.clear()
+    one_round = project_to_ppt(m, d, n, max_rounds=1)
+    assert eigh_calls == [edge[None].shape]
     got = project_to_ppt(m, d, n)
     assert got is not None and np.array_equal(got, want)
     if not clipped:
         assert np.array_equal(one_round, start) and np.array_equal(got, start)
-    elif side == "direct":
-        # the round that clips the direct side goes on to check the transpose
-        assert np.array_equal(one_round, got) and not np.array_equal(got, start)
     else:
         assert one_round is None and not np.array_equal(got, start)
 
 
 def mixed_stack(d, n):
-    """Four search candidates and the edge inputs at 0.25, 0.75 and 2.0 tol on either side."""
+    """Four search candidates, the edge inputs at 0.25, 0.75 and 2.0 tol, and the direct clips."""
     rng = np.random.default_rng(37)
     stack = list(_search_candidates(d, n, 7, 0, 4))
-    for scale in (0.25, 0.75, 2.0):
-        edge = transpose_edge_input(d, n, -scale * 1e-10, rng)
-        stack += [edge, pairwise_partial_transpose(edge, d, n)]
+    stack += [transpose_edge_input(d, n, -scale * 1e-10, rng) for scale in (0.25, 0.75, 2.0)]
+    stack += [_search_candidates(d, n, seed, t, t + 1)[0]
+              for cd, cn, seed, t in DIRECT_CLIP_CANDIDATES if (cd, cn) == (d, n)]
     return np.array(stack)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
 def test_stack_matches_each_matrix_alone(d, n, monkeypatch):
     stack = mixed_stack(d, n)
-    eigh_calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        eigh_calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    eigh_calls = counted_calls(monkeypatch, np.linalg, "eigh")
     want = [project_to_ppt(m, d, n) for m in stack]
     alone = len(eigh_calls)
     eigh_calls.clear()
     got = _project_stack(stack, d, n)
-    # two edge inputs fail Cholesky on the direct side: one eigh decides the whole stack
+    # round 0 decides the transposes of the whole stack by one eigh
     assert eigh_calls[0] == stack.shape and len(eigh_calls) < alone
     assert len(got) == len(stack)
     for m, a, b in zip(stack, got, want):
@@ -354,6 +372,29 @@ def test_stack_at_one_round_mixes_converged_and_none(d, n):
     assert [a is None for a in got] == [b is None for b in want]
     assert any(a is None for a in got) and any(a is not None for a in got)
     assert all(a is None or np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("d,n,window", [(3, 2, 1), (2, 2, 16)])
+def test_a_window_makes_one_eigh_one_cholesky_and_two_transposes(d, n, window, monkeypatch):
+    # round 0: a transpose and its eigh, and the clips transposed back; round 1: the
+    # direct side's Cholesky, which retires every candidate
+    stack = _search_candidates(d, n, 7, 0, window)
+    eigh_calls = counted_calls(monkeypatch, np.linalg, "eigh")
+    cholesky_calls = counted_calls(monkeypatch, np.linalg, "cholesky")
+    transposes = counted_calls(monkeypatch, zecheck.ppt, "pairwise_partial_transpose")
+    got = _project_stack(stack, d, n)
+    assert all(m is not None for m in got)
+    assert eigh_calls == cholesky_calls == [stack.shape] and transposes == [stack.shape] * 2
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+@pytest.mark.parametrize("n", SUPPORTED_N)
+def test_the_skipped_round_0_direct_check_would_pass(d, n):
+    # _project_stack does not check round 0's direct side: a drawn candidate is a Gram
+    for start in range(0, 200, 50):
+        stack = _search_candidates(d, n, 7, start, start + 50)
+        names = np.arange(start, start + 50)
+        assert _psd_clip(_normalized(_hermitized(stack), names)) == (None, None)
 
 
 def test_non_finite_matrix_raises_naming_its_candidate():
