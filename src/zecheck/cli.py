@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="suites",
         help=f"suite to run, repeatable {fallback['suites']}",
     )
-    verify.add_argument("--trials", type=int, help=f"sample-count base {fallback['trials']}")
+    verify.add_argument("--trials", type=int,
+                        help=f"sample-count base, 1 to 5000 {fallback['trials']}")
     verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {fallback['seed']}")
     verify.add_argument("--output", help=f"report path {fallback['output']}")
     verify.add_argument("--format", choices=FORMATS, dest="fmt",

@@ -9,8 +9,10 @@ The module also holds the one seeding scheme: every random draw takes
 the Philox stream of a case (seed, suite, case), whose key is numpy's
 SeedSequence key of those three numbers, derived for a block of cases
 at a time.  `case_rng` builds an independent generator of one case's
-stream; `case_rngs` and `rekeyed_rng` re-key the process's one
-generator instead, which stays valid only until the next re-key.
+stream, for a one-off draw; a loop takes `case_rngs`, which re-keys the
+process's one generator instead, so each of its generators stays valid
+only until the next is drawn.  `ForkedMap` is the one forked map, which
+spreads the PPT search over the CPUs.
 """
 
 from __future__ import annotations
@@ -247,18 +249,17 @@ def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
 
 @cache
 def _process_generator() -> np.random.Generator:
-    """This process's one generator, which rekeyed_rng re-keys; a forked child gets a copy."""
+    """This process's one generator, which _rekeyed_rng re-keys; a forked child gets a copy."""
     return _keyed_generator(0)
 
 
-def rekeyed_rng(seed: int, suite: str, case: int) -> np.random.Generator:
+def _rekeyed_rng(seed: int, suite: str, case: int) -> np.random.Generator:
     """This process's one generator, re-keyed to case_rng(seed, suite, case)'s stream.
 
     Setting the Philox state (key, zero counter, empty buffer) costs about
     2 us, against about 11 us to build a generator, and gives the same
-    draws.  The generator is valid until the next rekeyed_rng call or
-    case_rngs draw in this process re-keys it, so keep no generator
-    across one; a forked worker re-keys its own copy.
+    draws.  The generator is valid until the next re-key in this process,
+    so keep no generator across one; a forked worker re-keys its own copy.
     """
     rng = _process_generator()
     rng.bit_generator.state = {
@@ -270,17 +271,16 @@ def rekeyed_rng(seed: int, suite: str, case: int) -> np.random.Generator:
 
 
 def case_rngs(seed: int, suite: str, cases) -> Iterator[np.random.Generator]:
-    """rekeyed_rng(seed, suite, case) for each case in turn: the streams of case_rng.
+    """The generator of case_rng(seed, suite, case)'s stream for each case in turn.
 
     As with the groups of `itertools.groupby`, each yielded generator is
-    this process's one generator and is valid only until the next is drawn.
+    this process's one generator, re-keyed, and is valid only until the
+    next is drawn.
     """
     for case in cases:
-        yield rekeyed_rng(seed, suite, case)
+        yield _rekeyed_rng(seed, suite, case)
 
 
-# CPUs held by the children of started ForkedMaps that are not yet joined or closed
-_held_cpus = 0
 # Most queue entries of one map, 4 bytes each: the whole queue fits in one 4 KiB pipe page
 _QUEUE_RUNS = 1024
 
@@ -289,9 +289,7 @@ class ForkedMap:
     """[fn(x) for x in items], started on forked workers now, gathered by join().
 
     The constructor forks k - 1 children, with k = min(CPUs in the affinity
-    mask that no child of another started, unjoined map holds, len(items)),
-    so a map started while another is in flight runs in this process when
-    every CPU is taken.  With k <= 1 it forks nothing and join() computes
+    mask, len(items)).  With k <= 1 it forks nothing and join() computes
     every item.  Otherwise the items are cut into at most 1024 runs of
     contiguous items, and the run numbers go, in increasing order, into a
     pipe that serves as a shared queue: the 4-byte entries are written
@@ -314,10 +312,10 @@ class ForkedMap:
     threads, and OpenBLAS shuts its own pool down across a fork; importing
     zecheck before numpy keeps that pool at one thread (see
     `zecheck/__init__.py`), so the k workers do not each run one per CPU.
+    A run starts one map, the PPT search's (`ppt.start_search`).
     """
 
     def __init__(self, fn: Callable, items):
-        global _held_cpus
         self.fn, self.items = fn, list(items)
         self.pids: dict[int, int] = {}  # worker -> pid, until it is reaped
         self.pipes = {}  # worker -> read end of its result pipe
@@ -326,7 +324,7 @@ class ForkedMap:
             cpus = len(os.sched_getaffinity(0))
         except AttributeError:  # a platform without affinity masks
             cpus = os.cpu_count() or 1
-        k = min(cpus - _held_cpus, len(self.items))
+        k = min(cpus, len(self.items))
         if k <= 1:
             return
         runs = min(len(self.items), _QUEUE_RUNS)
@@ -342,7 +340,6 @@ class ForkedMap:
                     _forked_worker(self, write)
                 os.close(write)
                 self.pids[w], self.pipes[w] = pid, open(read, "rb")
-                _held_cpus += 1  # until close(), which gives back one CPU per pipe
         except BaseException:
             self.close()
             raise
@@ -372,8 +369,7 @@ class ForkedMap:
         return [y for done in runs for y in done]
 
     def close(self) -> None:
-        """Kill and reap the children not yet reaped, and give their CPUs back."""
-        global _held_cpus
+        """Kill and reap the children not yet reaped; a no-op once the map is joined."""
         for pipe in self.pipes.values():
             pipe.close()
         if self.queue is not None:
@@ -384,14 +380,8 @@ class ForkedMap:
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _held_cpus -= len(self.pipes)
         self.pipes.clear()
         self.pids.clear()
-
-
-def forked_map(fn: Callable, items) -> list:
-    """[fn(x) for x in items], spread over the idle CPUs: `ForkedMap(fn, items).join()`."""
-    return ForkedMap(fn, items).join()
 
 
 def _take_runs(fmap: ForkedMap) -> list[tuple[int, list, Exception | None]]:

@@ -10,17 +10,18 @@ The randomized search draws its candidate t from the stream of
 case_rng(seed, "ppt", 40_000 + t), above every other ppt case key, but
 builds no generator for it: `linalg.case_rngs` re-keys the process's
 one generator to each candidate's stream in turn, and each re-keyed
-generator serves only until the next is drawn.  `_window_map` builds
+generator serves only until the next is drawn.  `start_search` builds
 that generator before the workers fork, so each worker re-keys its own
 copy.  The search draws and projects the candidates a window at a
-time.  The windows go to forked workers, one per idle CPU, that take
-them from one shared queue in candidate order (`linalg.ForkedMap`), and
-come back in candidate order, so every value is that of a one-CPU run.
-`start_search` forks the workers ahead of the ppt_search call that
-joins them: `suites.execute` starts the search before its first claim,
-and the join has this process take the windows still queued.  One
-window holds _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates
-at 16x16, 50 at 9x9 and 256 at 4x4, and each step of the alternation
+time.  The windows go to forked workers, one per CPU, that take them
+from one shared queue in candidate order (`linalg.ForkedMap`, the only
+forked map of a run), and come back in candidate order, so every value
+is that of a one-CPU run.  `start_search` forks the workers and returns
+their map, which the ppt_search call given it joins: `suites.execute`
+starts the search before its first claim, and the join has this
+process take the windows still queued.  One window holds
+_WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates at 16x16,
+50 at 9x9 and 256 at 4x4, and each step of the alternation
 is one call for the whole window (`_project_stack`): round 0 transposes
 the window, decides it by one eigh and transposes the clips back, and
 each later check makes one Cholesky factorization, and one eigh if that
@@ -40,18 +41,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     ForkedMap,
+    _rekeyed_rng,
     case_rngs,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
-    rekeyed_rng,
     tensor,
     trace_inner,
     trace_one_gram,
@@ -61,9 +61,6 @@ SEARCH_CASE_BASE = 40_000  # the only other ppt case key, 31_000, sits below it
 _WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 _MAX_ROUNDS = 200  # alternation rounds before a candidate counts as unconverged
 _PSD_TOL = 1e-10  # a matrix with lambda_min >= -_PSD_TOL needs no clip
-
-# the searches start_search forked, by (d, n, trials, seed), until a ppt_search call joins one
-_started: dict[tuple[int, int, int, int], ForkedMap] = {}
 
 
 @dataclass
@@ -370,15 +367,22 @@ def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.n
     return trace_one_gram(re + 1j * im)
 
 
-def _window_map(d: int, n: int, trials: int, seed: int) -> ForkedMap:
-    """ppt_search's windows, started; each gives its accepted candidates' scores and twirls."""
+def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
+    """Fork the workers of ppt_search(d, n, trials, seed) now; returns their map, for that call.
+
+    The workers start taking windows at once.  The ppt_search call given
+    the map joins it: this process takes the windows still queued, then
+    gathers every window in order, so the result is the same.  Each window
+    gives its accepted candidates' scores and twirls.  Closing a map that
+    no call joined kills and reaps its workers.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     side = d ** (2 * n)
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
     # this process's generator, built before the fork: the workers inherit it, numpy.random
     # and the key block of the first candidates instead of each building them again
-    rekeyed_rng(seed, "ppt", SEARCH_CASE_BASE)
+    _rekeyed_rng(seed, "ppt", SEARCH_CASE_BASE)
 
     @cache
     def constants():
@@ -402,39 +406,19 @@ def _window_map(d: int, n: int, trials: int, seed: int) -> ForkedMap:
     return ForkedMap(search_window, range(0, trials, window))
 
 
-def start_search(d: int, n: int, trials: int, seed: int) -> Callable[[], None]:
-    """Fork the workers of ppt_search(d, n, trials, seed) ahead of that call; returns their stop.
-
-    The workers start taking windows at once.  The next ppt_search call
-    with the same arguments joins them instead of starting its own: this
-    process takes the windows still queued, then gathers every window in
-    order, so the result is the same.  The returned function kills and
-    reaps workers that no call joined, and does nothing after a join.
-    """
-    key = (d, n, trials, seed)
-    started = _started[key] = _window_map(d, n, trials, seed)
-
-    def stop():
-        if _started.get(key) is started:
-            del _started[key]
-        started.close()
-
-    return stop
-
-
-def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
+def ppt_search(d: int, n: int, trials: int, seed: int,
+               started: ForkedMap | None = None) -> PPTSearchResult:
     """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
 
     Candidates are random PSD matrices pushed into the PPT cone by
     alternating clipping, a window of them at a time, the windows spread
-    over forked workers (or taken over from `start_search`'s);
-    non-convergent candidates are skipped and counted.  The returned
-    minimum staying away from zero is the certified prediction.  The
-    result also holds the twirl coefficients of every accepted candidate,
-    in candidate order.
+    over forked workers: those of `started`, the map start_search(d, n,
+    trials, seed) returned, or else of a map started here.  Non-convergent
+    candidates are skipped and counted.  The returned minimum staying away
+    from zero is the certified prediction.  The result also holds the
+    twirl coefficients of every accepted candidate, in candidate order.
     """
-    started = _started.pop((d, n, trials, seed), None)
-    windows = (started or _window_map(d, n, trials, seed)).join()
+    windows = (started or start_search(d, n, trials, seed)).join()
     scores = [score for window_scores, _ in windows for score in window_scores]
     # np.min keeps a NaN score, which a running builtin min can drop
     min_value = float(np.min(scores)) if scores else None

@@ -20,7 +20,7 @@ from .channel import (
     apply_complementary_n,
     apply_n,
 )
-from .linalg import max_entangled, tensor, trace_distance
+from .linalg import max_entangled, trace_distance
 
 
 @dataclass
@@ -33,14 +33,21 @@ class ProtocolTranscript:
 
 
 def transpose_trick_residual(v: np.ndarray) -> float:
-    """|| (I (x) v)|Phi> - (v^T (x) I)|Phi> ||; zero for every square v."""
+    """|| (I (x) v)|Phi> - (v^T (x) I)|Phi> ||, the largest over a stack; zero for every square v.
+
+    Both Kronecker products of every matrix of the stack act on |Phi> in
+    one stacked product.
+    """
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("input must be a square matrix")
-    d = v.shape[0]
-    phi = max_entangled(d)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError("input must be a square matrix or a stack of them")
+    d = v.shape[-1]
     eye = np.eye(d)
-    return float(np.linalg.norm(tensor(eye, v) @ phi - tensor(v.T, eye) @ phi))
+    # (I (x) v) and (v^T (x) I) per matrix, entry [ij, kl] = delta_ik v_jl and v_ki delta_jl
+    sides = np.stack([np.einsum("ik,...jl->...ijkl", eye, v),
+                      np.einsum("...ki,jl->...ijkl", v, eye)])
+    left, right = sides.reshape(*sides.shape[:-4], d * d, d * d) @ max_entangled(d)
+    return float(np.max(np.linalg.norm(left - right, axis=-1)))
 
 
 def run_protocol(

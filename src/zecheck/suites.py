@@ -7,26 +7,30 @@ tolerance, or is 0 when it has none; a claim with another rule returns
 a `_Verdict`.  Shared objects are cached properties of `_Context`, built
 by the first claim that reads them, so that claim's `runtime_ms`
 includes building them.  The one exception is the PPT search: `execute`
-forks its workers before the first claim, and `ppt.search_floor`, which
-reads it first, joins them, so its `runtime_ms` counts only the part of
-the search the run waited for.  A build that raises is not run again:
-its exception is kept and raised to every later reader.  Exceptions are
-caught only in the try around each claim and in the start of the
-search, which counts as a build of it: one raised in a claim, while
-building a shared object or while starting the search fails exactly
-the claims that need it, with the exception text in `detail`.  There
-is no `<suite>.panic` record.  No forked worker outlives `execute`,
-whatever escapes it.
+starts it before the first claim, `_Context` keeps the started map, and
+`ppt.search_floor`, which reads the search first, joins it, so its
+`runtime_ms` counts only the part of the search the run waited for.  A
+build that raises is not run again: its exception is kept and raised to
+every later reader.  Exceptions are caught only in the try around each
+claim and in the start of the search, which counts as a build of it:
+one raised in a claim, while building a shared object or while starting
+the search fails exactly the claims that need it, with the exception
+text in `detail`.  There is no `<suite>.panic` record.  `execute`
+closes the search's map whatever escapes it, so no forked worker
+outlives it.
 
 All randomness comes from counter-based Philox streams keyed by (seed,
-suite, case); the PPT search draws its candidate t as case 40_000 + t
-of the ppt suite.  A one-off draw takes an independent generator from
+suite, case).  A one-off draw takes an independent generator from
 `linalg.case_rng`.  A loop takes its cases' generators from
-`linalg.case_rngs`, or `linalg.rekeyed_rng` per item in a forked map:
-both re-key the process's one generator to the case's stream, so a
-generator is valid only until the next is drawn, and a pair's states
-are drawn in full before the loop moves on.  Running any subset of
-suites thus reproduces the full run's numbers exactly.
+`linalg.case_rngs`, which re-keys the process's one generator to each
+case's stream, so a generator is valid only until the next is drawn,
+and a pair's states are drawn in full before the loop moves on.  Each
+sampled claim reads its own range of cases, from the base its draw
+names (the PPT search's candidate t is ppt case 40_000 + t).  The
+ranges are disjoint up to `trials` = 5000, the most `RunConfig` takes:
+above it the 2*trials random equivalence pairs would reach zero-error
+case 10_000, the first structured pair's.  Running any subset of suites
+thus reproduces the full run's numbers exactly.
 
 The `trials` knob scales sample counts: the channel identity uses
 `trials` pairs, the conservation check max(1, trials // 10) inputs (every
@@ -47,25 +51,19 @@ amplitudes, d^(3n) per pair (512 pairs at (2,1), 151 at (3,1), 64 at
 together); a non-finite form counts as a mismatch or a violation.  A
 form is the same arithmetic in any window.
 
-Three loops spread their cases over the CPUs of the affinity mask with
-`linalg.ForkedMap`: the PPT search's windows, the conservation cases
-and the identity pairs of `channel.central_identity` and
-`channel.alt_design_identity`.  Each builds what its cases share (the
-channel, the design's overlap Grams) before the workers fork, except
-the search, whose workers each build its constraint and twirl basis
-at their first window; the workers take cases from one shared
-queue in case order, and the values are reduced in case order, so a
-report does not depend on the CPU count.  The search starts when the
-run does: on 2 CPUs its one child works through the windows while this
-process runs every claim before the ppt suite, and `ppt.search_floor`'s
-join has this process take the windows still queued.  A map forks only
-onto CPUs that no child of an unjoined map holds, so while the search
-is in flight the conservation and identity loops run in this process.
-The equivalence and code-impossibility sweeps stay in this process: a
-fork costs about as much as one of their 64-pair windows at d=2, so in
-a prototype on a 2-vCPU host spreading them too moved the wall time of
-d=2, n=2 at 300 trials only from 0.77 to 0.74 of the serial run's, and
-its CPU time from 1.04 to 1.15 of it.
+The PPT search is the one loop spread over the CPUs of the affinity
+mask, and the only forked map of a run (`linalg.ForkedMap`): its
+workers take windows from one shared queue in candidate order, and the
+values are reduced in candidate order, so a report does not depend on
+the CPU count.  It starts when the run does: on 2 CPUs its one child
+works through the windows while this process runs every claim before
+the ppt suite.  Every other loop runs in this process.  Until the join
+the search holds every CPU but one on any host with no more CPUs than
+its windows (4 at (2,1), 20 at (3,1), 63 at (2,2) and 1000 at (3,2),
+at 100 trials), so there a forked conservation or identity loop had no
+CPU to fork onto.  The equivalence and code-impossibility sweeps were
+never spread: a fork costs about as much as one of their 64-pair
+windows at d=2.
 """
 
 from __future__ import annotations
@@ -100,14 +98,12 @@ from .linalg import (
     basis_state,
     case_rng,
     case_rngs,
-    forked_map,
     max_entangled_projector,
     min_eigenvalue,
     partial_transpose,
     projector,
     random_psd,
     random_unitary,
-    rekeyed_rng,
     support_null,
     tensor,
     trace_distance,
@@ -175,6 +171,7 @@ class _Context:
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
         # the run's one PPT search; start_search and ppt_search must get the same arguments
         self.search_args = (self.d, self.n, 10 * config.trials, config.seed)
+        self.started = None  # the search's forked map, from start_search until execute ends
 
     @_shared
     def family(self):
@@ -217,21 +214,20 @@ class _Context:
     def witness(self):
         return build_ppt_witness(self.d)
 
-    def fork_search(self) -> Callable[[], None] | None:
-        """Start the PPT search's workers, which `search` joins; returns their stop.
+    def start_search(self) -> None:
+        """Start the PPT search's workers, whose map `search` joins.
 
         A start that raises is kept as the failed build of `search`, so the
         claims that read the search fail with it and the run goes on.
         """
         try:
-            return start_search(*self.search_args)
+            self.started = start_search(*self.search_args)
         except Exception as exc:
             self.failed["search"] = exc
-            return None
 
     @_shared
     def search(self):
-        return ppt_search(*self.search_args)
+        return ppt_search(*self.search_args, self.started)
 
 
 class _Verdict(NamedTuple):
@@ -355,18 +351,16 @@ def _design_twirl_invariance(ctx):
 
 
 def _identity_gap(ctx, channel, first_case, pairs):
-    """Largest |m^n <out(p1), out(p2)> - closed form| over random pairs, spread over the CPUs."""
+    """Largest |m^n <out(p1), out(p2)> - closed form| over random pairs."""
     d, n = ctx.d, ctx.n
     scale = len(channel.design) ** n
-    overlap = overlap_kernel(channel)  # the design's Grams, formed before the workers fork
-
-    def gap(case):
-        rng = rekeyed_rng(ctx.config.seed, "channel", case)
+    overlap = overlap_kernel(channel)
+    gaps = [0.0]
+    for rng in case_rngs(ctx.config.seed, "channel", range(first_case, first_case + pairs)):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
-        return abs(scale * overlap(p1, p2) - averaged_output_overlap(p1, p2))
-
-    return _worst(0.0, *forked_map(gap, range(first_case, first_case + pairs)))
+        gaps.append(abs(scale * overlap(p1, p2) - averaged_output_overlap(p1, p2)))
+    return _worst(*gaps)
 
 
 @_claim("channel", "channel.phase_gate_form",
@@ -394,14 +388,12 @@ def _basis_messages(ctx):
 def _conservation(ctx):
     # odd cases carry a reference qubit, whose environment Gram is rank-deficient
     cases = max(1, ctx.config.trials // 10)
-    channel = ctx.channel  # built before the workers fork
-
-    def residual(case):
-        rng = rekeyed_rng(ctx.config.seed, "channel", 100_000 + case)
+    residuals = [0.0]
+    rngs = case_rngs(ctx.config.seed, "channel", range(100_000, 100_000 + cases))
+    for case, rng in enumerate(rngs):
         psi = random_block_state(ctx.d, ctx.n, rng, ref_dim=1 + case % 2)
-        return conservation_residual(channel, psi)
-
-    return _worst(0.0, *forked_map(residual, range(cases))), f"cases={cases}"
+        residuals.append(conservation_residual(ctx.channel, psi))
+    return _worst(*residuals), f"cases={cases}"
 
 
 @_claim("channel", "channel.central_identity",
@@ -654,7 +646,7 @@ def _no_valid_code_pair(ctx):
 @_claim("privacy", "privacy.transpose_trick",
         "(I (x) v)|Phi> equals (v^T (x) I)|Phi> for every family member", tol=1e-12)
 def _transpose_trick(ctx):
-    return _worst(*(transpose_trick_residual(g) for g in ctx.channel.design.members))
+    return transpose_trick_residual(ctx.channel.design.members)
 
 
 @_claim("privacy", "privacy.correctness",
@@ -881,12 +873,13 @@ def _design_independence(ctx):
 def execute(config: RunConfig) -> VerificationReport:
     """Run the registered claims of the configured suites in order and assemble the report."""
     ctx = _Context(config)
-    stop_search = ctx.fork_search() if "ppt" in config.suites else None
+    if "ppt" in config.suites:
+        ctx.start_search()
     try:
         claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
     finally:
-        if stop_search is not None:  # a no-op once ppt.search_floor has joined the workers
-            stop_search()
+        if ctx.started is not None:  # a no-op once ppt.search_floor has joined the map
+            ctx.started.close()
     warnings = [] if config.suites else ["no suites selected; the result is vacuously passing"]
     return VerificationReport(
         version=TOOLKIT_VERSION,

@@ -65,7 +65,7 @@ def no_child_process_left():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(k) makes linalg.forked_map see k CPUs in the affinity mask."""
+    """cpus(k) makes linalg.ForkedMap, and so the PPT search, see k CPUs in the affinity mask."""
 
     def set_cpus(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)

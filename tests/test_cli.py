@@ -7,11 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import zecheck
+import zecheck.linalg
+import zecheck.suites
 from zecheck.cli import _build_parser, main, parse_config
 from zecheck.report import (
     SUITE_NAMES,
@@ -158,6 +161,52 @@ def test_config_validation():
         RunConfig(suites=("nope",))
 
 
+def test_trials_stop_where_the_case_ranges_would_meet(capsys):
+    assert RunConfig(trials=5000).trials == 5000
+    with pytest.raises(ValueError, match="at most 5000"):
+        RunConfig(trials=5001)
+    with pytest.raises(SystemExit) as err:
+        parse_config(["verify", "--trials", "5001"], env={})
+    assert err.value.code == 2
+    assert "trials must be at most 5000" in capsys.readouterr().err
+
+
+# every claim that draws, and so reads the Philox stream of some (suite, case)
+SAMPLED_CLAIMS = {
+    "design.twirl_projection", "design.twirl_invariance", "channel.conservation",
+    "channel.central_identity", "channel.alt_design_identity", "zero_error.equivalence",
+    "zero_error.form_properties", "theorem2.no_valid_code_pair", "ppt.search_floor",
+    "ppt.twirl_invariance",
+}
+
+
+@pytest.mark.parametrize("trials", [1, 100])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2)])
+def test_no_stream_is_read_twice(d, n, trials, monkeypatch, cpus):
+    cpus(1)  # the search's windows run in this process, where their reads are recorded
+    # the search's warm-up draws case 40 000 before the first claim; ppt.search_floor joins it
+    claim = ["ppt.search_floor"]
+    readers = defaultdict(list)  # (suite, case) -> the claim of each read of its stream
+    case_key, run = zecheck.linalg._case_key, zecheck.suites._run
+
+    def recording_key(seed, suite, case):
+        readers[suite, case].append(claim[0])
+        return case_key(seed, suite, case)
+
+    def recording_run(spec, ctx):
+        claim[0] = spec.claim_id
+        return run(spec, ctx)
+
+    monkeypatch.setattr(zecheck.linalg, "_case_key", recording_key)
+    monkeypatch.setattr(zecheck.suites, "_run", recording_run)
+    assert execute(RunConfig(d=d, n=n, trials=trials, seed=7)).overall_pass
+    assert set().union(*readers.values()) == SAMPLED_CLAIMS
+    # the warm-up, then candidate 0's own draw
+    assert readers.pop(("ppt", 40_000)) == ["ppt.search_floor"] * 2
+    assert {stream: claims for stream, claims in readers.items() if len(claims) > 1} == {}
+    assert ("zero-error", 10_000) in readers and ("channel", 200_000) in readers
+
+
 def test_suite_filtering():
     report = execute(RunConfig(d=3, suites=("privacy",), trials=10, seed=3))
     assert {c.suite for c in report.claims} == {"privacy"}
@@ -178,7 +227,7 @@ def test_determinism_same_config():
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
 def test_report_does_not_depend_on_the_cpu_count(d, n, cpus):
-    # the suites whose loops are spread over the CPUs, each with 2 items or more
+    # the PPT search is spread over the CPUs while the channel suite's loops run in this process
     cfg = RunConfig(d=d, n=n, trials=20, seed=11, suites=("channel", "ppt"))
     cpus(1)
     alone = normalized(execute(cfg))

@@ -15,7 +15,6 @@ from zecheck.linalg import (
     basis_state,
     case_rng,
     case_rngs,
-    forked_map,
     max_entangled,
     max_entangled_projector,
     partial_trace,
@@ -205,17 +204,17 @@ def test_max_entangled_vector():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_forked_map_keeps_item_order(k, cpus):
     cpus(k)
-    out = forked_map(lambda x: (x * x, os.getpid()), range(7))
+    out = ForkedMap(lambda x: (x * x, os.getpid()), range(7)).join()
     assert [v for v, _ in out] == [x * x for x in range(7)]
     assert len({pid for _, pid in out}) <= k  # any worker may take any item
-    assert forked_map(lambda x: x, []) == []
+    assert ForkedMap(lambda x: x, []).join() == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_forked_map_keeps_item_order_past_the_queue_length(k, cpus):
     cpus(k)
     items = range(3 * _QUEUE_RUNS + 7)  # runs of 3 and 4 contiguous items
-    assert forked_map(lambda x: x * x, items) == [x * x for x in items]
+    assert ForkedMap(lambda x: x * x, items).join() == [x * x for x in items]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -229,7 +228,7 @@ def test_forked_map_raises_the_earliest_failure(k, cpus):
         return x
 
     with pytest.raises(ValueError, match=r"^item 3$"):
-        forked_map(fn, range(12))
+        ForkedMap(fn, range(12)).join()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -246,7 +245,7 @@ def test_forked_map_raises_the_earliest_failure_across_runs(k, cpus):
         return x
 
     with pytest.raises(ValueError, match=r"^item 1498$"):
-        forked_map(fn, range(3000))
+        ForkedMap(fn, range(3000)).join()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -267,7 +266,7 @@ def test_forked_map_names_a_worker_that_dies(status, cpus):
 
     try:
         with pytest.raises(RuntimeError, match=rf"^forked worker 1 exited with status {status} "):
-            forked_map(fn, range(4))
+            ForkedMap(fn, range(4)).join()
         assert os.read(taken, 1) == b"!"
     finally:
         os.close(taken)
@@ -291,23 +290,10 @@ def test_forked_map_kills_its_workers_when_interrupted(cpus):
 
     start = time.monotonic()
     with pytest.raises(Interrupt):
-        forked_map(fn, range(3))
+        ForkedMap(fn, range(3)).join()
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_map_forks_only_onto_cpus_no_unjoined_map_holds(cpus):
-    cpus(3)
-    first = ForkedMap(lambda x: x, range(2))  # one child, on one of the three CPUs
-    second = ForkedMap(lambda x: x, range(4))  # one child: two CPUs were free
-    assert len(first.pids) == len(second.pids) == 1
-    # every CPU is taken: the third map runs in this process
-    assert forked_map(lambda x: os.getpid(), range(4)) == [os.getpid()] * 4
-    assert first.join() == [0, 1] and second.join() == [0, 1, 2, 3]
-    third = ForkedMap(lambda x: x, range(4))  # the joined maps gave their CPUs back
-    assert len(third.pids) == 2
-    assert third.join() == [0, 1, 2, 3]
 
 
 def test_closing_a_started_map_kills_its_workers(cpus):
@@ -318,8 +304,6 @@ def test_closing_a_started_map_kills_its_workers(cpus):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    again = ForkedMap(lambda x: x, range(2))  # the closed map gave its CPU back
-    assert len(again.pids) == 1 and again.join() == [0, 1]
 
 
 def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):
@@ -327,7 +311,7 @@ def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):
     path = tmp_path / "out.txt"
     with open(path, "w") as f:
         f.write("once\n")  # still in the buffer when the worker forks
-        assert forked_map(lambda x: x, range(2)) == [0, 1]
+        assert ForkedMap(lambda x: x, range(2)).join() == [0, 1]
     assert path.read_text() == "once\n"
 
 

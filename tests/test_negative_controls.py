@@ -228,7 +228,7 @@ def injected_search_claims(monkeypatch, coefficients):
     """The ppt claims of a (2,1) run whose search accepted candidates with these coefficients."""
     coefficients = np.array(coefficients, dtype=float)
     result = PPTSearchResult(len(coefficients), 0, 0.5, coefficients)
-    monkeypatch.setattr(zecheck.suites, "ppt_search", lambda d, n, trials, seed: result)
+    monkeypatch.setattr(zecheck.suites, "ppt_search", lambda d, n, trials, seed, started: result)
     report = execute(RunConfig(d=2, n=1, suites=("ppt",), trials=5))
     return {c.claim_id: c for c in report.claims}
 

@@ -1,5 +1,6 @@
 import os
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from zecheck.ppt import (
     start_search,
     transposed_eigenvalues,
 )
-from zecheck.report import SUPPORTED_D, SUPPORTED_N, RunConfig
+from zecheck.report import SUITE_NAMES, SUPPORTED_D, SUPPORTED_N, RunConfig
 from zecheck.suites import execute
 
 
@@ -480,8 +481,22 @@ def test_a_search_that_fails_to_start_fails_its_claims_as_one_cpu_does(monkeypat
     assert calls == [4] * 3  # 50 candidates in windows of 16; the claims retry no failed start
 
 
+def recorded_contexts(monkeypatch):
+    """The list of every suites._Context that execute builds from now on."""
+    contexts = []
+
+    class Recorded(zecheck.suites._Context):
+        def __init__(self, config):
+            super().__init__(config)
+            contexts.append(self)
+
+    monkeypatch.setattr(zecheck.suites, "_Context", Recorded)
+    return contexts
+
+
 def test_a_fork_that_fails_mid_start_fails_the_search_claims(monkeypatch, cpus):
     cpus(3)  # the search would fork two children; the second fork fails
+    contexts = recorded_contexts(monkeypatch)
     fork = os.fork
     forks = []
 
@@ -496,7 +511,7 @@ def test_a_fork_that_fails_mid_start_fails_the_search_claims(monkeypatch, cpus):
     for cid in SEARCH_CLAIMS:
         assert claims.pop(cid).detail == "BlockingIOError: [Errno 11] fork refused", cid
     assert len(claims) == 5 and all(c.passed for c in claims.values())
-    assert len(forks) == 2 and not zecheck.ppt._started
+    assert len(forks) == 2 and contexts[0].started is None  # the run holds no map
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -519,6 +534,7 @@ def test_a_base_exception_before_search_floor_leaves_no_search_worker(monkeypatc
         raise Interrupt
 
     monkeypatch.setattr(zecheck.ppt, "_search_candidates", slow_in_children)
+    contexts = recorded_contexts(monkeypatch)
     monkeypatch.setattr(zecheck.suites, "_CLAIMS", [
         spec._replace(compute=interrupt) if spec.claim_id == "ppt.uniform_score" else spec
         for spec in zecheck.suites._CLAIMS
@@ -526,20 +542,62 @@ def test_a_base_exception_before_search_floor_leaves_no_search_worker(monkeypatc
     start = time.monotonic()
     with pytest.raises(Interrupt):
         execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
-    assert time.monotonic() - start < 30 and not zecheck.ppt._started
+    started = contexts[0].started  # execute closed the map its context owns
+    assert time.monotonic() - start < 30 and not started.pids and started.queue is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_ppt_search_joins_the_started_search(cpus):
+def test_ppt_search_joins_the_started_search(monkeypatch, cpus):
     cpus(2)
-    alone = ppt_search(2, 2, 64, 7)
-    stop = start_search(2, 2, 64, 7)
-    assert_same_search(ppt_search(2, 2, 64, 7), alone)
-    assert not zecheck.ppt._started
-    stop()  # nothing left to end after the join
+    alone = ppt_search(2, 2, 50, 7)
+    contexts = recorded_contexts(monkeypatch)
+    joined = []
+
+    def recording(*args):
+        joined.append(args[-1])
+        return ppt_search(*args)
+
+    monkeypatch.setattr(zecheck.suites, "ppt_search", recording)
+    report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5, seed=7))
+    started = contexts[0].started
+    assert joined == [started] and not started.pids and started.queue is None
+    assert_same_search(contexts[0].search, alone)
+    assert report.overall_pass
+    started.close()  # nothing left to end after the join
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_started_search_forks_at_once_and_its_join_matches_ppt_search(cpus):
+    cpus(3)
+    alone = ppt_search(2, 2, 64, 7)
+    started = start_search(2, 2, 64, 7)
+    assert len(started.pids) == 2  # the workers search before any join
+    assert_same_search(ppt_search(2, 2, 64, 7, started), alone)
+    assert not started.pids and started.queue is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("suites,forks", [
+    (SUITE_NAMES, 2),
+    (tuple(s for s in SUITE_NAMES if s != "ppt"), 0),
+], ids=["all-suites", "without-ppt"])
+def test_the_search_is_the_only_map_a_run_forks(suites, forks, monkeypatch, cpus):
+    cpus(3)  # the search's 4 windows of 16 candidates go to this process and 2 children
+    fork = os.fork
+    callers = []
+
+    def recording_fork():
+        callers.append([frame.name for frame in traceback.extract_stack()])
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    report = execute(RunConfig(d=2, n=2, suites=suites, trials=5, seed=7))
+    assert report.overall_pass and len(report.claims) > 20
+    assert len(callers) == forks
+    assert all("start_search" in names for names in callers)
 
 
 @pytest.mark.parametrize("d,n,trials,windows", [
@@ -621,7 +679,7 @@ SEARCH_CLAIMS = ("ppt.search_floor", "ppt.twirl_preserves", "ppt.constraint_unre
 def test_search_failure_fails_only_search_floor(monkeypatch):
     calls = []
 
-    def broken(d, n, trials, seed):
+    def broken(d, n, trials, seed, started):
         calls.append(trials)
         raise RuntimeError("search diverged")
 
@@ -660,7 +718,7 @@ def test_three_claims_read_one_sample_set(d, n, monkeypatch):
 
     monkeypatch.setattr("zecheck.suites.ppt_search", counting)
     claims = {c.claim_id: c for c in execute(RunConfig(d=d, n=n, suites=("ppt",), trials=5)).claims}
-    assert calls == [(d, n, 50, 1)]
+    assert [args[:4] for args in calls] == [(d, n, 50, 1)]  # and the run's started map
     accepted = dict(kv.split("=") for kv in claims["ppt.search_floor"].detail.split())["accepted"]
     assert int(accepted) > 0
     for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zecheck.designs import fourier
-from zecheck.linalg import basis_state, projector, trace_distance
+from zecheck.linalg import basis_state, max_entangled, projector, tensor, trace_distance
 from zecheck.privacy import run_protocol, transpose_trick_residual, verify_secrecy
 from zecheck.report import RunConfig
 from zecheck.suites import execute
@@ -18,6 +18,14 @@ def test_transpose_trick_fourier_d3():
 
 def test_transpose_trick_whole_family(family_d2):
     assert max(transpose_trick_residual(g) for g in family_d2.members) <= 1e-12
+
+
+def test_transpose_trick_over_a_stack_matches_the_member_loop(family_d3):
+    # the per-member Kronecker products the stacked residual replaces
+    phi, eye = max_entangled(3), np.eye(3)
+    loop = max(float(np.linalg.norm(tensor(eye, g) @ phi - tensor(g.T, eye) @ phi))
+               for g in family_d3.members)
+    assert transpose_trick_residual(family_d3.members) == loop == 0.0
 
 
 def test_transpose_trick_rejects_nonsquare():
