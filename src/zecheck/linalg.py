@@ -288,15 +288,16 @@ _QUEUE_RUNS = 1024
 class ForkedMap:
     """[fn(x) for x in items], started on forked workers now, gathered by join().
 
-    The constructor forks k - 1 children, with k = min(CPUs in the affinity
-    mask, len(items)).  With k <= 1 it forks nothing and join() computes
-    every item.  Otherwise the items are cut into at most 1024 runs of
-    contiguous items, and the run numbers go, in increasing order, into a
-    pipe that serves as a shared queue: the 4-byte entries are written
-    before the children fork, so the write never blocks, and on Linux a
-    4-byte read of a pipe is atomic.  The children take runs from it at
+    The items are cut into at most 1024 runs of contiguous items, and the
+    run numbers go, in increasing order, into a pipe that serves as a
+    shared queue: the 4-byte entries are written before any child forks,
+    so the write never blocks, and on Linux a 4-byte read of a pipe is
+    atomic.  The constructor then forks k - 1 children, with k = min(CPUs
+    in the affinity mask, len(items)), which take runs from the queue at
     once; join() has this process take runs too until the queue is empty,
-    so every worker finishes about when the last run does.  A worker computes a run's
+    so every worker finishes about when the last run does.  That is the
+    one path at every CPU count: with one CPU, or at most one item, no
+    child forks and this process takes every run.  A worker computes a run's
     items in order and stops at its first exception.  Runs leave the queue
     in increasing order, so every item before a failing one was taken and
     computed: join() raises the exception of the earliest failing item, as
@@ -319,17 +320,14 @@ class ForkedMap:
         self.fn, self.items = fn, list(items)
         self.pids: dict[int, int] = {}  # worker -> pid, until it is reaped
         self.pipes = {}  # worker -> read end of its result pipe
-        self.queue: int | None = None  # read end of the queue of runs, if the map forked
         try:
             cpus = len(os.sched_getaffinity(0))
         except AttributeError:  # a platform without affinity masks
             cpus = os.cpu_count() or 1
         k = min(cpus, len(self.items))
-        if k <= 1:
-            return
         runs = min(len(self.items), _QUEUE_RUNS)
-        self.bounds = [len(self.items) * r // runs for r in range(runs + 1)]
-        self.queue, write = os.pipe()
+        self.bounds = [0] + [len(self.items) * r // runs for r in range(1, runs + 1)]
+        self.queue, write = os.pipe()  # the queue's read end stays open until close()
         try:
             os.write(write, struct.pack(f"={runs}I", *range(runs)))
             os.close(write)  # once the queue is empty, a read returns EOF
@@ -347,8 +345,6 @@ class ForkedMap:
     def join(self) -> list:
         """Take runs until the queue is empty, gather every worker's, and close the map."""
         try:
-            if self.queue is None:
-                return [self.fn(x) for x in self.items]
             taken = _take_runs(self)
             for w in list(self.pids):
                 payload = self.pipes[w].read()  # to EOF: the child has sent everything or died

@@ -19,7 +19,12 @@ forked map of a run), and come back in candidate order, so every value
 is that of a one-CPU run.  `start_search` forks the workers and returns
 their map, which the ppt_search call given it joins: `suites.execute`
 starts the search before its first claim, and the join has this
-process take the windows still queued.  One window holds
+process take the windows still queued.  A window returns only the
+twirl coefficients p_label = tr(R_label M) / rank(R_label) of its
+accepted candidates M; a candidate's score tr(M (I-Phi)^{(x)n}) is
+(d^2-1)^n times its all-complement coefficient, so `ppt_search` derives
+the search floor from the coefficients, and `ppt.search_floor` and
+`ppt.constraint_unreachable` read one number.  One window holds
 _WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates at 16x16,
 50 at 9x9 and 256 at 4x4, and each step of the alternation
 is one call for the whole window (`_project_stack`): round 0 transposes
@@ -180,17 +185,12 @@ def isotropic_twirl_n(m: np.ndarray, d: int, n: int) -> IsotropicDecomposition:
 
 
 def build_ppt_witness(d: int) -> PPTWitness:
-    """Q = sum_{i != j} |ij><ij|; PSD, orthogonal to the transposed Phi."""
+    """Q = sum_{i != j} |ij><ij|; PSD, orthogonal to the transposed Phi (claim ppt.witness)."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     diag = np.ones(d * d)
     diag[:: d + 1] = 0.0
-    q = np.diag(diag).astype(complex)
-    phi_g = partial_transpose(max_entangled_projector(d), (d, d), 0)
-    residual = abs(trace_inner(q, phi_g))
-    if residual > 1e-12:
-        raise AssertionError(f"witness overlaps the transposed projector: {residual:.3e}")
-    return PPTWitness(matrix=q, trace_value=float(d * d - d))
+    return PPTWitness(matrix=np.diag(diag).astype(complex), trace_value=float(d * d - d))
 
 
 def constraint_score(m: np.ndarray, d: int, n: int) -> float:
@@ -373,8 +373,8 @@ def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
     The workers start taking windows at once.  The ppt_search call given
     the map joins it: this process takes the windows still queued, then
     gathers every window in order, so the result is the same.  Each window
-    gives its accepted candidates' scores and twirls.  Closing a map that
-    no call joined kills and reaps its workers.
+    gives the twirl coefficients of its accepted candidates, and nothing
+    else.  Closing a map that no call joined kills and reaps its workers.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -383,25 +383,18 @@ def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
     # this process's generator, built before the fork: the workers inherit it, numpy.random
     # and the key block of the first candidates instead of each building them again
     _rekeyed_rng(seed, "ppt", SEARCH_CASE_BASE)
-
-    @cache
-    def constants():
-        """The constraint and the twirl basis, which each worker builds at its first window.
-
-        Built before the fork, the (2^n, side, side) label stack behind them
-        raised the peak RSS of a d=3, n=2 run by about 1 MiB: the run holds
-        the search from its start, through every claim before the ppt suite.
-        """
-        return _label_operators(d, n)[-1].copy(), _twirl_basis(d, n)
+    # each worker builds the twirl basis at its first window: built before the fork, the
+    # (2^n, side, side) label stack behind it raised the peak RSS of a d=3, n=2 run by
+    # about 1 MiB, since the run holds the search from its start through every claim
+    # before the ppt suite
+    basis = cache(lambda: _twirl_basis(d, n))
 
     def search_window(start):
-        """The scores and twirl coefficients of the window's accepted candidates."""
-        constraint, basis = constants()
+        """The twirl coefficients of the window's accepted candidates: (accepted, 2^n)."""
         stop = min(start + window, trials)
         projected = _project_stack(_search_candidates(d, n, seed, start, stop), d, n, first=start)
         accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
-        return ([trace_inner(constraint, m).real for m in accepted],
-                _twirl_coefficients(accepted, basis))
+        return _twirl_coefficients(accepted, basis())
 
     return ForkedMap(search_window, range(0, trials, window))
 
@@ -414,14 +407,16 @@ def ppt_search(d: int, n: int, trials: int, seed: int,
     alternating clipping, a window of them at a time, the windows spread
     over forked workers: those of `started`, the map start_search(d, n,
     trials, seed) returned, or else of a map started here.  Non-convergent
-    candidates are skipped and counted.  The returned minimum staying away
-    from zero is the certified prediction.  The result also holds the
-    twirl coefficients of every accepted candidate, in candidate order.
+    candidates are skipped and counted.  The result holds the twirl
+    coefficients of every accepted candidate, in candidate order, and the
+    smallest score tr(M (I-Phi)^{(x)n}) among them, read off each twirl as
+    rank((I-Phi)^{(x)n}) = (d^2-1)^n times the all-complement coefficient.
+    That minimum staying away from zero is the certified prediction.
     """
-    windows = (started or start_search(d, n, trials, seed)).join()
-    scores = [score for window_scores, _ in windows for score in window_scores]
-    # np.min keeps a NaN score, which a running builtin min can drop
-    min_value = float(np.min(scores)) if scores else None
+    coefficients = np.concatenate((started or start_search(d, n, trials, seed)).join())
+    # the score is rank * the all-complement coefficient; np.min keeps a NaN, which a running
+    # builtin min can drop
+    scores = coefficients[:, -1] * label_ranks(d, n)[-1]
     return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),
-                           min_value=min_value,
-                           coefficients=np.concatenate([c for _, c in windows]))
+                           min_value=float(np.min(scores)) if len(scores) else None,
+                           coefficients=coefficients)

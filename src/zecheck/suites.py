@@ -7,17 +7,17 @@ tolerance, or is 0 when it has none; a claim with another rule returns
 a `_Verdict`.  Shared objects are cached properties of `_Context`, built
 by the first claim that reads them, so that claim's `runtime_ms`
 includes building them.  The one exception is the PPT search: `execute`
-starts it before the first claim, `_Context` keeps the started map, and
+builds the started map, `_Context.started`, before the first claim, and
 `ppt.search_floor`, which reads the search first, joins it, so its
 `runtime_ms` counts only the part of the search the run waited for.  A
 build that raises is not run again: its exception is kept and raised to
-every later reader.  Exceptions are caught only in the try around each
-claim and in the start of the search, which counts as a build of it:
-one raised in a claim, while building a shared object or while starting
-the search fails exactly the claims that need it, with the exception
-text in `detail`.  There is no `<suite>.panic` record.  `execute`
-closes the search's map whatever escapes it, so no forked worker
-outlives it.
+every later reader, so a start that raises fails the claims that read
+the search.  Exceptions are caught only in the try around each claim and
+in `execute`'s start of the search: one raised in a claim, while building
+a shared object or while starting the search fails exactly the claims
+that need it, with the exception text in `detail`.  There is no
+`<suite>.panic` record.  `execute` closes the search's map, if it was
+built, whatever escapes it, so no forked worker outlives it.
 
 All randomness comes from counter-based Philox streams keyed by (seed,
 suite, case).  A one-off draw takes an independent generator from
@@ -60,15 +60,13 @@ works through the windows while this process runs every claim before
 the ppt suite.  Every other loop runs in this process.  Until the join
 the search holds every CPU but one on any host with no more CPUs than
 its windows (4 at (2,1), 20 at (3,1), 63 at (2,2) and 1000 at (3,2),
-at 100 trials), so there a forked conservation or identity loop had no
-CPU to fork onto.  The equivalence and code-impossibility sweeps were
-never spread: a fork costs about as much as one of their 64-pair
-windows at d=2.
+at 100 trials).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from functools import cache, cached_property
 from itertools import islice, product
 from typing import Callable, NamedTuple
@@ -98,6 +96,7 @@ from .linalg import (
     basis_state,
     case_rng,
     case_rngs,
+    max_entangled,
     max_entangled_projector,
     min_eigenvalue,
     partial_transpose,
@@ -171,7 +170,6 @@ class _Context:
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
         # the run's one PPT search; start_search and ppt_search must get the same arguments
         self.search_args = (self.d, self.n, 10 * config.trials, config.seed)
-        self.started = None  # the search's forked map, from start_search until execute ends
 
     @_shared
     def family(self):
@@ -214,16 +212,10 @@ class _Context:
     def witness(self):
         return build_ppt_witness(self.d)
 
-    def start_search(self) -> None:
-        """Start the PPT search's workers, whose map `search` joins.
-
-        A start that raises is kept as the failed build of `search`, so the
-        claims that read the search fail with it and the run goes on.
-        """
-        try:
-            self.started = start_search(*self.search_args)
-        except Exception as exc:
-            self.failed["search"] = exc
+    @_shared
+    def started(self):
+        """The PPT search's forked map, which `search` joins; `execute` builds it first."""
+        return start_search(*self.search_args)
 
     @_shared
     def search(self):
@@ -498,8 +490,7 @@ def _null_dimension(ctx):
         "mu (x) Phi is annihilated for every mu orthogonal to the uniform vector", tol=1e-10)
 def _null_vectors(ctx):
     d = ctx.d
-    phi_vec = np.zeros(d * d, dtype=complex)
-    phi_vec[:: d + 1] = 1.0 / np.sqrt(d)
+    phi_vec = max_entangled(d)
     worst = 0.0
     for k in range(1, d):
         mu = (basis_state(d, 0) - basis_state(d, k)) / np.sqrt(2)
@@ -873,12 +864,13 @@ def _design_independence(ctx):
 def execute(config: RunConfig) -> VerificationReport:
     """Run the registered claims of the configured suites in order and assemble the report."""
     ctx = _Context(config)
-    if "ppt" in config.suites:
-        ctx.start_search()
     try:
+        if "ppt" in config.suites:
+            with suppress(Exception):  # kept by _shared: the search's claims fail with it
+                ctx.started
         claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
     finally:
-        if ctx.started is not None:  # a no-op once ppt.search_floor has joined the map
+        if "started" in vars(ctx):  # built; a no-op once ppt.search_floor has joined the map
             ctx.started.close()
     warnings = [] if config.suites else ["no suites selected; the result is vacuously passing"]
     return VerificationReport(

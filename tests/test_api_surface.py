@@ -4,7 +4,9 @@ Every public top-level function and class of a zecheck module must be
 named somewhere outside its own definition: in zecheck's modules, in the
 acceptance tests or in the benchmark scripts.  A name is an `ast.Name`, an
 `ast.Attribute` or an import alias, so docstrings and comments do not
-count, and neither do the re-exports in `__init__.py`.
+count, and neither do the re-exports in `__init__.py`.  Likewise every
+name a module imports must be used in it, `__init__.py` and
+`from __future__` aside.
 """
 
 import ast
@@ -62,3 +64,39 @@ def test_a_definition_naming_only_itself_is_flagged(tmp_path):
         "def _private():\n    pass\n"
     )
     assert callerless_public_api(package, tmp_path) == ["a.lonely", "a.Reexported"]
+
+
+def imported_names(tree):
+    """The name each import below tree binds, `from __future__` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def unused_imports(package=PACKAGE):
+    """'module.name' of every name a module imports and never reads; `__init__.py` re-exports."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in read]
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert unused_imports() == []
+
+
+def test_an_import_nothing_reads_is_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import helper\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom math import pi, tau as turn\n"
+        "def helper() -> np.ndarray:\n    import signal\n    return np.zeros(os.getpid())\n"
+        '"""pi, turn and signal are only named in this string."""\n'
+    )
+    assert sorted(unused_imports(tmp_path)) == ["a.pi", "a.signal", "a.turn"]

@@ -210,7 +210,7 @@ def test_forked_map_keeps_item_order(k, cpus):
     assert ForkedMap(lambda x: x, []).join() == []
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_forked_map_keeps_item_order_past_the_queue_length(k, cpus):
     cpus(k)
     items = range(3 * _QUEUE_RUNS + 7)  # runs of 3 and 4 contiguous items
@@ -248,6 +248,26 @@ def test_forked_map_raises_the_earliest_failure_across_runs(k, cpus):
         ForkedMap(fn, range(3000)).join()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_one_cpu_map_forks_nothing_and_closes_its_queue(monkeypatch, cpus):
+    cpus(1)
+
+    def no_fork():
+        raise AssertionError("a one-CPU map forked")
+
+    def fn(x):
+        if x in (1498, 1502, 2000, 2999):
+            raise ValueError(f"item {x}")
+        return x
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValueError, match=r"^item 1498$"):
+        ForkedMap(fn, range(3000)).join()
+    assert ForkedMap(fn, range(1498)).join() == list(range(1498))
+    assert ForkedMap(fn, []).join() == []
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("status", [0, 3])

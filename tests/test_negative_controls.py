@@ -6,9 +6,12 @@ on the 2-design property must miss by a clear margin.  A helper that
 returns NaN must fail every claim that reduces its values, and every
 claim that counts decisions must count a NaN as a failed one.  A run
 whose sub-design search finds nothing must fail both alternative-design
-claims by name, not drop them.  A PPT search result whose twirl
-coefficients are PSD but not PPT must fail `ppt.twirl_preserves`, and
-one with a zero all-complement coefficient `ppt.constraint_unreachable`.
+claims by name, not drop them.  A phase gate with one entry negated must
+fail `channel.phase_gate_form`, and a witness with |00><00| added
+`ppt.witness`: neither builder checks these itself.  A PPT search result
+whose twirl coefficients are PSD but not PPT must fail
+`ppt.twirl_preserves`, and one with a zero all-complement coefficient
+`ppt.constraint_unreachable`.
 """
 
 import json
@@ -30,7 +33,7 @@ from zecheck.designs import (
     shift,
     verify_two_design,
 )
-from zecheck.ppt import PPTSearchResult, ppt_search
+from zecheck.ppt import PPTSearchResult, PPTWitness, build_ppt_witness, ppt_search
 from zecheck.privacy import run_protocol, verify_secrecy
 from zecheck.report import RunConfig, emit_report
 from zecheck.suites import case_rng, execute
@@ -104,6 +107,30 @@ def test_an_identity_twirl_fails_twirl_invariance(monkeypatch):
     claim = execute(RunConfig(d=3, n=1, trials=5, suites=("design",))).claims
     claim = {c.claim_id: c for c in claim}["design.twirl_invariance"]
     assert not claim.passed and claim.value > 0.01
+
+
+def test_a_negated_phase_gate_entry_fails_phase_gate_form(monkeypatch):
+    def negated(d, family):
+        channel = build_channel(d, family)
+        channel.phase_gate[-1, -1] *= -1  # w^((d-1)^2) -> -w^((d-1)^2)
+        return channel
+
+    monkeypatch.setattr(zecheck.suites, "build_channel", negated)
+    report = execute(RunConfig(d=3, n=1, trials=5, suites=("channel",)))
+    claim = {c.claim_id: c for c in report.claims}["channel.phase_gate_form"]
+    assert not claim.passed and claim.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_a_witness_overlapping_phi_gamma_fails_the_witness_claim(monkeypatch):
+    def overlapping(d):
+        # |00><00| has overlap 1/d with Phi^Gamma = SWAP/d, and adds 1 to the trace
+        witness = build_ppt_witness(d)
+        return PPTWitness(witness.matrix + np.diag(np.eye(d * d)[0]), witness.trace_value)
+
+    monkeypatch.setattr(zecheck.suites, "build_ppt_witness", overlapping)
+    report = execute(RunConfig(d=2, n=1, trials=5, suites=("ppt",)))
+    claim = {c.claim_id: c for c in report.claims}["ppt.witness"]
+    assert not claim.passed and claim.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_missing_subdesign_fails_both_alt_claims(monkeypatch):
@@ -188,11 +215,16 @@ def test_verify_secrecy_keeps_a_nan_distance(monkeypatch):
 
 
 def test_ppt_search_keeps_a_nan_score(monkeypatch):
-    calls = count()
-    inner = zecheck.ppt.trace_inner
-    monkeypatch.setattr(zecheck.ppt, "trace_inner",
-                        lambda a, b: complex("nan") if next(calls) == 1 else inner(a, b))
-    assert np.isnan(ppt_search(2, 1, 4, 7).min_value)
+    twirl = zecheck.ppt._twirl_coefficients
+
+    def poisoned(ms, basis):
+        p = twirl(ms, basis)
+        p[1, -1] = np.nan  # the second accepted candidate's all-complement coefficient
+        return p
+
+    monkeypatch.setattr(zecheck.ppt, "_twirl_coefficients", poisoned)
+    result = ppt_search(2, 1, 4, 7)  # one window of 4 candidates
+    assert result.accepted == 4 and np.isnan(result.min_value)
 
 
 class NanDraws:

@@ -511,7 +511,7 @@ def test_a_fork_that_fails_mid_start_fails_the_search_claims(monkeypatch, cpus):
     for cid in SEARCH_CLAIMS:
         assert claims.pop(cid).detail == "BlockingIOError: [Errno 11] fork refused", cid
     assert len(claims) == 5 and all(c.passed for c in claims.values())
-    assert len(forks) == 2 and contexts[0].started is None  # the run holds no map
+    assert len(forks) == 2 and "started" not in vars(contexts[0])  # no started map was built
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -619,22 +619,35 @@ def test_search_windows(d, n, trials, windows, monkeypatch, cpus):
     assert sizes == windows
 
 
+def twirled(candidate, d, n):
+    """The candidate's own `isotropic_twirl_n` coefficients, whose last one times the rank
+    of (I-Phi)^(x)n must be its dense `constraint_score` to within 1e-14."""
+    p = isotropic_twirl_n(candidate, d, n).coefficients.ravel()
+    assert abs(constraint_score(candidate, d, n) - label_ranks(d, n)[-1] * p[-1]) <= 1e-14
+    return p
+
+
+def reference_result(coefficients, skipped, d, n):
+    """The PPTSearchResult whose minimum is rank times the least all-complement coefficient."""
+    coefficients = np.array(coefficients).reshape(-1, 2**n)
+    floor = float(label_ranks(d, n)[-1] * coefficients[:, -1].min()) if len(coefficients) else None
+    return PPTSearchResult(len(coefficients), skipped, floor, coefficients)
+
+
 def rechecking_search(d, n, trials, seed):
     """ppt_search as it was with an is_ppt re-check of every accepted candidate.
 
     The coefficients are each accepted candidate's own `isotropic_twirl_n`.
     """
     skipped = 0
-    scores, coefficients = [], []
+    coefficients = []
     for t in range(trials):
         candidate = project_to_ppt(_search_candidates(d, n, seed, t, t + 1)[0], d, n)
         if candidate is None or not is_ppt(candidate, d, n, tol=1e-8):
             skipped += 1
             continue
-        scores.append(constraint_score(candidate, d, n))
-        coefficients.append(isotropic_twirl_n(candidate, d, n).coefficients.ravel())
-    return PPTSearchResult(len(scores), skipped, min(scores) if scores else None,
-                           np.array(coefficients).reshape(len(scores), 2**n))
+        coefficients.append(twirled(candidate, d, n))
+    return reference_result(coefficients, skipped, d, n)
 
 
 @pytest.mark.parametrize("seed", [7, 123])
@@ -646,15 +659,14 @@ def test_search_matches_rechecking_reference(d, n, seed):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_search_draws_candidate_t_from_case_rng(d, n):
     seed, trials = 7, 20
-    scores, coefficients = [], []
+    coefficients = []
     for t in range(trials):
         m = random_psd(d ** (2 * n), case_rng(seed, "ppt", 40_000 + t))
         candidate = project_to_ppt(m, d, n)
         assert candidate is not None
-        scores.append(constraint_score(candidate, d, n))
-        coefficients.append(isotropic_twirl_n(candidate, d, n).coefficients.ravel())
+        coefficients.append(twirled(candidate, d, n))
     assert_same_search(ppt_search(d, n, trials, seed),
-                       PPTSearchResult(trials, 0, min(scores), np.array(coefficients)))
+                       reference_result(coefficients, 0, d, n))
 
 
 def test_search_floor_and_fields():
