@@ -1,17 +1,14 @@
-"""Command-line interface: flag/env parsing and report emission.
+"""Command-line interface: flag parsing and report emission.
 
     zecheck verify [--d D] [--n N] [--suite NAME ...] [--trials T]
                    [--seed S] [--output PATH] [--format json|text]
 
 Exit codes: 0 all claims pass, 1 at least one claim fails, 2 usage
-error, 3 internal error.  Every flag has a ZEC_-prefixed environment
-fallback (ZEC_D, ZEC_N, ZEC_SUITE, ZEC_TRIALS, ZEC_SEED, ZEC_OUTPUT,
-ZEC_FORMAT); explicit flags win over the environment, which wins over
-RunConfig's defaults.  A ZEC_SUITE that names no suite is a usage error,
-not a run that checks nothing.  Claim tolerances are fixed per claim, and the Clifford
-family is enumerated in-process on every run; the removed --tol and
---cache-dir flags and their ZEC_TOL and ZEC_CACHE_DIR variables are
-usage errors.
+error, 3 internal error.  A run is configured by its flags alone: a
+setting without its flag takes RunConfig's default, and any ZEC_-prefixed
+environment variable is a usage error that names it, so a script that
+still sets one fails instead of quietly running the defaults.  The
+removed --tol and --cache-dir flags are usage errors too.
 """
 
 from __future__ import annotations
@@ -39,31 +36,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 ENV_PREFIX = "ZEC_"
-# removed settings, so that a script still setting one gets a usage error
-REMOVED_ENV = {
-    "TOL": "each claim carries its own fixed tolerance",
-    "CACHE_DIR": "the design is enumerated in-process on every run",
-}
-
-
-def _suite_names(raw):
-    """ZEC_SUITE's comma-separated suite names; naming none is an error, not a vacuous run."""
-    names = tuple(s for s in (part.strip() for part in raw.split(",")) if s)
-    if not names or not set(names) <= set(SUITE_NAMES):
-        raise ValueError(f"expected comma-separated names from {SUITE_NAMES}")
-    return names
-
-
-# (RunConfig field, ZEC_ variable, cast of the variable's text)
-_SETTINGS = (
-    ("d", "D", int),
-    ("n", "N", int),
-    ("suites", "SUITE", _suite_names),
-    ("trials", "TRIALS", int),
-    ("seed", "SEED", int),
-    ("output", "OUTPUT", str),
-    ("fmt", "FORMAT", str),
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,51 +45,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zecheck {TOOLKIT_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run verification suites and emit a report",
-                            epilog="ZEC_SUITE takes comma-separated suite names.")
-    default = {f.name: f.default for f in fields(RunConfig)}
-    default.update(suites="all", output="stdout")
-    fallback = {name: f"(default: ${ENV_PREFIX}{key}, else {default[name]})"
-                for name, key, _ in _SETTINGS}
+    verify = sub.add_parser("verify", help="run verification suites and emit a report")
+    default = {f.name: f"(default: {f.default})" for f in fields(RunConfig)}
+    default.update(suites="(default: all)", output="(default: stdout)")
     verify.add_argument("--d", type=int,
-                        help=f"qudit dimension, one of {SUPPORTED_D} {fallback['d']}")
-    verify.add_argument("--n", type=int, help=f"channel uses, one of {SUPPORTED_N} {fallback['n']}")
+                        help=f"qudit dimension, one of {SUPPORTED_D} {default['d']}")
+    verify.add_argument("--n", type=int, help=f"channel uses, one of {SUPPORTED_N} {default['n']}")
     verify.add_argument(
         "--suite",
         action="append",
         choices=SUITE_NAMES,
         dest="suites",
-        help=f"suite to run, repeatable {fallback['suites']}",
+        help=f"suite to run, repeatable {default['suites']}",
     )
     verify.add_argument("--trials", type=int,
-                        help=f"sample-count base, 1 to 5000 {fallback['trials']}")
-    verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {fallback['seed']}")
-    verify.add_argument("--output", help=f"report path {fallback['output']}")
+                        help=f"sample-count base, 1 to 5000 {default['trials']}")
+    verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {default['seed']}")
+    verify.add_argument("--output", help=f"report path {default['output']}")
     verify.add_argument("--format", choices=FORMATS, dest="fmt",
-                        help=f"report format {fallback['fmt']}")
+                        help=f"report format {default['fmt']}")
     return parser
 
 
 def parse_config(argv, env=None) -> RunConfig:
-    """Resolve each setting as flag, then ZEC_ variable, then RunConfig's default."""
+    """Each setting from its flag, else RunConfig's default; a ZEC_ variable is a usage error."""
     env = os.environ if env is None else env
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
-    for key, why in REMOVED_ENV.items():
-        if ENV_PREFIX + key in env:
-            parser.error(f"{ENV_PREFIX + key} was removed: {why}")
-    given = {}
-    for name, key, cast in _SETTINGS:
-        value, raw = getattr(ns, name), env.get(ENV_PREFIX + key)
-        if value is None and raw is not None:
-            try:
-                value = cast(raw)
-            except ValueError as exc:
-                parser.error(f"invalid value {raw!r} for {ENV_PREFIX + key}: {exc}")
-        if value is not None:
-            given[name] = value
+    stray = sorted(key for key in env if key.startswith(ENV_PREFIX))
+    if stray:
+        parser.error(f"{', '.join(stray)} set: zecheck is configured by its flags alone, "
+                     "not the environment (see 'zecheck verify --help')")
+    given = {f.name: getattr(ns, f.name) for f in fields(RunConfig)}
     try:
-        return RunConfig(**given)
+        return RunConfig(**{name: value for name, value in given.items() if value is not None})
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")  # parser.error raises SystemExit

@@ -307,9 +307,10 @@ class ForkedMap:
     leaves with os._exit, so it flushes no inherited stdio and runs no exit
     handlers; join() raises RuntimeError naming the status of one that
     exits without a complete payload.  close() kills and reaps the children
-    of a map that will not be joined; join() closes the map, so no child
-    outlives either call.  fn and everything it reads are inherited, not
-    pickled: build shared objects before starting.  zecheck starts no
+    of a map that will not be joined and closes its pipes; join() and a
+    constructor that raises close the map, so no child or descriptor
+    outlives any of the three.  fn and everything it reads are inherited,
+    not pickled: build shared objects before starting.  zecheck starts no
     threads, and OpenBLAS shuts its own pool down across a fork; importing
     zecheck before numpy keeps that pool at one thread (see
     `zecheck/__init__.py`), so the k workers do not each run one per CPU.
@@ -327,17 +328,23 @@ class ForkedMap:
         k = min(cpus, len(self.items))
         runs = min(len(self.items), _QUEUE_RUNS)
         self.bounds = [0] + [len(self.items) * r // runs for r in range(1, runs + 1)]
-        self.queue, write = os.pipe()  # the queue's read end stays open until close()
+        # every read end is held by the map until close(); every write end this process
+        # opens is closed before the next step, on every path
+        self.queue, write = os.pipe()
         try:
-            os.write(write, struct.pack(f"={runs}I", *range(runs)))
-            os.close(write)  # once the queue is empty, a read returns EOF
+            try:
+                os.write(write, struct.pack(f"={runs}I", *range(runs)))
+            finally:
+                os.close(write)  # once the queue is empty, a read returns EOF
             for w in range(1, k):
                 read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _forked_worker(self, write)
-                os.close(write)
-                self.pids[w], self.pipes[w] = pid, open(read, "rb")
+                try:
+                    self.pipes[w] = open(read, "rb")
+                    self.pids[w] = os.fork()
+                    if self.pids[w] == 0:
+                        _forked_worker(self, write)
+                finally:
+                    os.close(write)
         except BaseException:
             self.close()
             raise

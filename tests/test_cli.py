@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import json
 import os
-import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -52,10 +51,25 @@ def test_parse_rejects_unknown_flag():
     assert err.value.code == 2
 
 
-# per setting, a ZEC_ variable's text and the value it sets, not RunConfig's default
-ENV_SAMPLES = {"d": ("3", 3), "n": ("2", 2), "suites": ("ppt,privacy", ("privacy", "ppt")),
-               "trials": ("7", 7), "seed": ("9", 9), "output": ("r.json", "r.json"),
-               "fmt": ("text", "text")}
+@pytest.fixture(autouse=True)
+def no_zec_variable(monkeypatch):
+    """Keep a ZEC_ variable of the calling shell, a usage error, out of the in-process runs."""
+    for key in [key for key in os.environ if key.startswith("ZEC_")]:
+        monkeypatch.delenv(key)
+
+
+def spawn(*args, **env):
+    """`python -m zecheck *args` in this environment without its ZEC_ variables, plus env."""
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("ZEC_")}
+    return subprocess.run([sys.executable, "-m", "zecheck", *args], capture_output=True,
+                          text=True, env={**clean, **env})
+
+
+# per setting, flags that set it and the value they set, not RunConfig's default
+FLAG_SAMPLES = {"d": (["--d", "3"], 3), "n": (["--n", "2"], 2),
+                "suites": (["--suite", "ppt", "--suite", "privacy"], ("privacy", "ppt")),
+                "trials": (["--trials", "7"], 7), "seed": (["--seed", "9"], 9),
+                "output": (["--output", "r.json"], "r.json"), "fmt": (["--format", "text"], "text")}
 
 
 def test_every_verify_option_has_help():
@@ -67,65 +81,24 @@ def test_every_verify_option_has_help():
         a.option_strings for a in verify._actions if a.option_strings and not a.help
     ]
     assert missing == []
-    # every setting states the ZEC_ variable that sets it and RunConfig's default, so help
-    # and behavior cannot drift
+    # every setting states RunConfig's default, and its flag sets it, so help and behavior
+    # cannot drift
     flags = {a.dest: a.help for a in verify._actions if a.option_strings and a.dest != "help"}
-    assert sorted(flags) == sorted(ENV_SAMPLES)
+    assert sorted(flags) == sorted(FLAG_SAMPLES)
     stated = {"suites": "all", "output": "stdout"}
     for f in dataclasses.fields(RunConfig):
-        default = re.escape(str(stated.get(f.name, f.default)))
-        match = re.search(rf"\(default: \$(ZEC_[A-Z]+), else {default}\)$", flags[f.name])
-        assert match, flags[f.name]
-        text, value = ENV_SAMPLES[f.name]
-        assert getattr(parse_config(["verify"], env={match[1]: text}), f.name) == value
+        default = str(stated.get(f.name, f.default))
+        assert flags[f.name].endswith(f"(default: {default})"), flags[f.name]
+        argv, value = FLAG_SAMPLES[f.name]
+        assert getattr(parse_config(["verify", *argv], env={}), f.name) == value
         assert getattr(RunConfig(), f.name) != value
     assert str(SUPPORTED_D) in flags["d"]
     assert str(SUPPORTED_N) in flags["n"]
 
 
-def test_env_seed_fallback():
-    cfg = parse_config(["verify"], env={"ZEC_SEED": "42"})
-    assert cfg.seed == 42
-
-
-def test_flag_overrides_env():
-    cfg = parse_config(["verify", "--seed", "7"], env={"ZEC_SEED": "42"})
-    assert cfg.seed == 7
-
-
-def test_env_suite_list():
-    cfg = parse_config(["verify"], env={"ZEC_SUITE": "privacy,ppt"})
-    assert cfg.suites == ("privacy", "ppt")
-
-
-@pytest.mark.parametrize("raw", ["", " , ", ","])
-def test_env_suite_naming_no_suite_is_usage_error(raw, monkeypatch, capsys):
-    # an empty list would run no claim and pass vacuously
-    with pytest.raises(SystemExit) as err:
-        parse_config(["verify"], env={"ZEC_SUITE": raw})
-    assert err.value.code == 2
-    assert "ZEC_SUITE" in capsys.readouterr().err
-    monkeypatch.setenv("ZEC_SUITE", raw)
-    assert main(["verify"]) == 2
-
-
 def test_settings_default_to_run_config():
     cfg = parse_config(["verify"], env={})
     assert cfg == RunConfig()
-
-
-@pytest.mark.parametrize("key,raw,attr,expected", [
-    ("D", "3", "d", 3),
-    ("N", "2", "n", 2),
-    ("SUITE", "ppt", "suites", ("ppt",)),
-    ("TRIALS", "7", "trials", 7),
-    ("SEED", "42", "seed", 42),
-    ("OUTPUT", "report.json", "output", "report.json"),
-    ("FORMAT", "text", "fmt", "text"),
-])
-def test_env_fallback(key, raw, attr, expected):
-    assert getattr(parse_config(["verify"], env={}), attr) != expected
-    assert getattr(parse_config(["verify"], env={"ZEC_" + key: raw}), attr) == expected
 
 
 @pytest.mark.parametrize("argv", [["--tol", "1e-6"], ["--cache-dir", "x"]])
@@ -136,20 +109,31 @@ def test_removed_flags_are_usage_errors(argv):
     assert main(["verify", *argv]) == 2
 
 
-@pytest.mark.parametrize("key", ["ZEC_TOL", "ZEC_CACHE_DIR"])
-def test_removed_env_is_usage_error(key, monkeypatch, capsys):
+# a run reads no environment variable: every ZEC_ one, once a fallback, removed or never
+# read, is a usage error instead of a run of the defaults
+@pytest.mark.parametrize("key", ["ZEC_D", "ZEC_N", "ZEC_SUITE", "ZEC_TRIALS", "ZEC_SEED",
+                                 "ZEC_OUTPUT", "ZEC_FORMAT", "ZEC_TOL", "ZEC_CACHE_DIR", "ZEC_X"])
+def test_removed_env_is_usage_error(key, capsys):
     with pytest.raises(SystemExit) as err:
-        parse_config(["verify"], env={key: "1e-6"})
+        parse_config(["verify", "--suite", "privacy"], env={key: "3", "ZEC_ALSO": ""})
     assert err.value.code == 2
-    assert f"{key} was removed" in capsys.readouterr().err
-    monkeypatch.setenv(key, "x")
-    assert main(["verify", "--suite", "privacy"]) == 2
+    stderr = capsys.readouterr().err
+    assert key in stderr and "ZEC_ALSO" in stderr and "flags" in stderr
+    run = spawn("verify", "--d", "2", "--suite", "privacy", "--trials", "5", **{key: "3"})
+    assert run.returncode == 2
+    assert key in run.stderr and run.stdout == ""
 
 
-def test_env_bad_value_is_usage_error():
+@pytest.mark.parametrize("raw", ["", " , ", ","])
+def test_env_suite_naming_no_suite_is_usage_error(raw, monkeypatch, capsys):
+    # ZEC_SUITE naming no suite, once a vacuous run of no claim, is a usage error like any
+    # other ZEC_SUITE value
     with pytest.raises(SystemExit) as err:
-        parse_config(["verify"], env={"ZEC_TRIALS": "many"})
+        parse_config(["verify"], env={"ZEC_SUITE": raw})
     assert err.value.code == 2
+    assert "ZEC_SUITE" in capsys.readouterr().err
+    monkeypatch.setenv("ZEC_SUITE", raw)
+    assert main(["verify"]) == 2
 
 
 def test_config_validation():
@@ -430,18 +414,8 @@ def test_failing_claim_exit_code_and_anchor(monkeypatch, capsys):
     assert "closure certificate unavailable" in captured.out
 
 
-def test_subprocess_entrypoint(tmp_path):
-    run = subprocess.run(
-        [sys.executable, "-m", "zecheck", "verify", "--d", "2", "--suite", "privacy",
-         "--trials", "5", "--format", "text"],
-        capture_output=True,
-        text=True,
-    )
+def test_subprocess_entrypoint():
+    run = spawn("verify", "--d", "2", "--suite", "privacy", "--trials", "5", "--format", "text")
     assert run.returncode == 0
     assert "overall: PASS" in run.stdout
-    usage = subprocess.run(
-        [sys.executable, "-m", "zecheck", "verify", "--d", "4"],
-        capture_output=True,
-        text=True,
-    )
-    assert usage.returncode == 2
+    assert spawn("verify", "--d", "4").returncode == 2

@@ -326,6 +326,32 @@ def test_closing_a_started_map_kills_its_workers(cpus):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("k,call,nth", [
+    (2, "write", 1), (3, "write", 1),  # the queue's write
+    (2, "pipe", 2), (3, "pipe", 2), (3, "pipe", 3),  # a result pipe, before or after a fork
+    (2, "fork", 1), (3, "fork", 1), (3, "fork", 2),
+])
+def test_a_map_that_fails_to_start_leaves_no_descriptor_or_child(k, call, nth, monkeypatch, cpus):
+    cpus(k)
+    real, calls = getattr(os, call), []
+
+    def failing(*args):
+        calls.append(call)
+        if len(calls) == nth:
+            raise OSError(f"injected failure of os.{call} call {nth}")
+        return real(*args)
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, call, failing)
+    with pytest.raises(OSError, match="^injected failure"):
+        ForkedMap(lambda x: x, range(8))
+    monkeypatch.undo()
+    assert len(calls) == nth
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_forked_workers_flush_no_inherited_buffer(tmp_path, cpus):
     cpus(2)
     path = tmp_path / "out.txt"
