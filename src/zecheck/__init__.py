@@ -42,7 +42,6 @@ from .designs import (
 )
 from .linalg import (
     Subspace,
-    case_rng,
     max_entangled,
     max_entangled_projector,
     partial_trace,

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .report import (
     FORMATS,
+    MAX_TRIALS,
     SUITE_NAMES,
     SUPPORTED_D,
     SUPPORTED_N,
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"suite to run, repeatable {default['suites']}",
     )
     verify.add_argument("--trials", type=int,
-                        help=f"sample-count base, 1 to 5000 {default['trials']}")
+                        help=f"sample-count base, 1 to {MAX_TRIALS} {default['trials']}")
     verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {default['seed']}")
     verify.add_argument("--output", help=f"report path {default['output']}")
     verify.add_argument("--format", choices=FORMATS, dest="fmt",

@@ -8,11 +8,10 @@ significant index, i.e. |i>|j> sits at row i * dim_j + j.
 The module also holds the one seeding scheme: every random draw takes
 the Philox stream of a case (seed, suite, case), whose key is numpy's
 SeedSequence key of those three numbers, derived for a block of cases
-at a time.  `case_rng` builds an independent generator of one case's
-stream, for a one-off draw; a loop takes `case_rngs`, which re-keys the
-process's one generator instead, so each of its generators stays valid
-only until the next is drawn.  `ForkedMap` is the one forked map, which
-spreads the PPT search over the CPUs.
+at a time.  `case_rngs` re-keys the process's one generator to each
+case's stream in turn, so each of its generators stays valid only until
+the next is drawn.  `ForkedMap` is the one forked map, which spreads the
+PPT search over the CPUs.
 """
 
 from __future__ import annotations
@@ -231,54 +230,30 @@ def _case_key(seed: int, suite: str, case: int) -> np.ndarray:
     return _key_block(int(seed), suite, block)[i]
 
 
-def _keyed_generator(key) -> np.random.Generator:
-    """A new Generator on the Philox stream with this key, counter 0 and an empty buffer."""
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def case_rng(seed: int, suite: str, case: int) -> np.random.Generator:
-    """A new generator of case (seed, suite, case)'s counter-based stream, for a one-off draw.
-
-    Every random draw takes the stream of a case: the Philox stream of
-    SeedSequence([seed, SUITE_IDS[suite], case]), bit for bit, with its
-    key from `_key_block`.  A loop over cases takes `case_rngs` instead,
-    which builds no generator.
-    """
-    return _keyed_generator(_case_key(seed, suite, case))
-
-
 @cache
 def _process_generator() -> np.random.Generator:
-    """This process's one generator, which _rekeyed_rng re-keys; a forked child gets a copy."""
-    return _keyed_generator(0)
-
-
-def _rekeyed_rng(seed: int, suite: str, case: int) -> np.random.Generator:
-    """This process's one generator, re-keyed to case_rng(seed, suite, case)'s stream.
-
-    Setting the Philox state (key, zero counter, empty buffer) costs about
-    2 us, against about 11 us to build a generator, and gives the same
-    draws.  The generator is valid until the next re-key in this process,
-    so keep no generator across one; a forked worker re-keys its own copy.
-    """
-    rng = _process_generator()
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _case_key(seed, suite, case)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
+    """This process's one generator, which case_rngs re-keys; a forked child gets a copy."""
+    return np.random.Generator(np.random.Philox(key=0))
 
 
 def case_rngs(seed: int, suite: str, cases) -> Iterator[np.random.Generator]:
-    """The generator of case_rng(seed, suite, case)'s stream for each case in turn.
+    """The generator of each case's stream in turn, SeedSequence([seed, suite id, case])'s.
 
-    As with the groups of `itertools.groupby`, each yielded generator is
-    this process's one generator, re-keyed, and is valid only until the
-    next is drawn.
+    Each yielded generator is this process's one generator, re-keyed, and
+    is valid only until the next is drawn, as with the groups of
+    `itertools.groupby`: keep none across a draw of the next.  Setting the
+    Philox state (key from `_key_block`, zero counter, empty buffer) costs
+    about 2 us, against about 11 us to build a generator, and gives the
+    same draws, bit for bit.  A forked worker re-keys its own copy.
     """
+    rng = _process_generator()
     for case in cases:
-        yield _rekeyed_rng(seed, suite, case)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": _case_key(seed, suite, case)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
 
 
 # Most queue entries of one map, 4 bytes each: the whole queue fits in one 4 KiB pipe page

@@ -6,14 +6,12 @@ which the per-pair invariants {Phi, I-Phi} map to SWAP/d and
 I - SWAP/d.  The certificate replays, label by label, the argument that
 no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
-The randomized search draws its candidate t from the stream of
-case_rng(seed, "ppt", 40_000 + t), above every other ppt case key, but
-builds no generator for it: `linalg.case_rngs` re-keys the process's
-one generator to each candidate's stream in turn, and each re-keyed
-generator serves only until the next is drawn.  `start_search` builds
-that generator before the workers fork, so each worker re-keys its own
-copy.  The search draws and projects the candidates a window at a
-time.  The windows go to forked workers, one per CPU, that take them
+The randomized search draws its candidate t from the stream of ppt case
+SEARCH_CASE_BASE + t, through `linalg.case_rngs`, which re-keys the
+process's one generator to each candidate's stream in turn.
+`start_search` builds that generator before the workers fork, so each
+worker re-keys its own copy.  The search draws and projects the
+candidates a window at a time.  The windows go to forked workers, one per CPU, that take them
 from one shared queue in candidate order (`linalg.ForkedMap`, the only
 forked map of a run), and come back in candidate order, so every value
 is that of a one-CPU run.  `start_search` forks the workers and returns
@@ -52,7 +50,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ForkedMap,
-    _rekeyed_rng,
     case_rngs,
     max_entangled_projector,
     partial_trace,
@@ -62,7 +59,7 @@ from .linalg import (
     trace_one_gram,
 )
 
-SEARCH_CASE_BASE = 40_000  # the only other ppt case key, 31_000, sits below it
+SEARCH_CASE_BASE = 40_000  # ppt case of search candidate 0; suites._SAMPLES names it
 _WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 _MAX_ROUNDS = 200  # alternation rounds before a candidate counts as unconverged
 _PSD_TOL = 1e-10  # a matrix with lambda_min >= -_PSD_TOL needs no clip
@@ -352,10 +349,9 @@ def _project_stack(ms: np.ndarray, d: int, n: int, first: int = 0) -> list[np.nd
 def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """The trace-one PSD matrices ppt_search projects as candidates start..stop-1.
 
-    Candidate t is random_psd(d^(2n), case_rng(seed, "ppt", 40_000 + t)):
-    the same two draws, taken from `case_rngs`, which re-keys this
-    process's one generator to each candidate's stream in turn, with the
-    Wishart product and its trace formed on the stack.
+    Candidate t is random_psd(d^(2n), rng) on the stream of ppt case
+    SEARCH_CASE_BASE + t: the same two draws, with the Wishart product and
+    its trace formed on the stack.
     """
     side = d ** (2 * n)
     re = np.empty((stop - start, side, side))
@@ -382,7 +378,7 @@ def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
     window = max(1, _WINDOW_AMPLITUDES // (side * side))
     # this process's generator, built before the fork: the workers inherit it, numpy.random
     # and the key block of the first candidates instead of each building them again
-    _rekeyed_rng(seed, "ppt", SEARCH_CASE_BASE)
+    next(case_rngs(seed, "ppt", [SEARCH_CASE_BASE]))
     # each worker builds the twirl basis at its first window: built before the fork, the
     # (2^n, side, side) label stack behind it raised the peak RSS of a d=3, n=2 run by
     # about 1 MiB, since the run holds the search from its start through every claim

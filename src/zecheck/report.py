@@ -12,6 +12,8 @@ SUITE_NAMES = ("design", "channel", "zero-error", "theorem2", "privacy", "ppt", 
 SUPPORTED_D = (2, 3)
 SUPPORTED_N = (1, 2)
 FORMATS = ("json", "text")
+# the most trials a run takes: above it the case ranges of suites._SAMPLES would meet
+MAX_TRIALS = 5000
 # report keys that differ from their field names
 _KEYS = {"fmt": "format"}
 
@@ -61,10 +63,10 @@ class RunConfig(_Record):
         self.suites = tuple(s for s in SUITE_NAMES if s in requested)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.trials > 5000:  # the suites' case ranges are disjoint up to 5000 trials
-            raise ValueError(f"trials must be at most 5000, got {self.trials}: the 2*trials "
-                             "random equivalence pairs would read zero-error cases 10000 and "
-                             "up, the structured pairs' streams")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}: the "
+                             "2*trials random equivalence pairs would read zero-error cases "
+                             f"{2 * MAX_TRIALS} and up, the structured pairs' streams")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.fmt not in FORMATS:

@@ -20,27 +20,16 @@ that need it, with the exception text in `detail`.  There is no
 built, whatever escapes it, so no forked worker outlives it.
 
 All randomness comes from counter-based Philox streams keyed by (seed,
-suite, case).  A one-off draw takes an independent generator from
-`linalg.case_rng`.  A loop takes its cases' generators from
-`linalg.case_rngs`, which re-keys the process's one generator to each
-case's stream, so a generator is valid only until the next is drawn,
-and a pair's states are drawn in full before the loop moves on.  Each
-sampled claim reads its own range of cases, from the base its draw
-names (the PPT search's candidate t is ppt case 40_000 + t).  The
-ranges are disjoint up to `trials` = 5000, the most `RunConfig` takes:
-above it the 2*trials random equivalence pairs would reach zero-error
-case 10_000, the first structured pair's.  Running any subset of suites
-thus reproduces the full run's numbers exactly.
-
-The `trials` knob scales sample counts: the channel identity uses
-`trials` pairs, the conservation check max(1, trials // 10) inputs (every
-other one with a reference qubit), the orthogonality equivalence 2*trials
-random plus max(50, trials // 2) structured pairs, the code-impossibility
-sweep 5*trials candidate pairs, and the PPT search 10*trials projections:
-`ppt.search_floor`, `ppt.twirl_preserves` and `ppt.constraint_unreachable`
-all read its accepted candidates.  Fixed counts: the alternative-design
-identity 10 pairs, `ppt.twirl_invariance` 3 conjugations and
-`zero_error.form_properties` 10 cases.
+suite, case).  `_SAMPLES` is the table of every stream a claim reads:
+per claim, ranges of cases, each a suite, a first case and a count as a
+function of `trials`.  A claim's generators come from `_draws`, the one
+way to get one, which re-keys the process's one generator to each case's
+stream (`linalg.case_rngs`), so a generator is valid only until the next
+is drawn, and a pair's states are drawn in full before the loop moves
+on.  The ranges are disjoint up to `trials` = `report.MAX_TRIALS`, the
+most `RunConfig` takes, so running any subset of suites reproduces the
+full run's numbers exactly.  `ppt.search_floor`'s range is the PPT
+search's, whose accepted candidates the other two search claims read.
 Claims reduce samples with `_worst`, so a NaN sample fails its claim;
 `_run` records a non-finite value as null and says so in `detail`.
 The equivalence and code-impossibility sweeps draw their cases in order,
@@ -71,7 +60,7 @@ import time
 from contextlib import suppress
 from functools import cache, cached_property
 from itertools import islice, product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,7 +85,6 @@ from .designs import (
 )
 from .linalg import (
     basis_state,
-    case_rng,
     case_rngs,
     max_entangled,
     max_entangled_projector,
@@ -112,6 +100,7 @@ from .linalg import (
 )
 from .ncgraph import condition_checks, contains, full_matrix_space, graph_span, operator_span
 from .ppt import (
+    SEARCH_CASE_BASE,
     IsotropicDecomposition,
     build_ppt_witness,
     constraint_score,
@@ -143,6 +132,50 @@ from .zero_error import (
 _WINDOW_AMPLITUDES = 2**12
 
 
+class _Range(NamedTuple):
+    """Cases first, first + 1, ... of a suite's streams, count(trials) of them."""
+
+    suite: str
+    first: int
+    count: Callable[[int], int]
+
+
+# Every stream a claim reads, claim id -> its ranges.  The ranges of a suite are disjoint
+# up to trials = MAX_TRIALS; from MAX_TRIALS + 1 the random equivalence pairs would reach
+# the structured pairs' first case.
+_SAMPLES: dict[str, tuple[_Range, ...]] = {
+    "design.twirl_projection": (_Range("design", 0, lambda t: 1),),
+    "design.twirl_invariance": (_Range("design", 1, lambda t: 1),),
+    "channel.central_identity": (_Range("channel", 0, lambda t: t),),
+    "channel.conservation": (_Range("channel", 100_000, lambda t: max(1, t // 10)),),
+    "channel.alt_design_identity": (_Range("channel", 200_000, lambda t: 10),),
+    # the random pairs, then the structured pairs
+    "zero_error.equivalence": (_Range("zero-error", 0, lambda t: 2 * t),
+                               _Range("zero-error", 10_000, lambda t: max(50, t // 2))),
+    "zero_error.form_properties": (_Range("zero-error", 20_000, lambda t: 10),),
+    "theorem2.no_valid_code_pair": (_Range("theorem2", 0, lambda t: 5 * t),),
+    "ppt.twirl_invariance": (_Range("ppt", 31_000, lambda t: 1),),
+    # the PPT search's candidates, which ppt_search draws from SEARCH_CASE_BASE on
+    "ppt.search_floor": (_Range("ppt", SEARCH_CASE_BASE, lambda t: 10 * t),),
+}
+
+
+def _count(ctx, claim_id: str) -> int:
+    """The number of cases the claim draws at the run's trials, over all its ranges."""
+    return sum(r.count(ctx.config.trials) for r in _SAMPLES[claim_id])
+
+
+def _draws(ctx, claim_id: str, part: int = 0) -> Iterator[tuple[int, np.random.Generator]]:
+    """(i, the generator of case first + i) over the claim's part-th range in _SAMPLES.
+
+    The one way a claim gets a generator: each is `case_rngs`'s, valid
+    only until the next is drawn.
+    """
+    suite, first, count = _SAMPLES[claim_id][part]
+    cases = range(first, first + count(ctx.config.trials))
+    return enumerate(case_rngs(ctx.config.seed, suite, cases))
+
+
 class _shared(cached_property):
     """A cached property that also keeps the exception its build raised.
 
@@ -171,7 +204,7 @@ class _Context:
         self.d, self.n = config.d, config.n
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
         # the run's one PPT search; start_search and ppt_search must get the same arguments
-        self.search_args = (self.d, self.n, 10 * config.trials, config.seed)
+        self.search_args = (self.d, self.n, _count(self, "ppt.search_floor"), config.seed)
 
     @_shared
     def family(self):
@@ -310,7 +343,7 @@ def _twirl_clock_form(ctx):
         "the twirl is idempotent and matches its two-coefficient closed form", tol=1e-9)
 def _twirl_projection(ctx):
     d = ctx.d
-    rng = case_rng(ctx.config.seed, "design", 0)
+    _, rng = next(_draws(ctx, "design.twirl_projection"))
     m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     once = conjugate_twirl(ctx.family, m)
     return _worst(np.abs(conjugate_twirl(ctx.family, once) - once).max(),
@@ -322,7 +355,8 @@ def _twirl_projection(ctx):
         tol=1e-9)
 def _design_twirl_invariance(ctx):
     fam = ctx.family
-    m = random_psd(ctx.d * ctx.d, case_rng(ctx.config.seed, "design", 1))
+    _, rng = next(_draws(ctx, "design.twirl_invariance"))
+    m = random_psd(ctx.d * ctx.d, rng)
     twirled = conjugate_twirl(fam, m)
     dd = ctx.d * ctx.d
     # per block, twirled K_j and K_j twirled for every j, in conjugation_blocks' (r, j, c) layout
@@ -336,13 +370,13 @@ def _design_twirl_invariance(ctx):
 # ---------------------------------------------------------------- channel
 
 
-def _identity_gap(ctx, channel, first_case, pairs):
-    """Largest |m^n <out(p1), out(p2)> - closed form| over random pairs."""
+def _identity_gap(ctx, channel, claim_id):
+    """Largest |m^n <out(p1), out(p2)> - closed form| over the claim's random pairs."""
     d, n = ctx.d, ctx.n
     scale = len(channel.design) ** n
     overlap = overlap_kernel(channel)
     gaps = [0.0]
-    for rng in case_rngs(ctx.config.seed, "channel", range(first_case, first_case + pairs)):
+    for _, rng in _draws(ctx, claim_id):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         gaps.append(abs(scale * overlap(p1, p2) - averaged_output_overlap(p1, p2)))
@@ -373,26 +407,25 @@ def _basis_messages(ctx):
         "branch weights times traces sum to 1 and every branch is PSD, both outputs", tol=1e-9)
 def _conservation(ctx):
     # odd cases carry a reference qubit, whose environment Gram is rank-deficient
-    cases = max(1, ctx.config.trials // 10)
     residuals = [0.0]
-    rngs = case_rngs(ctx.config.seed, "channel", range(100_000, 100_000 + cases))
-    for case, rng in enumerate(rngs):
+    for case, rng in _draws(ctx, "channel.conservation"):
         psi = random_block_state(ctx.d, ctx.n, rng, ref_dim=1 + case % 2)
         residuals.append(conservation_residual(ctx.channel, psi))
-    return _worst(*residuals), f"cases={cases}"
+    return _worst(*residuals), f"cases={_count(ctx, 'channel.conservation')}"
 
 
 @_claim("channel", "channel.central_identity",
         "flag-branch output overlap equals the closed-form quadratic form", tol=1e-8)
 def _central_identity(ctx):
-    pairs = ctx.config.trials
-    return _identity_gap(ctx, ctx.channel, 0, pairs), f"pairs={pairs}"
+    pairs = _count(ctx, "channel.central_identity")
+    return _identity_gap(ctx, ctx.channel, "channel.central_identity"), f"pairs={pairs}"
 
 
 @_claim("channel", "channel.alt_design_identity",
         "the overlap identity holds verbatim for a smaller exact 2-design", tol=1e-8)
 def _alt_design_identity(ctx):
-    return _identity_gap(ctx, ctx.alt_channel, 200_000, 10), f"alt size={len(ctx.alt_family)}"
+    gap = _identity_gap(ctx, ctx.alt_channel, "channel.alt_design_identity")
+    return gap, f"alt size={len(ctx.alt_family)}"
 
 
 # ---------------------------------------------------------------- zero-error
@@ -522,26 +555,23 @@ def _block_stacks(window):
     return np.stack([p1.blocks for p1, _ in window]), np.stack([p2.blocks for _, p2 in window])
 
 
-def _equivalence_pairs(ctx, random_pairs, structured_pairs):
-    d, n, seed = ctx.d, ctx.n, ctx.config.seed
+def _equivalence_pairs(ctx):
+    """The random pairs, then the structured pairs, of zero_error.equivalence's two ranges."""
+    d, n = ctx.d, ctx.n
     tuples = _control_tuples(d, n)
-    for rng in case_rngs(seed, "zero-error", range(random_pairs)):
+    for _, rng in _draws(ctx, "zero_error.equivalence"):
         kept = rng.random(len(tuples)) < 0.6  # one uniform draw per tuple, in row order
         support = tuples[kept] if kept.any() else None
         yield random_block_state(d, n, rng, support=support), random_block_state(d, n, rng)
-    cases = range(10_000, 10_000 + structured_pairs)
-    for case, rng in enumerate(case_rngs(seed, "zero-error", cases)):
+    for case, rng in _draws(ctx, "zero_error.equivalence", 1):
         yield _structured_pair(d, n, case % 6, rng)
 
 
 @_claim("zero-error", "zero_error.equivalence",
         "zero overlap holds exactly when no control tuple carries both states")
 def _equivalence(ctx):
-    random_pairs = 2 * ctx.config.trials
-    structured_pairs = max(50, ctx.config.trials // 2)
     mismatches = 0
-    pairs = _equivalence_pairs(ctx, random_pairs, structured_pairs)
-    for window in _windows(pairs, ctx.d, ctx.n):
+    for window in _windows(_equivalence_pairs(ctx), ctx.d, ctx.n):
         b1, b2 = _block_stacks(window)
         forms = overlap_forms(b1, b2, ctx.d, ctx.n)
         # disjoint_support of each pair, on the stacks: no tuple carries a block of both
@@ -549,7 +579,7 @@ def _equivalence(ctx):
         disjoint = np.all(shared <= BLOCK_ZERO_TOL, axis=1)
         # a non-finite form decides nothing, so it counts as a mismatch
         mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= BLOCK_ZERO_TOL))))
-    return mismatches, f"pairs={random_pairs + structured_pairs}"
+    return mismatches, f"pairs={_count(ctx, 'zero_error.equivalence')}"
 
 
 @_claim("zero-error", "zero_error.form_properties",
@@ -557,7 +587,7 @@ def _equivalence(ctx):
 def _form_properties(ctx):
     d, n = ctx.d, ctx.n
     worst = 0.0
-    for rng in case_rngs(ctx.config.seed, "zero-error", range(20_000, 20_010)):
+    for _, rng in _draws(ctx, "zero_error.form_properties"):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         v12 = averaged_output_overlap(p1, p2)
@@ -613,16 +643,15 @@ def _code_pair_failures(d, n, window):
         "no nonzero pair satisfies both zero-error code conditions; "
         "every near-miss forces all shared blocks to zero")
 def _no_valid_code_pair(ctx):
-    d, n, seed = ctx.d, ctx.n, ctx.config.seed
-    candidates = 5 * ctx.config.trials
-    cases = range(candidates)
+    d, n = ctx.d, ctx.n
     pairs = (_code_pair_candidates(d, n, case, rng)
-             for case, rng in zip(cases, case_rngs(seed, "theorem2", cases)))
+             for case, rng in _draws(ctx, "theorem2.no_valid_code_pair"))
     failures = near_misses = 0
     for window in _windows(pairs, d, n):
         window_failures, window_near = _code_pair_failures(d, n, window)
         failures += window_failures
         near_misses += window_near
+    candidates = _count(ctx, "theorem2.no_valid_code_pair")
     return failures, f"candidates={candidates} near_misses={near_misses}"
 
 
@@ -729,7 +758,7 @@ def _twirl_preserves(ctx):
         "the twirled reconstruction commutes with sampled per-pair conjugations", tol=1e-9)
 def _ppt_twirl_invariance(ctx):
     d, n = ctx.d, ctx.n
-    rng = case_rng(ctx.config.seed, "ppt", 31_000)
+    _, rng = next(_draws(ctx, "ppt.twirl_invariance"))
     rec = isotropic_twirl_n(random_psd(d ** (2 * n), rng), d, n).reconstruct()
     worst = 0.0
     for _ in range(3):

@@ -3,8 +3,23 @@ import tracemalloc
 
 import pytest
 
+# zecheck before numpy: importing it first holds OpenBLAS to one thread in the test process
 from zecheck.channel import build_channel
 from zecheck.designs import enumerate_clifford, find_minimal_subdesign
+from zecheck.linalg import SUITE_IDS
+
+import numpy as np  # noqa: E402
+
+
+def case_rng(seed, suite, case):
+    """The reference generator of case (seed, suite, case)'s stream, which zecheck must reproduce.
+
+    Built straight from numpy's SeedSequence and Philox, with none of
+    zecheck's key derivation, so the tests that compare against it check
+    `linalg.case_rngs` and its vectorized keys.
+    """
+    key = np.random.SeedSequence([seed, SUITE_IDS[suite], case])
+    return np.random.Generator(np.random.Philox(key))
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,11 @@ import pytest
 
 import zecheck
 import zecheck.linalg
+import zecheck.ppt
 import zecheck.suites
 from zecheck.cli import _build_parser, main, parse_config
 from zecheck.report import (
+    MAX_TRIALS,
     SUITE_NAMES,
     SUPPORTED_D,
     SUPPORTED_N,
@@ -23,7 +25,9 @@ from zecheck.report import (
     VerificationReport,
     emit_report,
 )
-from zecheck.suites import case_rng, execute
+from zecheck.suites import execute
+
+from conftest import case_rng
 
 
 def normalized(report):
@@ -155,20 +159,32 @@ def test_trials_stop_where_the_case_ranges_would_meet(capsys):
     assert "trials must be at most 5000" in capsys.readouterr().err
 
 
-# every claim that draws, and so reads the Philox stream of some (suite, case)
-SAMPLED_CLAIMS = {
-    "design.twirl_projection", "design.twirl_invariance", "channel.conservation",
-    "channel.central_identity", "channel.alt_design_identity", "zero_error.equivalence",
-    "zero_error.form_properties", "theorem2.no_valid_code_pair", "ppt.search_floor",
-    "ppt.twirl_invariance",
-}
+def table_cases(trials):
+    """(claim, suite, first case, last case + 1) of every range of suites._SAMPLES."""
+    return [(claim, r.suite, r.first, r.first + r.count(trials))
+            for claim, ranges in zecheck.suites._SAMPLES.items() for r in ranges]
+
+
+def meeting_ranges(trials):
+    """The pairs of table ranges of one suite that share a case at this trials."""
+    ranges = table_cases(trials)
+    return [(a, b) for i, a in enumerate(ranges) for b in ranges[i + 1:]
+            if a[1] == b[1] and a[2] < b[3] and b[2] < a[3]]
+
+
+def test_the_case_ranges_meet_just_above_the_trials_limit():
+    assert len(table_cases(1)) == 11
+    for trials in (1, 100, MAX_TRIALS):
+        assert meeting_ranges(trials) == [], trials
+    assert [(a[0], b[0]) for a, b in meeting_ranges(MAX_TRIALS + 1)] == [
+        ("zero_error.equivalence", "zero_error.equivalence")]
 
 
 @pytest.mark.parametrize("trials", [1, 100])
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2)])
 def test_no_stream_is_read_twice(d, n, trials, monkeypatch, cpus):
     cpus(1)  # the search's windows run in this process, where their reads are recorded
-    # the search's warm-up draws case 40 000 before the first claim; ppt.search_floor joins it
+    # the search's warm-up draws its first case before the first claim; ppt.search_floor joins it
     claim = ["ppt.search_floor"]
     readers = defaultdict(list)  # (suite, case) -> the claim of each read of its stream
     case_key, run = zecheck.linalg._case_key, zecheck.suites._run
@@ -184,11 +200,15 @@ def test_no_stream_is_read_twice(d, n, trials, monkeypatch, cpus):
     monkeypatch.setattr(zecheck.linalg, "_case_key", recording_key)
     monkeypatch.setattr(zecheck.suites, "_run", recording_run)
     assert execute(RunConfig(d=d, n=n, trials=trials, seed=7)).overall_pass
-    assert set().union(*readers.values()) == SAMPLED_CLAIMS
+    assert set().union(*readers.values()) == set(zecheck.suites._SAMPLES)
     # the warm-up, then candidate 0's own draw
-    assert readers.pop(("ppt", 40_000)) == ["ppt.search_floor"] * 2
+    assert readers.pop(("ppt", zecheck.ppt.SEARCH_CASE_BASE)) == ["ppt.search_floor"] * 2
     assert {stream: claims for stream, claims in readers.items() if len(claims) > 1} == {}
-    assert ("zero-error", 10_000) in readers and ("channel", 200_000) in readers
+    # each claim reads exactly the cases of its table ranges
+    expected = {(suite, case): [claim] for claim, suite, first, stop in table_cases(trials)
+                for case in range(first, stop)}
+    del expected["ppt", zecheck.ppt.SEARCH_CASE_BASE]
+    assert dict(readers) == expected
 
 
 def test_suite_filtering():
@@ -303,6 +323,8 @@ def test_case_rng_streams_are_stable():
     c = case_rng(5, "channel", 4).standard_normal(4)
     assert (a == b).all()
     assert (a != c).any()
+    drawn = [rng.standard_normal(4) for rng in zecheck.linalg.case_rngs(5, "channel", [3, 4, 3])]
+    assert (drawn[0] == a).all() and (drawn[1] == c).all() and (drawn[2] == a).all()
 
 
 def seeding_calls(node, where):
@@ -322,9 +344,29 @@ def test_case_rng_is_the_only_seeding():
         for path in Path(zecheck.__file__).parent.glob("*.py")
         for where, callee in seeding_calls(ast.parse(path.read_text()), "<module>")
     )
-    # case_rng and the one re-keyed generator of each process both build theirs there
-    assert found == [("linalg.py", "_keyed_generator", "Generator"),
-                     ("linalg.py", "_keyed_generator", "Philox")]
+    # the one generator of each process, which case_rngs re-keys to each case's stream
+    assert found == [("linalg.py", "_process_generator", "Generator"),
+                     ("linalg.py", "_process_generator", "Philox")]
+
+
+def names_in_functions(node, name, where):
+    """The enclosing function of every read of `name` below node, as a name or an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if getattr(child, "id", getattr(child, "attr", None)) == name:
+            yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from names_in_functions(child, name, inner)
+
+
+def test_claims_draw_only_through_the_case_table():
+    found = sorted(
+        (path.name, where)
+        for path in Path(zecheck.__file__).parent.glob("*.py")
+        for where in names_in_functions(ast.parse(path.read_text()), "case_rngs", "<module>")
+    )
+    # suites._draws serves every claim from _SAMPLES; the PPT search draws its own range
+    assert found == [("ppt.py", "_search_candidates"), ("ppt.py", "start_search"),
+                     ("suites.py", "_draws")]
 
 
 def test_json_roundtrip():

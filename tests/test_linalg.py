@@ -13,7 +13,6 @@ from zecheck.linalg import (
     _case_key,
     _key_block,
     basis_state,
-    case_rng,
     case_rngs,
     max_entangled,
     max_entangled_projector,
@@ -27,6 +26,8 @@ from zecheck.linalg import (
     trace_inner,
     trace_one_gram,
 )
+
+from conftest import case_rng
 
 
 def ketbra(dim, i, j):

@@ -36,12 +36,14 @@ from zecheck.designs import (
 from zecheck.ppt import PPTSearchResult, PPTWitness, build_ppt_witness, ppt_search
 from zecheck.privacy import run_protocol, verify_secrecy
 from zecheck.report import RunConfig, emit_report
-from zecheck.suites import case_rng, execute
+from zecheck.suites import execute
 from zecheck.zero_error import (
     averaged_output_overlap,
     design_average_overlap_operator,
     overlap_operator,
 )
+
+from conftest import case_rng
 
 
 def pauli_family() -> UnitaryFamily:

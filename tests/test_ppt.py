@@ -8,7 +8,6 @@ import pytest
 import zecheck.ppt
 import zecheck.suites
 from zecheck.linalg import (
-    case_rng,
     max_entangled_projector,
     partial_transpose,
     random_psd,
@@ -36,6 +35,8 @@ from zecheck.ppt import (
 )
 from zecheck.report import SUITE_NAMES, SUPPORTED_D, SUPPORTED_N, RunConfig
 from zecheck.suites import execute
+
+from conftest import case_rng
 
 
 def project_stack(ms, d, n, max_rounds=None):

@@ -8,7 +8,6 @@ import zecheck.suites
 from zecheck.channel import BlockStateVector, random_block_state
 from zecheck.linalg import (
     basis_state,
-    case_rng,
     max_entangled,
     max_entangled_projector,
     support_null,
@@ -25,6 +24,7 @@ from zecheck.zero_error import (
     overlap_support_projector,
 )
 
+from conftest import case_rng
 from test_negative_controls import bypassed
 
 
