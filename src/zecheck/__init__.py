@@ -8,12 +8,29 @@ graph, all at desk scale (d in {2, 3}, up to two uses).
 """
 
 import os
+import sys
+from contextlib import suppress
+
+
+def _pin_loaded_openblas() -> None:
+    """Set the OpenBLAS that numpy has already loaded to one thread, where it exports a setter."""
+    import ctypes
+
+    with suppress(AttributeError, OSError):  # numpy 2's bundled OpenBLAS; any other is left as is
+        lib = ctypes.CDLL(sys.modules["numpy"]._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
 
 # One BLAS thread per process: the PPT search runs on forked processes, one
 # per CPU (linalg.ForkedMap), beside this one, and OpenBLAS's default pool
 # of one thread per CPU in each of them made `verify --d 3 --n 2` on 2 CPUs
-# 2x slower than a serial run.  This only takes effect before numpy loads
-# OpenBLAS; a value already set wins.
+# 2x slower than a serial run.  The variable takes effect only if numpy
+# loads OpenBLAS after it is set; where numpy is already loaded, its
+# OpenBLAS is set to one thread directly.  A value already set wins.
+if "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    _pin_loaded_openblas()
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (

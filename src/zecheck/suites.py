@@ -22,36 +22,29 @@ built, whatever escapes it, so no forked worker outlives it.
 All randomness comes from counter-based Philox streams keyed by (seed,
 suite, case).  `_SAMPLES` is the table of every stream a claim reads:
 per claim, ranges of cases, each a suite, a first case and a count as a
-function of `trials`.  A claim's generators come from `_draws`, the one
-way to get one, which re-keys the process's one generator to each case's
-stream (`linalg.case_rngs`), so a generator is valid only until the next
-is drawn, and a pair's states are drawn in full before the loop moves
-on.  The ranges are disjoint up to `trials` = `report.MAX_TRIALS`, the
-most `RunConfig` takes, so running any subset of suites reproduces the
-full run's numbers exactly.  `ppt.search_floor`'s range is the PPT
-search's, whose accepted candidates the other two search claims read.
+function of `trials`.  A claim gets its generators from `_draws` alone,
+each valid only until the next is drawn, so a pair's states are drawn in
+full before the loop moves on.  The ranges are disjoint up to `trials` =
+`report.MAX_TRIALS`, the most `RunConfig` takes, so any subset of suites
+reproduces the full run's numbers exactly.  `ppt.search_floor`'s range is
+the PPT search's, whose accepted candidates the other two search claims read.
 Claims reduce samples with `_worst`, so a NaN sample fails its claim;
 `_run` records a non-finite value as null and says so in `detail`.
 The equivalence and code-impossibility sweeps draw their cases in order,
-in windows of at most `_WINDOW_AMPLITUDES` = 2^12 pairing-vector
-amplitudes, d^(3n) per pair (512 pairs at (2,1), 151 at (3,1), 64 at
-(2,2), 5 at (3,2)), and evaluate each window's overlap forms in one
-`overlap_forms` call (theorem2's pair and sum/difference forms
-together); a non-finite form counts as a mismatch or a violation.  A
-form is bit-identical in every window but a one-pair window at n = 1
+in windows of at most `_WINDOW_AMPLITUDES` pairing-vector amplitudes
+(`_windows`), and decide each window by one call of each of
+`zero_error`'s stacked conditions, which A4 and A5 run one pair at a
+time; a non-finite form counts as a mismatch or a violation.  A form is
+bit-identical in every window but a one-pair window at n = 1
 (`averaged_output_overlap`'s), which may move it by under 1e-15
 relative, far below the `BLOCK_ZERO_TOL` = 1e-8 every sweep compares at.
 
-The PPT search is the one loop spread over the CPUs of the affinity
-mask, and the only forked map of a run (`linalg.ForkedMap`): its
-workers take windows from one shared queue in candidate order, and the
-values are reduced in candidate order, so a report does not depend on
-the CPU count.  It starts when the run does: on 2 CPUs its one child
-works through the windows while this process runs every claim before
-the ppt suite.  Every other loop runs in this process.  Until the join
-the search holds every CPU but one on any host with no more CPUs than
-its windows (4 at (2,1), 20 at (3,1), 63 at (2,2) and 1000 at (3,2),
-at 100 trials).
+The PPT search is the one loop spread over the CPUs and the only forked
+map of a run, and its values do not depend on the CPU count (`ppt`);
+every other loop runs in this process.  From the run's start to the
+join the search holds every CPU but one on any host with no more CPUs
+than its windows (4 at (2,1), 20 at (3,1), 63 at (2,2) and 1000 at
+(3,2), at 100 trials).
 """
 
 from __future__ import annotations
@@ -118,7 +111,9 @@ from .report import TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
 from .zero_error import (
     BLOCK_ZERO_TOL,
     averaged_output_overlap,
+    code_pair_forms,
     design_average_overlap_operator,
+    disjoint_blocks,
     overlap_forms,
     overlap_operator,
     overlap_support_projector,
@@ -543,8 +538,8 @@ def _dominance(ctx):
 def _windows(pairs, d, n):
     """Successive lists of pairs, at most _WINDOW_AMPLITUDES pairing-vector amplitudes each.
 
-    A pair's pairing vector has d^(3n) amplitudes: 64 pairs a window at
-    (2,2), 5 at (3,2), and always at least one.
+    A pair's pairing vector has d^(3n) amplitudes: 512 pairs a window at
+    (2,1), 151 at (3,1), 64 at (2,2), 5 at (3,2), and always at least one.
     """
     pairs = iter(pairs)
     while window := list(islice(pairs, max(1, _WINDOW_AMPLITUDES // d ** (3 * n)))):
@@ -574,11 +569,9 @@ def _equivalence(ctx):
     for window in _windows(_equivalence_pairs(ctx), ctx.d, ctx.n):
         b1, b2 = _block_stacks(window)
         forms = overlap_forms(b1, b2, ctx.d, ctx.n)
-        # disjoint_support of each pair, on the stacks: no tuple carries a block of both
-        shared = np.minimum(np.linalg.norm(b1, axis=2), np.linalg.norm(b2, axis=2))
-        disjoint = np.all(shared <= BLOCK_ZERO_TOL, axis=1)
         # a non-finite form decides nothing, so it counts as a mismatch
-        mismatches += int(np.sum(~np.isfinite(forms) | (disjoint != (forms <= BLOCK_ZERO_TOL))))
+        mismatches += int(np.sum(~np.isfinite(forms)
+                                 | (disjoint_blocks(b1, b2) != (forms <= BLOCK_ZERO_TOL))))
     return mismatches, f"pairs={_count(ctx, 'zero_error.equivalence')}"
 
 
@@ -624,16 +617,14 @@ def _code_pair_failures(d, n, window):
     """
     tol = BLOCK_ZERO_TOL
     b1, b2 = _block_stacks(window)
-    total, diff = b1 + b2, b1 - b2
-    forms = overlap_forms(np.concatenate([b1, total / np.sqrt(2)]),
-                          np.concatenate([b2, diff / np.sqrt(2)]), d, n).reshape(2, len(window))
+    forms = code_pair_forms(b1, b2, d, n)
     first, second = forms <= tol
     nonzero = (np.linalg.norm(b1, axis=(1, 2)) > tol) & (np.linalg.norm(b2, axis=(1, 2)) > tol)
     violations = ~np.all(np.isfinite(forms), axis=0) | (first & second & nonzero)
     near = first & nonzero
     populated = np.maximum(np.linalg.norm(b1, axis=2), np.linalg.norm(b2, axis=2)) > tol
-    witnessed = np.minimum(np.linalg.norm(total, axis=2),
-                           np.linalg.norm(diff, axis=2)) / np.sqrt(2) > tol
+    witnessed = np.minimum(np.linalg.norm(b1 + b2, axis=2),
+                           np.linalg.norm(b1 - b2, axis=2)) / np.sqrt(2) > tol
     unforced = near & np.any(populated & ~witnessed, axis=1)
     mixed = near & second & np.any(populated, axis=1)
     return int(violations.sum() + unforced.sum() + mixed.sum()), int(near.sum())
@@ -646,11 +637,8 @@ def _no_valid_code_pair(ctx):
     d, n = ctx.d, ctx.n
     pairs = (_code_pair_candidates(d, n, case, rng)
              for case, rng in _draws(ctx, "theorem2.no_valid_code_pair"))
-    failures = near_misses = 0
-    for window in _windows(pairs, d, n):
-        window_failures, window_near = _code_pair_failures(d, n, window)
-        failures += window_failures
-        near_misses += window_near
+    counts = [_code_pair_failures(d, n, window) for window in _windows(pairs, d, n)]
+    failures, near_misses = map(sum, zip(*counts))
     candidates = _count(ctx, "theorem2.no_valid_code_pair")
     return failures, f"candidates={candidates} near_misses={near_misses}"
 
@@ -745,13 +733,18 @@ def _twirl_preserves(ctx):
     d, n = ctx.d, ctx.n
     p = _search_coefficients(ctx)
     # the twirl is PSD iff p >= 0 and PPT iff its closed-form transposed eigenvalues are
-    margin = np.minimum(p.min(axis=1), transposed_eigenvalues(p, d, n).min(axis=1))
+    tp = transposed_eigenvalues(p, d, n)
+    margin = np.minimum(p.min(axis=1), tp.min(axis=1))
     worst = _worst(0.0, np.abs(p @ label_ranks(d, n) - 1.0).max(), -margin.min())
+    # entry l of T^(x)n p is the transpose's eigenvalue on the product of each pair's symmetric
+    # (bit 0, d(d+1)/2-dimensional) or antisymmetric (bit 1, d(d-1)/2) space
+    mult = tensor(*[[d * (d + 1) / 2, d * (d - 1) / 2]] * n).real.astype(int)
     for i in np.argsort(margin)[:3]:  # the dense check, on the candidates nearest the boundary
         rec = IsotropicDecomposition(d, n, p[i].reshape((2,) * n)).reconstruct()
-        worst = _worst(worst, abs(np.trace(rec).real - 1.0), -min_eigenvalue(rec),
-                       -min_eigenvalue(pairwise_partial_transpose(rec, d, n)))
-    return worst, f"candidates={len(p)}"
+        spectrum = np.linalg.eigvalsh(pairwise_partial_transpose(rec, d, n))  # ascending
+        worst = _worst(worst, abs(np.trace(rec).real - 1.0), -min_eigenvalue(rec), -spectrum[0],
+                       np.abs(spectrum - np.sort(np.repeat(tp[i], mult))).max())
+    return worst, f"accepted={len(p)}"
 
 
 @_claim("ppt", "ppt.twirl_invariance",
@@ -772,7 +765,7 @@ def _ppt_twirl_invariance(ctx):
 def _constraint_unreachable(ctx):
     p = _search_coefficients(ctx)
     lowest = float(np.min(p[:, -1]))  # the all-complement label
-    return _Verdict(lowest, lowest > 1e-9, f"candidates={len(p)}")
+    return _Verdict(lowest, lowest > 1e-9, f"accepted={len(p)}")
 
 
 @_claim("ppt", "ppt.recursion_zero", "the zero decomposition passes the recursion replay vacuously")

@@ -5,6 +5,11 @@ The design-averaged overlap of two channel outputs is a quadratic form
 closed form over any exact 2-design, its null space is spanned by
 mu (x) Phi with mu orthogonal to the uniform vector, and the overlap
 vanishes iff no control tuple carries both inputs.
+
+Each condition has one implementation over (pairs, d^n, d^n) block stacks,
+`disjoint_blocks` and `code_pair_forms`, which the claims' sweeps call a
+window at a time; `disjoint_support` and `code_pair_conditions`, which the
+acceptance gate's A4 and A5 read, are their one-pair calls.
 """
 
 from __future__ import annotations
@@ -103,12 +108,23 @@ def averaged_output_overlap(psi1: BlockStateVector, psi2: BlockStateVector) -> f
     return float(overlap_forms(psi1.blocks[None], psi2.blocks[None], psi1.d, psi1.n)[0])
 
 
+def disjoint_blocks(blocks1: np.ndarray, blocks2: np.ndarray) -> np.ndarray:
+    """Per pair, whether no control tuple has both row norms above BLOCK_ZERO_TOL."""
+    shared = np.minimum(np.linalg.norm(blocks1, axis=-1), np.linalg.norm(blocks2, axis=-1))
+    return np.all(shared <= BLOCK_ZERO_TOL, axis=-1)
+
+
 def disjoint_support(psi1: BlockStateVector, psi2: BlockStateVector) -> bool:
     """True iff no control tuple carries a nonzero block of both states."""
     _check_pair(psi1, psi2)
-    n1 = psi1.block_norms()
-    n2 = psi2.block_norms()
-    return bool(np.all(np.minimum(n1, n2) <= BLOCK_ZERO_TOL))
+    return bool(disjoint_blocks(psi1.blocks[None], psi2.blocks[None])[0])
+
+
+def code_pair_forms(blocks1: np.ndarray, blocks2: np.ndarray, d: int, n: int) -> np.ndarray:
+    """(2, pairs): the overlap forms of each pair (a, b) and of ((a+b), (a-b))/sqrt(2)."""
+    forms = overlap_forms(np.concatenate([blocks1, (blocks1 + blocks2) / np.sqrt(2)]),
+                          np.concatenate([blocks2, (blocks1 - blocks2) / np.sqrt(2)]), d, n)
+    return forms.reshape(2, len(blocks1))
 
 
 class CodePairCheck(NamedTuple):
@@ -126,8 +142,5 @@ def code_pair_conditions(psi1: BlockStateVector, psi2: BlockStateVector) -> Code
     are legal inputs; whether the states vanish is the caller's check.
     """
     _check_pair(psi1, psi2)
-    b1, b2 = psi1.blocks, psi2.blocks
-    forms = overlap_forms(np.stack([b1, (b1 + b2) / np.sqrt(2)]),
-                          np.stack([b2, (b1 - b2) / np.sqrt(2)]), psi1.d, psi1.n)
-    first, second = forms <= BLOCK_ZERO_TOL
-    return CodePairCheck(bool(first), bool(second))
+    forms = code_pair_forms(psi1.blocks[None], psi2.blocks[None], psi1.d, psi1.n)
+    return CodePairCheck(*(forms[:, 0] <= BLOCK_ZERO_TOL).tolist())

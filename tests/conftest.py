@@ -1,14 +1,12 @@
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
-# zecheck before numpy: importing it first holds OpenBLAS to one thread in the test process
 from zecheck.channel import build_channel
 from zecheck.designs import enumerate_clifford, find_minimal_subdesign
 from zecheck.linalg import SUITE_IDS
-
-import numpy as np  # noqa: E402
 
 
 def case_rng(seed, suite, case):

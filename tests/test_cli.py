@@ -461,3 +461,37 @@ def test_subprocess_entrypoint():
     assert run.returncode == 0
     assert "overall: PASS" in run.stdout
     assert spawn("verify", "--d", "4").returncode == 2
+
+
+# OpenBLAS's thread count before and after `import zecheck`, with numpy imported first
+THREADS_AROUND_IMPORT = """
+import ctypes, numpy
+get = ctypes.CDLL(numpy._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+before = get()
+import zecheck
+print(before, get())
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_openblas_runs_one_thread_whatever_the_import_order(preset):
+    import ctypes
+
+    import numpy as np
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        for name in ("get", "set"):
+            getattr(lib, f"scipy_openblas_{name}_num_threads64_")
+    except (AttributeError, OSError):
+        pytest.skip("numpy's OpenBLAS exports no thread-count getter and setter")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(zecheck.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", THREADS_AROUND_IMPORT], capture_output=True,
+                         text=True, env=env, check=True)
+    before, after = map(int, run.stdout.split())
+    # unset, numpy starts its default pool, which zecheck sets to one thread; a value the
+    # user set is left as numpy read it
+    assert after == (1 if preset is None else before)

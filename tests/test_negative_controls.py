@@ -11,10 +11,15 @@ fail `channel.phase_gate_form`, and a witness with |00><00| added
 `ppt.witness`: neither builder checks these itself.  A PPT search result
 whose twirl coefficients are PSD but not PPT must fail
 `ppt.twirl_preserves`, and one with a zero all-complement coefficient
-`ppt.constraint_unreachable`.
+`ppt.constraint_unreachable`; so must a transposed-eigenvalue map with a
+wrong entry in T, which the dense spectrum contradicts.  A code-pair
+function that returns the pair forms in both rows, or a disjointness
+function that reads the larger row norm, must fail its claim and its
+acceptance-gate helper alike, since both call it.
 """
 
 import json
+from functools import reduce
 from itertools import count
 
 import numpy as np
@@ -23,6 +28,7 @@ import pytest
 import zecheck.ppt
 import zecheck.privacy
 import zecheck.suites
+import zecheck.zero_error
 from zecheck.channel import build_channel, overlap_kernel, random_block_state
 from zecheck.designs import (
     UnitaryFamily,
@@ -38,8 +44,12 @@ from zecheck.privacy import run_protocol, verify_secrecy
 from zecheck.report import RunConfig, emit_report
 from zecheck.suites import execute
 from zecheck.zero_error import (
+    BLOCK_ZERO_TOL,
     averaged_output_overlap,
+    code_pair_conditions,
     design_average_overlap_operator,
+    disjoint_support,
+    overlap_forms,
     overlap_operator,
 )
 
@@ -183,6 +193,8 @@ def nan_report(monkeypatch):
     }
     for name, fake in patches.items():
         monkeypatch.setattr(zecheck.suites, name, fake)
+    # theorem2 reads its forms through zero_error.code_pair_forms
+    monkeypatch.setattr(zecheck.zero_error, "overlap_forms", patches["overlap_forms"])
     config = RunConfig(d=2, n=1, trials=10,
                        suites=("design", "channel", "zero-error", "theorem2", "ppt", "ncgraph"))
     return execute(config)
@@ -272,13 +284,66 @@ def test_twirl_preserves_fails_on_a_psd_but_not_ppt_twirl(monkeypatch):
     uniform = [0.25, 0.25]  # the maximally mixed state, PPT
     claims = injected_search_claims(monkeypatch, [uniform, [1.0, 0.0], uniform])
     claim = claims["ppt.twirl_preserves"]
-    assert not claim.passed and claim.detail == "candidates=3"
+    assert not claim.passed and claim.detail == "accepted=3"
     assert claim.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_constraint_unreachable_fails_on_a_zero_complement_coefficient(monkeypatch):
     claims = injected_search_claims(monkeypatch, [[0.25, 0.25], [0.1, 0.3], [1.0, 0.0]])
     claim = claims["ppt.constraint_unreachable"]
-    assert not claim.passed and claim.detail == "candidates=3"
+    assert not claim.passed and claim.detail == "accepted=3"
     assert claim.value == 0.0
     assert claims["ppt.search_floor"].passed  # the injected minimum stays positive
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_wrong_transpose_matrix_fails_twirl_preserves(n, monkeypatch):
+    def mutant(coefficients, d, n):
+        t = np.array([[1 / d, 1 + 1 / d], [-1 / d, 1 + 1 / d]])  # 1 - 1/d -> 1 + 1/d
+        return coefficients @ reduce(np.kron, [t] * n).T
+
+    # still nonnegative on a PSD twirl, so only the dense spectrum can tell
+    monkeypatch.setattr(zecheck.suites, "transposed_eigenvalues", mutant)
+    report = execute(RunConfig(d=2, n=n, suites=("ppt",), trials=5))
+    claim = {c.claim_id: c for c in report.claims}["ppt.twirl_preserves"]
+    assert not claim.passed and claim.value > 0.01
+
+
+def test_the_claims_call_the_conditions_the_gate_reads():
+    for name in ("code_pair_forms", "disjoint_blocks"):
+        assert getattr(zecheck.suites, name) is getattr(zecheck.zero_error, name), name
+
+
+def replace_condition(monkeypatch, name, fake):
+    """Put fake in place of a zero_error condition, for the claims and the gate's helpers."""
+    for module in (zecheck.zero_error, zecheck.suites):
+        monkeypatch.setattr(module, name, fake)
+
+
+def disjoint_pair():
+    rng = np.random.default_rng(23)
+    return (random_block_state(2, 1, rng, support=[(0,)]),
+            random_block_state(2, 1, rng, support=[(1,)]))
+
+
+def test_pair_forms_in_both_rows_fail_the_code_pair_claim(monkeypatch):
+    def pair_forms_twice(blocks1, blocks2, d, n):
+        return np.stack([overlap_forms(blocks1, blocks2, d, n)] * 2)
+
+    replace_condition(monkeypatch, "code_pair_forms", pair_forms_twice)
+    claim = execute(RunConfig(d=2, n=1, trials=5, suites=("theorem2",))).claims[0]
+    assert claim.claim_id == "theorem2.no_valid_code_pair"
+    assert not claim.passed and claim.value > 0
+    assert code_pair_conditions(*disjoint_pair()) == (True, True)  # a valid code
+
+
+def test_a_larger_norm_disjointness_fails_equivalence(monkeypatch):
+    def larger(blocks1, blocks2):
+        norms = np.maximum(np.linalg.norm(blocks1, axis=-1), np.linalg.norm(blocks2, axis=-1))
+        return np.all(norms <= BLOCK_ZERO_TOL, axis=-1)
+
+    replace_condition(monkeypatch, "disjoint_blocks", larger)
+    report = execute(RunConfig(d=2, n=1, trials=5, suites=("zero-error",)))
+    claim = {c.claim_id: c for c in report.claims}["zero_error.equivalence"]
+    assert not claim.passed and claim.value > 0
+    assert not disjoint_support(*disjoint_pair())

@@ -735,7 +735,7 @@ def test_three_claims_read_one_sample_set(d, n, monkeypatch):
     accepted = dict(kv.split("=") for kv in claims["ppt.search_floor"].detail.split())["accepted"]
     assert int(accepted) > 0
     for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
-        assert claims[cid].passed and claims[cid].detail == f"candidates={accepted}", cid
+        assert claims[cid].passed and claims[cid].detail == f"accepted={accepted}", cid
 
 
 def test_transposed_eigenvalues_match_the_dense_spectrum():

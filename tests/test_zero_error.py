@@ -269,30 +269,41 @@ def test_overlap_forms_rejects_a_reference_register():
         overlap_forms(plain.blocks[None], plain.blocks[None], 2, 2)
 
 
+def dense_conditions(p1, p2):
+    """The two code-pair conditions of (p1, p2), from dense_overlap_form alone."""
+    plus = BlockStateVector(p1.d, p1.n, (p1.blocks + p2.blocks) / np.sqrt(2))
+    minus = BlockStateVector(p1.d, p1.n, (p1.blocks - p2.blocks) / np.sqrt(2))
+    return dense_overlap_form(p1, p2) <= 1e-8, dense_overlap_form(plus, minus) <= 1e-8
+
+
+def row_norms(psi):
+    return np.array([np.linalg.norm(row) for row in psi.blocks])
+
+
 def reference_code_pair_claim(d, n, trials, seed):
-    """theorem2.no_valid_code_pair, one candidate at a time through code_pair_conditions."""
+    """theorem2.no_valid_code_pair, one candidate at a time, decided by no code the claim runs."""
     tol = 1e-8
     violations = near_misses = forcing_failures = 0
     for case in range(5 * trials):
         p1, p2 = _code_pair_candidates(d, n, case, case_rng(seed, "theorem2", case))
-        check = code_pair_conditions(p1, p2)
-        nonzero = p1.total_norm() > tol and p2.total_norm() > tol
-        if check.outputs_orthogonal and check.mixed_outputs_orthogonal and nonzero:
+        first, second = dense_conditions(p1, p2)
+        nonzero = np.linalg.norm(p1.blocks) > tol and np.linalg.norm(p2.blocks) > tol
+        if first and second and nonzero:
             violations += 1
-        if check.outputs_orthogonal and nonzero:
+        if first and nonzero:
             near_misses += 1
             plus = np.linalg.norm(p1.blocks + p2.blocks, axis=1) / np.sqrt(2)
             minus = np.linalg.norm(p1.blocks - p2.blocks, axis=1) / np.sqrt(2)
-            populated = np.maximum(p1.block_norms(), p2.block_norms()) > tol
+            populated = np.maximum(row_norms(p1), row_norms(p2)) > tol
             if not np.all((np.minimum(plus, minus) > tol)[populated]):
                 forcing_failures += 1
-            if check.mixed_outputs_orthogonal and np.any(populated):
+            if second and np.any(populated):
                 forcing_failures += 1
     return violations + forcing_failures, f"candidates={5 * trials} near_misses={near_misses}"
 
 
 def reference_equivalence_claim(d, n, trials, seed):
-    """zero_error.equivalence, one pair at a time through averaged_output_overlap."""
+    """zero_error.equivalence, one pair at a time, decided by no code the claim runs."""
     pairs = []
     for case in range(2 * trials):
         rng = case_rng(seed, "zero-error", case)
@@ -302,8 +313,8 @@ def reference_equivalence_claim(d, n, trials, seed):
     structured = max(50, trials // 2)
     for case in range(structured):
         pairs.append(_structured_pair(d, n, case % 6, case_rng(seed, "zero-error", 10_000 + case)))
-    mismatches = sum(disjoint_support(p1, p2) != (averaged_output_overlap(p1, p2) <= 1e-8)
-                     for p1, p2 in pairs)
+    mismatches = sum(bool(np.all(np.minimum(row_norms(p1), row_norms(p2)) <= 1e-8))
+                     != (dense_overlap_form(p1, p2) <= 1e-8) for p1, p2 in pairs)
     return mismatches, f"pairs={len(pairs)}"
 
 
