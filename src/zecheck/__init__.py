@@ -24,7 +24,7 @@ def _pin_loaded_openblas() -> None:
 
 
 # One BLAS thread per process: the PPT search runs on forked processes, one
-# per CPU (linalg.ForkedMap), beside this one, and OpenBLAS's default pool
+# per CPU (sampling.ForkedMap), beside this one, and OpenBLAS's default pool
 # of one thread per CPU in each of them made `verify --d 3 --n 2` on 2 CPUs
 # 2x slower than a serial run.  The variable takes effect only if numpy
 # loads OpenBLAS after it is set; where numpy is already loaded, its

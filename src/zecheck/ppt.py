@@ -6,37 +6,32 @@ which the per-pair invariants {Phi, I-Phi} map to SWAP/d and
 I - SWAP/d.  The certificate replays, label by label, the argument that
 no nonzero PSD+PPT operator can be orthogonal to (I-Phi)^{(x)n}.
 
-The randomized search draws its candidate t from the stream of ppt case
-SEARCH_CASE_BASE + t, through `linalg.case_rngs`, which re-keys the
-process's one generator to each candidate's stream in turn.
-`start_search` builds that generator before the workers fork, so each
-worker re-keys its own copy.  The search draws and projects the
-candidates a window at a time.  The windows go to forked workers, one per CPU, that take them
-from one shared queue in candidate order (`linalg.ForkedMap`, the only
-forked map of a run), and come back in candidate order, so every value
-is that of a one-CPU run.  `start_search` forks the workers and returns
-their map, which the ppt_search call given it joins: `suites.execute`
-starts the search before its first claim, and the join has this
-process take the windows still queued.  A window returns only the
-twirl coefficients p_label = tr(R_label M) / rank(R_label) of its
-accepted candidates M; a candidate's score tr(M (I-Phi)^{(x)n}) is
-(d^2-1)^n times its all-complement coefficient, so `ppt_search` derives
-the search floor from the coefficients, and `ppt.search_floor` and
-`ppt.constraint_unreachable` read one number.  One window holds
-_WINDOW_AMPLITUDES = 2^12 matrix entries, so 16 candidates at 16x16,
-50 at 9x9 and 256 at 4x4, and each step of the alternation
-is one call for the whole window (`_project_stack`): round 0 transposes
-the window, decides it by one eigh and transposes the clips back, and
-each later check makes one Cholesky factorization, and one eigh if that
-fails.  Nearly every window at (2,2) and (3,2) takes one eigh, one
-Cholesky factorization and two transposes in all: at seed 7, every one
-of 188 windows of 16 and of 1000 windows of one.
+The randomized search draws candidate t as case t of `ppt.search_floor`'s
+range through `sampling.draws`, and projects the candidates a window of
+`sampling.window_length` at a time.  The windows go to forked workers,
+one per CPU, that take them from one shared queue in candidate order
+(`sampling.ForkedMap`, the only forked map of a run), and come back in
+candidate order, so every value is that of a one-CPU run.
+`start_search` forks the workers and returns their map, which the
+ppt_search call given it joins: `suites.execute` starts the search
+before its first claim, and the join has this process take the windows
+still queued.  A window returns only the twirl coefficients p_label =
+tr(R_label M) / rank(R_label) of its accepted candidates M; a
+candidate's score tr(M (I-Phi)^{(x)n}) is (d^2-1)^n times its
+all-complement coefficient, so `ppt_search` derives the search floor
+from the coefficients, and `ppt.search_floor` and
+`ppt.constraint_unreachable` read one number.  Each step of the
+alternation is one call for the whole window (`_project_stack`): round
+0 transposes the window, decides it by one eigh and transposes the
+clips back, and each later check makes one Cholesky factorization, and
+one eigh if that fails.  Nearly every window at (2,2) and (3,2) takes one
+eigh, one Cholesky factorization and two transposes in all: at seed 7,
+every one of 188 windows of 16 and of 1000 windows of one.
 Below about 16x16 a candidate's cost is numpy and LAPACK call overhead,
 which the stack shares out; at 81x81 the eigh itself dominates, a
 stacked one saves nothing and the larger stacks cost time, so there
-each window holds one candidate.  A window of 2^13 entries ran no
-faster and its 128 KiB stacks raised the peak RSS of a d=2, n=2 run by
-about 0.2-0.5 MiB.  Every candidate gets the values it would get alone.
+each window holds one candidate.  Every candidate gets the values it
+would get alone.
 """
 
 from __future__ import annotations
@@ -49,8 +44,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    ForkedMap,
-    case_rngs,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
@@ -58,9 +51,8 @@ from .linalg import (
     trace_inner,
     trace_one_gram,
 )
+from .sampling import ForkedMap, draws, window_length
 
-SEARCH_CASE_BASE = 40_000  # ppt case of search candidate 0; suites._SAMPLES names it
-_WINDOW_AMPLITUDES = 2**12  # matrix entries per window of search candidates
 _MAX_ROUNDS = 200  # alternation rounds before a candidate counts as unconverged
 _PSD_TOL = 1e-10  # a matrix with lambda_min >= -_PSD_TOL needs no clip
 
@@ -349,17 +341,16 @@ def _project_stack(ms: np.ndarray, d: int, n: int, first: int = 0) -> list[np.nd
 def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """The trace-one PSD matrices ppt_search projects as candidates start..stop-1.
 
-    Candidate t is random_psd(d^(2n), rng) on the stream of ppt case
-    SEARCH_CASE_BASE + t: the same two draws, with the Wishart product and
-    its trace formed on the stack.
+    Candidate t is random_psd(d^(2n), rng) on the stream of case t of
+    `ppt.search_floor`'s range: the same two draws, with the Wishart
+    product and its trace formed on the stack.
     """
     side = d ** (2 * n)
     re = np.empty((stop - start, side, side))
     im = np.empty_like(re)
-    cases = range(SEARCH_CASE_BASE + start, SEARCH_CASE_BASE + stop)
-    for i, rng in enumerate(case_rngs(seed, "ppt", cases)):
-        rng.standard_normal(out=re[i])
-        rng.standard_normal(out=im[i])
+    for t, rng in draws("ppt.search_floor", seed, stop, start):
+        rng.standard_normal(out=re[t - start])
+        rng.standard_normal(out=im[t - start])
     return trace_one_gram(re + 1j * im)
 
 
@@ -368,17 +359,13 @@ def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
 
     The workers start taking windows at once.  The ppt_search call given
     the map joins it: this process takes the windows still queued, then
-    gathers every window in order, so the result is the same.  Each window
-    gives the twirl coefficients of its accepted candidates, and nothing
-    else.  Closing a map that no call joined kills and reaps its workers.
+    gathers every window in order, so the result is the same.  Closing a
+    map that no call joined kills and reaps its workers.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     side = d ** (2 * n)
-    window = max(1, _WINDOW_AMPLITUDES // (side * side))
-    # this process's generator, built before the fork: the workers inherit it, numpy.random
-    # and the key block of the first candidates instead of each building them again
-    next(case_rngs(seed, "ppt", [SEARCH_CASE_BASE]))
+    window = window_length(side * side)
     # each worker builds the twirl basis at its first window: built before the fork, the
     # (2^n, side, side) label stack behind it raised the peak RSS of a d=3, n=2 run by
     # about 1 MiB, since the run holds the search from its start through every claim

@@ -12,7 +12,7 @@ SUITE_NAMES = ("design", "channel", "zero-error", "theorem2", "privacy", "ppt", 
 SUPPORTED_D = (2, 3)
 SUPPORTED_N = (1, 2)
 FORMATS = ("json", "text")
-# the most trials a run takes: above it the case ranges of suites._SAMPLES would meet
+# the most trials a run takes: above it the case ranges of sampling._SAMPLES would meet
 MAX_TRIALS = 5000
 # report keys that differ from their field names
 _KEYS = {"fmt": "format"}

@@ -19,20 +19,14 @@ that need it, with the exception text in `detail`.  There is no
 `<suite>.panic` record.  `execute` closes the search's map, if it was
 built, whatever escapes it, so no forked worker outlives it.
 
-All randomness comes from counter-based Philox streams keyed by (seed,
-suite, case).  `_SAMPLES` is the table of every stream a claim reads:
-per claim, ranges of cases, each a suite, a first case and a count as a
-function of `trials`.  A claim gets its generators from `_draws` alone,
-each valid only until the next is drawn, so a pair's states are drawn in
-full before the loop moves on.  The ranges are disjoint up to `trials` =
-`report.MAX_TRIALS`, the most `RunConfig` takes, so any subset of suites
-reproduces the full run's numbers exactly.  `ppt.search_floor`'s range is
-the PPT search's, whose accepted candidates the other two search claims read.
-Claims reduce samples with `_worst`, so a NaN sample fails its claim;
-`_run` records a non-finite value as null and says so in `detail`.
-The equivalence and code-impossibility sweeps draw their cases in order,
-in windows of at most `_WINDOW_AMPLITUDES` pairing-vector amplitudes
-(`_windows`), and decide each window by one call of each of
+A claim gets its generators from `_Context.draws` alone (see
+`sampling`), each valid only until the next is drawn, so a pair's states
+are drawn in full before the loop moves on; a sweep reports the cases it
+drew.  Claims reduce samples with `_worst`, so a NaN sample fails its
+claim; `_run` records a non-finite value as null and says so in
+`detail`.  The equivalence and code-impossibility sweeps draw their
+cases in order, in `sampling.windows` of d^(3n) pairing-vector
+amplitudes a pair, and decide each window by one call of each of
 `zero_error`'s stacked conditions, which A4 and A5 run one pair at a
 time; a non-finite form counts as a mismatch or a violation.  A form is
 bit-identical in every window but a one-pair window at n = 1
@@ -52,8 +46,8 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from functools import cache, cached_property
-from itertools import islice, product
-from typing import Callable, Iterator, NamedTuple
+from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +72,6 @@ from .designs import (
 )
 from .linalg import (
     basis_state,
-    case_rngs,
     max_entangled,
     max_entangled_projector,
     min_eigenvalue,
@@ -93,7 +86,6 @@ from .linalg import (
 )
 from .ncgraph import condition_checks, contains, full_matrix_space, graph_span, operator_span
 from .ppt import (
-    SEARCH_CASE_BASE,
     IsotropicDecomposition,
     build_ppt_witness,
     constraint_score,
@@ -108,6 +100,7 @@ from .ppt import (
 )
 from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
 from .report import TOOLKIT_VERSION, ClaimResult, RunConfig, VerificationReport
+from .sampling import case_count, draws, windows
 from .zero_error import (
     BLOCK_ZERO_TOL,
     averaged_output_overlap,
@@ -118,58 +111,6 @@ from .zero_error import (
     overlap_operator,
     overlap_support_projector,
 )
-
-# Pairing-vector amplitudes per overlap_forms call in the equivalence and
-# code-pair sweeps, d^(3n) per pair: few enough that a window's stacks stay
-# small, many enough to amortize the calls at d=2.  A window of 64 pairs at
-# (3,2) traced about 3.7 MiB in overlap_forms, twice that for theorem2's
-# pair and sum/difference forms together.
-_WINDOW_AMPLITUDES = 2**12
-
-
-class _Range(NamedTuple):
-    """Cases first, first + 1, ... of a suite's streams, count(trials) of them."""
-
-    suite: str
-    first: int
-    count: Callable[[int], int]
-
-
-# Every stream a claim reads, claim id -> its ranges.  The ranges of a suite are disjoint
-# up to trials = MAX_TRIALS; from MAX_TRIALS + 1 the random equivalence pairs would reach
-# the structured pairs' first case.
-_SAMPLES: dict[str, tuple[_Range, ...]] = {
-    "design.twirl_projection": (_Range("design", 0, lambda t: 1),),
-    "design.twirl_invariance": (_Range("design", 1, lambda t: 1),),
-    "channel.central_identity": (_Range("channel", 0, lambda t: t),),
-    "channel.conservation": (_Range("channel", 100_000, lambda t: max(1, t // 10)),),
-    "channel.alt_design_identity": (_Range("channel", 200_000, lambda t: 10),),
-    # the random pairs, then the structured pairs
-    "zero_error.equivalence": (_Range("zero-error", 0, lambda t: 2 * t),
-                               _Range("zero-error", 10_000, lambda t: max(50, t // 2))),
-    "zero_error.form_properties": (_Range("zero-error", 20_000, lambda t: 10),),
-    "theorem2.no_valid_code_pair": (_Range("theorem2", 0, lambda t: 5 * t),),
-    "ppt.twirl_invariance": (_Range("ppt", 31_000, lambda t: 1),),
-    # the PPT search's candidates, which ppt_search draws from SEARCH_CASE_BASE on
-    "ppt.search_floor": (_Range("ppt", SEARCH_CASE_BASE, lambda t: 10 * t),),
-}
-
-
-def _count(ctx, claim_id: str) -> int:
-    """The number of cases the claim draws at the run's trials, over all its ranges."""
-    return sum(r.count(ctx.config.trials) for r in _SAMPLES[claim_id])
-
-
-def _draws(ctx, claim_id: str, part: int = 0) -> Iterator[tuple[int, np.random.Generator]]:
-    """(i, the generator of case first + i) over the claim's part-th range in _SAMPLES.
-
-    The one way a claim gets a generator: each is `case_rngs`'s, valid
-    only until the next is drawn.
-    """
-    suite, first, count = _SAMPLES[claim_id][part]
-    cases = range(first, first + count(ctx.config.trials))
-    return enumerate(case_rngs(ctx.config.seed, suite, cases))
-
 
 class _shared(cached_property):
     """A cached property that also keeps the exception its build raised.
@@ -199,7 +140,13 @@ class _Context:
         self.d, self.n = config.d, config.n
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
         # the run's one PPT search; start_search and ppt_search must get the same arguments
-        self.search_args = (self.d, self.n, _count(self, "ppt.search_floor"), config.seed)
+        self.search_args = (self.d, self.n, case_count("ppt.search_floor", config.trials),
+                            config.seed)
+
+    def draws(self, claim_id: str, part: int = 0):
+        """`sampling.draws` over every case of the claim's part-th range at the run's trials."""
+        return draws(claim_id, self.config.seed, case_count(claim_id, self.config.trials, part),
+                     part=part)
 
     @_shared
     def family(self):
@@ -338,7 +285,7 @@ def _twirl_clock_form(ctx):
         "the twirl is idempotent and matches its two-coefficient closed form", tol=1e-9)
 def _twirl_projection(ctx):
     d = ctx.d
-    _, rng = next(_draws(ctx, "design.twirl_projection"))
+    _, rng = next(ctx.draws("design.twirl_projection"))
     m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     once = conjugate_twirl(ctx.family, m)
     return _worst(np.abs(conjugate_twirl(ctx.family, once) - once).max(),
@@ -350,7 +297,7 @@ def _twirl_projection(ctx):
         tol=1e-9)
 def _design_twirl_invariance(ctx):
     fam = ctx.family
-    _, rng = next(_draws(ctx, "design.twirl_invariance"))
+    _, rng = next(ctx.draws("design.twirl_invariance"))
     m = random_psd(ctx.d * ctx.d, rng)
     twirled = conjugate_twirl(fam, m)
     dd = ctx.d * ctx.d
@@ -366,16 +313,16 @@ def _design_twirl_invariance(ctx):
 
 
 def _identity_gap(ctx, channel, claim_id):
-    """Largest |m^n <out(p1), out(p2)> - closed form| over the claim's random pairs."""
+    """(largest |m^n <out(p1), out(p2)> - closed form|, pairs drawn) over the claim's pairs."""
     d, n = ctx.d, ctx.n
     scale = len(channel.design) ** n
     overlap = overlap_kernel(channel)
     gaps = [0.0]
-    for _, rng in _draws(ctx, claim_id):
+    for _, rng in ctx.draws(claim_id):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         gaps.append(abs(scale * overlap(p1, p2) - averaged_output_overlap(p1, p2)))
-    return _worst(*gaps)
+    return _worst(*gaps), len(gaps) - 1
 
 
 @_claim("channel", "channel.phase_gate_form",
@@ -403,23 +350,23 @@ def _basis_messages(ctx):
 def _conservation(ctx):
     # odd cases carry a reference qubit, whose environment Gram is rank-deficient
     residuals = [0.0]
-    for case, rng in _draws(ctx, "channel.conservation"):
+    for case, rng in ctx.draws("channel.conservation"):
         psi = random_block_state(ctx.d, ctx.n, rng, ref_dim=1 + case % 2)
         residuals.append(conservation_residual(ctx.channel, psi))
-    return _worst(*residuals), f"cases={_count(ctx, 'channel.conservation')}"
+    return _worst(*residuals), f"cases={len(residuals) - 1}"
 
 
 @_claim("channel", "channel.central_identity",
         "flag-branch output overlap equals the closed-form quadratic form", tol=1e-8)
 def _central_identity(ctx):
-    pairs = _count(ctx, "channel.central_identity")
-    return _identity_gap(ctx, ctx.channel, "channel.central_identity"), f"pairs={pairs}"
+    gap, pairs = _identity_gap(ctx, ctx.channel, "channel.central_identity")
+    return gap, f"pairs={pairs}"
 
 
 @_claim("channel", "channel.alt_design_identity",
         "the overlap identity holds verbatim for a smaller exact 2-design", tol=1e-8)
 def _alt_design_identity(ctx):
-    gap = _identity_gap(ctx, ctx.alt_channel, "channel.alt_design_identity")
+    gap, _ = _identity_gap(ctx, ctx.alt_channel, "channel.alt_design_identity")
     return gap, f"alt size={len(ctx.alt_family)}"
 
 
@@ -535,17 +482,6 @@ def _dominance(ctx):
     return _worst(worst, tight), f"largest constant {c:.6f}"
 
 
-def _windows(pairs, d, n):
-    """Successive lists of pairs, at most _WINDOW_AMPLITUDES pairing-vector amplitudes each.
-
-    A pair's pairing vector has d^(3n) amplitudes: 512 pairs a window at
-    (2,1), 151 at (3,1), 64 at (2,2), 5 at (3,2), and always at least one.
-    """
-    pairs = iter(pairs)
-    while window := list(islice(pairs, max(1, _WINDOW_AMPLITUDES // d ** (3 * n)))):
-        yield window
-
-
 def _block_stacks(window):
     return np.stack([p1.blocks for p1, _ in window]), np.stack([p2.blocks for _, p2 in window])
 
@@ -554,25 +490,26 @@ def _equivalence_pairs(ctx):
     """The random pairs, then the structured pairs, of zero_error.equivalence's two ranges."""
     d, n = ctx.d, ctx.n
     tuples = _control_tuples(d, n)
-    for _, rng in _draws(ctx, "zero_error.equivalence"):
+    for _, rng in ctx.draws("zero_error.equivalence"):
         kept = rng.random(len(tuples)) < 0.6  # one uniform draw per tuple, in row order
         support = tuples[kept] if kept.any() else None
         yield random_block_state(d, n, rng, support=support), random_block_state(d, n, rng)
-    for case, rng in _draws(ctx, "zero_error.equivalence", 1):
+    for case, rng in ctx.draws("zero_error.equivalence", 1):
         yield _structured_pair(d, n, case % 6, rng)
 
 
 @_claim("zero-error", "zero_error.equivalence",
         "zero overlap holds exactly when no control tuple carries both states")
 def _equivalence(ctx):
-    mismatches = 0
-    for window in _windows(_equivalence_pairs(ctx), ctx.d, ctx.n):
+    mismatches = pairs = 0
+    for window in windows(_equivalence_pairs(ctx), ctx.d ** (3 * ctx.n)):
+        pairs += len(window)
         b1, b2 = _block_stacks(window)
         forms = overlap_forms(b1, b2, ctx.d, ctx.n)
         # a non-finite form decides nothing, so it counts as a mismatch
         mismatches += int(np.sum(~np.isfinite(forms)
                                  | (disjoint_blocks(b1, b2) != (forms <= BLOCK_ZERO_TOL))))
-    return mismatches, f"pairs={_count(ctx, 'zero_error.equivalence')}"
+    return mismatches, f"pairs={pairs}"
 
 
 @_claim("zero-error", "zero_error.form_properties",
@@ -580,7 +517,7 @@ def _equivalence(ctx):
 def _form_properties(ctx):
     d, n = ctx.d, ctx.n
     worst = 0.0
-    for _, rng in _draws(ctx, "zero_error.form_properties"):
+    for _, rng in ctx.draws("zero_error.form_properties"):
         p1 = random_block_state(d, n, rng)
         p2 = random_block_state(d, n, rng)
         v12 = averaged_output_overlap(p1, p2)
@@ -636,10 +573,10 @@ def _code_pair_failures(d, n, window):
 def _no_valid_code_pair(ctx):
     d, n = ctx.d, ctx.n
     pairs = (_code_pair_candidates(d, n, case, rng)
-             for case, rng in _draws(ctx, "theorem2.no_valid_code_pair"))
-    counts = [_code_pair_failures(d, n, window) for window in _windows(pairs, d, n)]
-    failures, near_misses = map(sum, zip(*counts))
-    candidates = _count(ctx, "theorem2.no_valid_code_pair")
+             for case, rng in ctx.draws("theorem2.no_valid_code_pair"))
+    counts = [(*_code_pair_failures(d, n, window), len(window))
+              for window in windows(pairs, d ** (3 * n))]
+    failures, near_misses, candidates = map(sum, zip(*counts))
     return failures, f"candidates={candidates} near_misses={near_misses}"
 
 
@@ -751,7 +688,7 @@ def _twirl_preserves(ctx):
         "the twirled reconstruction commutes with sampled per-pair conjugations", tol=1e-9)
 def _ppt_twirl_invariance(ctx):
     d, n = ctx.d, ctx.n
-    _, rng = next(_draws(ctx, "ppt.twirl_invariance"))
+    _, rng = next(ctx.draws("ppt.twirl_invariance"))
     rec = isotropic_twirl_n(random_psd(d ** (2 * n), rng), d, n).reconstruct()
     worst = 0.0
     for _ in range(3):

@@ -6,7 +6,7 @@ import pytest
 
 from zecheck.channel import build_channel
 from zecheck.designs import enumerate_clifford, find_minimal_subdesign
-from zecheck.linalg import SUITE_IDS
+from zecheck.sampling import SUITE_IDS
 
 
 def case_rng(seed, suite, case):
@@ -14,7 +14,7 @@ def case_rng(seed, suite, case):
 
     Built straight from numpy's SeedSequence and Philox, with none of
     zecheck's key derivation, so the tests that compare against it check
-    `linalg.case_rngs` and its vectorized keys.
+    `sampling.case_rngs` and its vectorized keys.
     """
     key = np.random.SeedSequence([seed, SUITE_IDS[suite], case])
     return np.random.Generator(np.random.Philox(key))
@@ -78,7 +78,7 @@ def no_child_process_left():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(k) makes linalg.ForkedMap, and so the PPT search, see k CPUs in the affinity mask."""
+    """cpus(k) makes sampling.ForkedMap, and so the PPT search, see k CPUs in the affinity mask."""
 
     def set_cpus(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)

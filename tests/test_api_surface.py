@@ -6,11 +6,18 @@ acceptance tests or in the benchmark scripts.  A name is an `ast.Name`, an
 `ast.Attribute` or an import alias, so docstrings and comments do not
 count, and neither do the re-exports in `__init__.py`.  Likewise every
 name a module imports must be used in it, `__init__.py` and
-`from __future__` aside.
+`from __future__` aside, and every backticked `module.name` in README.md
+and in zecheck's modules must name a live attribute or a claim id.
 """
 
 import ast
+import importlib
+import re
+from functools import reduce
 from pathlib import Path
+
+import zecheck
+import zecheck.suites
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zecheck"
@@ -100,3 +107,42 @@ def test_an_import_nothing_reads_is_flagged(tmp_path):
         '"""pi, turn and signal are only named in this string."""\n'
     )
     assert sorted(unused_imports(tmp_path)) == ["a.pi", "a.signal", "a.turn"]
+
+
+CLAIM_IDS = {spec.claim_id for spec in zecheck.suites._CLAIMS}
+
+
+def stale_names(text, *scopes):
+    """The backticked dotted names of text that do not resolve, claim ids aside.
+
+    A name resolves in the first scope that holds its head; one whose head no
+    scope holds, such as `itertools.groupby`, is not zecheck's and is skipped.
+    """
+    stale = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text):
+        head, *rest = name.split(".")
+        scope = next((s for s in scopes if hasattr(s, head)), None)
+        if name in CLAIM_IDS or scope is None:
+            continue
+        try:
+            reduce(getattr, rest, getattr(scope, head))
+        except AttributeError:
+            stale.append(name)
+    return stale
+
+
+def test_every_backticked_name_is_live():
+    # README names modules of the package; a module also names its own attributes
+    stale = {"README.md": stale_names((ROOT / "README.md").read_text(), zecheck)}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = zecheck if path.stem == "__init__" else importlib.import_module(
+            f"zecheck.{path.stem}")
+        stale[path.name] = stale_names(path.read_text(), zecheck, module)
+    assert {where: names for where, names in stale.items() if names} == {}
+
+
+def test_a_moved_name_is_flagged():
+    text = ("`linalg.case_rngs`, `sampling.case_rngs`, `ppt.search_floor`, `_Context.draws`, "
+            "`_Context.started2`, `itertools.groupby` and `suites.execute.missing`")
+    assert stale_names(text, zecheck, zecheck.suites) == [
+        "linalg.case_rngs", "_Context.started2", "suites.execute.missing"]

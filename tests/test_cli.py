@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import zecheck
-import zecheck.linalg
-import zecheck.ppt
+import zecheck.sampling
 import zecheck.suites
 from zecheck.cli import _build_parser, main, parse_config
 from zecheck.report import (
@@ -160,9 +159,9 @@ def test_trials_stop_where_the_case_ranges_would_meet(capsys):
 
 
 def table_cases(trials):
-    """(claim, suite, first case, last case + 1) of every range of suites._SAMPLES."""
+    """(claim, suite, first case, last case + 1) of every range of sampling._SAMPLES."""
     return [(claim, r.suite, r.first, r.first + r.count(trials))
-            for claim, ranges in zecheck.suites._SAMPLES.items() for r in ranges]
+            for claim, ranges in zecheck.sampling._SAMPLES.items() for r in ranges]
 
 
 def meeting_ranges(trials):
@@ -181,13 +180,13 @@ def test_the_case_ranges_meet_just_above_the_trials_limit():
 
 
 @pytest.mark.parametrize("trials", [1, 100])
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_no_stream_is_read_twice(d, n, trials, monkeypatch, cpus):
     cpus(1)  # the search's windows run in this process, where their reads are recorded
-    # the search's warm-up draws its first case before the first claim; ppt.search_floor joins it
-    claim = ["ppt.search_floor"]
+    # a read before the first claim, such as one while the search starts, is charged to None
+    claim = [None]
     readers = defaultdict(list)  # (suite, case) -> the claim of each read of its stream
-    case_key, run = zecheck.linalg._case_key, zecheck.suites._run
+    case_key, run = zecheck.sampling._case_key, zecheck.suites._run
 
     def recording_key(seed, suite, case):
         readers[suite, case].append(claim[0])
@@ -197,17 +196,14 @@ def test_no_stream_is_read_twice(d, n, trials, monkeypatch, cpus):
         claim[0] = spec.claim_id
         return run(spec, ctx)
 
-    monkeypatch.setattr(zecheck.linalg, "_case_key", recording_key)
+    monkeypatch.setattr(zecheck.sampling, "_case_key", recording_key)
     monkeypatch.setattr(zecheck.suites, "_run", recording_run)
     assert execute(RunConfig(d=d, n=n, trials=trials, seed=7)).overall_pass
-    assert set().union(*readers.values()) == set(zecheck.suites._SAMPLES)
-    # the warm-up, then candidate 0's own draw
-    assert readers.pop(("ppt", zecheck.ppt.SEARCH_CASE_BASE)) == ["ppt.search_floor"] * 2
-    assert {stream: claims for stream, claims in readers.items() if len(claims) > 1} == {}
-    # each claim reads exactly the cases of its table ranges
+    assert set().union(*readers.values()) == set(zecheck.sampling._SAMPLES)
+    assert {stream: claims for stream, claims in readers.items() if len(claims) != 1} == {}
+    # each claim reads exactly the cases of its table ranges, each once
     expected = {(suite, case): [claim] for claim, suite, first, stop in table_cases(trials)
                 for case in range(first, stop)}
-    del expected["ppt", zecheck.ppt.SEARCH_CASE_BASE]
     assert dict(readers) == expected
 
 
@@ -323,7 +319,8 @@ def test_case_rng_streams_are_stable():
     c = case_rng(5, "channel", 4).standard_normal(4)
     assert (a == b).all()
     assert (a != c).any()
-    drawn = [rng.standard_normal(4) for rng in zecheck.linalg.case_rngs(5, "channel", [3, 4, 3])]
+    drawn = [rng.standard_normal(4)
+             for rng in zecheck.sampling.case_rngs(5, "channel", [3, 4, 3])]
     assert (drawn[0] == a).all() and (drawn[1] == c).all() and (drawn[2] == a).all()
 
 
@@ -345,8 +342,8 @@ def test_case_rng_is_the_only_seeding():
         for where, callee in seeding_calls(ast.parse(path.read_text()), "<module>")
     )
     # the one generator of each process, which case_rngs re-keys to each case's stream
-    assert found == [("linalg.py", "_process_generator", "Generator"),
-                     ("linalg.py", "_process_generator", "Philox")]
+    assert found == [("sampling.py", "_process_generator", "Generator"),
+                     ("sampling.py", "_process_generator", "Philox")]
 
 
 def names_in_functions(node, name, where):
@@ -364,9 +361,8 @@ def test_claims_draw_only_through_the_case_table():
         for path in Path(zecheck.__file__).parent.glob("*.py")
         for where in names_in_functions(ast.parse(path.read_text()), "case_rngs", "<module>")
     )
-    # suites._draws serves every claim from _SAMPLES; the PPT search draws its own range
-    assert found == [("ppt.py", "_search_candidates"), ("ppt.py", "start_search"),
-                     ("suites.py", "_draws")]
+    # sampling.draws serves every claim and the PPT search from _SAMPLES
+    assert found == [("sampling.py", "draws")]
 
 
 def test_json_roundtrip():

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from zecheck.linalg import (
-    _KEY_BLOCK,
-    _QUEUE_RUNS,
-    SUITE_IDS,
-    ForkedMap,
-    _case_key,
-    _key_block,
     basis_state,
-    case_rngs,
     max_entangled,
     max_entangled_projector,
     partial_trace,
@@ -25,6 +18,15 @@ from zecheck.linalg import (
     trace_distance,
     trace_inner,
     trace_one_gram,
+)
+from zecheck.sampling import (
+    _KEY_BLOCK,
+    _QUEUE_RUNS,
+    SUITE_IDS,
+    ForkedMap,
+    _case_key,
+    _key_block,
+    case_rngs,
 )
 
 from conftest import case_rng
@@ -200,6 +202,9 @@ def test_random_unitary_is_unitary():
 def test_max_entangled_vector():
     v = max_entangled(2)
     np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+
+# zecheck.sampling: the forked map and the key derivation
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

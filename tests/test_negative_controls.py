@@ -252,13 +252,13 @@ class NanDraws:
 
 def test_nan_search_candidate_fails_search_floor(monkeypatch):
     # candidate 5 sits inside the first window of 16 at (2,2)
-    real = zecheck.ppt.case_rngs
+    real = zecheck.ppt.draws
 
-    def poisoned(seed, suite, cases):
-        for case, rng in zip(cases, real(seed, suite, cases)):
-            yield NanDraws() if case == zecheck.ppt.SEARCH_CASE_BASE + 5 else rng
+    def poisoned(*args, **kwargs):
+        for t, rng in real(*args, **kwargs):
+            yield t, NanDraws() if t == 5 else rng
 
-    monkeypatch.setattr(zecheck.ppt, "case_rngs", poisoned)
+    monkeypatch.setattr(zecheck.ppt, "draws", poisoned)
     with np.errstate(invalid="ignore"):
         report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
     claims = {c.claim_id: c for c in report.claims}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zecheck.ppt
+import zecheck.sampling
 import zecheck.suites
 from zecheck.linalg import (
     max_entangled_projector,
@@ -424,7 +425,7 @@ def test_search_does_not_depend_on_the_window(d, n, monkeypatch):
     default = ppt_search(d, n, trials, 7)
     assert default.coefficients.shape == (default.accepted, 2**n)
     for window in (1, 7):
-        monkeypatch.setattr(zecheck.ppt, "_WINDOW_AMPLITUDES", window * side * side)
+        monkeypatch.setattr(zecheck.sampling, "_WINDOW_AMPLITUDES", window * side * side)
         assert_same_search(ppt_search(d, n, trials, 7), default)
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import zecheck.sampling
 import zecheck.suites
 from zecheck.channel import BlockStateVector, random_block_state
 from zecheck.linalg import (
@@ -322,7 +323,7 @@ def reference_equivalence_claim(d, n, trials, seed):
 @pytest.mark.parametrize("d,n,trials", [(2, 2, 20), (3, 1, 15), (3, 2, 4)])
 def test_windowed_sweeps_match_per_candidate_loops(d, n, trials, window, monkeypatch):
     if window is not None:  # pairs per window
-        monkeypatch.setattr(zecheck.suites, "_WINDOW_AMPLITUDES", window * d ** (3 * n))
+        monkeypatch.setattr(zecheck.sampling, "_WINDOW_AMPLITUDES", window * d ** (3 * n))
     seed = 5
     report = execute(RunConfig(d=d, n=n, trials=trials, seed=seed,
                                suites=("zero-error", "theorem2")))
@@ -336,14 +337,14 @@ def test_windowed_sweeps_match_per_candidate_loops(d, n, trials, window, monkeyp
 
 @pytest.mark.parametrize("d,n,pairs", [(2, 1, 512), (3, 1, 151), (2, 2, 64), (3, 2, 5)])
 def test_windows_hold_a_fixed_number_of_amplitudes(d, n, pairs):
-    sizes = [len(w) for w in zecheck.suites._windows(range(2 * pairs + 1), d, n)]
+    sizes = [len(w) for w in zecheck.sampling.windows(range(2 * pairs + 1), d ** (3 * n))]
     assert sizes == [pairs, pairs, 1]
 
 
 def test_sweep_window_working_set(traced_peak):
     rng = np.random.default_rng(3)
     pairs = ((random_block_state(3, 2, rng), random_block_state(3, 2, rng)) for _ in range(100))
-    window = next(zecheck.suites._windows(pairs, 3, 2))
+    window = next(zecheck.sampling.windows(pairs, 3 ** 6))
     stacks = zecheck.suites._block_stacks(window)
     # a window of 64 (3,2) pairs traced about 3.7 MiB
     assert traced_peak(lambda: overlap_forms(*stacks, 3, 2)) < 2.0
