@@ -20,13 +20,11 @@ acceptance-gate helper alike, since both call it.
 
 import json
 from functools import reduce
-from itertools import count
 
 import numpy as np
 import pytest
 
 import zecheck.ppt
-import zecheck.privacy
 import zecheck.suites
 import zecheck.zero_error
 from zecheck.channel import build_channel, overlap_kernel, random_block_state
@@ -222,9 +220,14 @@ def test_nan_report_is_strict_json(monkeypatch):
 def test_verify_secrecy_keeps_a_nan_distance(monkeypatch):
     ch = build_channel(2, enumerate_clifford(2))
     transcripts = [run_protocol(ch, msg) for msg in range(2)]
-    calls = count()
-    monkeypatch.setattr(zecheck.privacy, "trace_distance",
-                        lambda a, b: float("nan") if next(calls) == 3 else 0.0)
+    eigvalsh = np.linalg.eigvalsh
+
+    def poisoned(stack):
+        w = eigvalsh(stack)
+        w[0, 3, 0] = np.nan  # the first message pair's fourth flag
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
     assert np.isnan(verify_secrecy(transcripts))
 
 
