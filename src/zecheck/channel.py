@@ -277,9 +277,7 @@ def cq_overlap(x: CQState, y: CQState) -> float:
     Flags are perfectly distinguishable, so only matching labels
     contribute; each pair enters with the product of branch weights.
     """
-    if x.n != y.n or x.d != y.d or x.labels.shape != y.labels.shape:
-        raise ValueError("branch label sets do not match")
-    if not np.array_equal(x.labels, y.labels):
+    if x.n != y.n or x.d != y.d or not np.array_equal(x.labels, y.labels):
         raise ValueError("branch label sets do not match")
     val = np.einsum(
         "j,jab,jab->", x.weights * y.weights, x.matrices.conj(), y.matrices

@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     default.update(suites="(default: all)", output="(default: stdout)")
     verify.add_argument("--d", type=int,
                         help=f"qudit dimension, one of {SUPPORTED_D} {default['d']}")
-    verify.add_argument("--n", type=int, help=f"channel uses, one of {SUPPORTED_N} {default['n']}")
+    verify.add_argument("--n", type=int, help=f"channel uses, one of {SUPPORTED_N}; the privacy "
+                        f"suite runs one use whatever N is {default['n']}")
     verify.add_argument(
         "--suite",
         action="append",
@@ -63,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"sample-count base, 1 to {MAX_TRIALS} {default['trials']}")
     verify.add_argument("--seed", type=int, help=f"unsigned 64-bit master seed {default['seed']}")
     verify.add_argument("--output", help=f"report path {default['output']}")
-    verify.add_argument("--format", choices=FORMATS, dest="fmt",
-                        help=f"report format {default['fmt']}")
+    verify.add_argument("--format", choices=FORMATS, help=f"report format {default['format']}")
     return parser
 
 
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         report = execute(config)
-        payload = emit_report(report, config.fmt)
+        payload = emit_report(report, config.format)
         if config.output:
             _write_report(config.output, payload)
         else:
@@ -124,7 +124,3 @@ def main(argv=None) -> int:
         print(f"zecheck: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_PASS if report.overall_pass else EXIT_CLAIM_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 TOOLKIT_VERSION = "0.1.0"
 SCHEMA_VERSION = 2
@@ -14,30 +14,18 @@ SUPPORTED_N = (1, 2)
 FORMATS = ("json", "text")
 # the most trials a run takes: above it the case ranges of sampling._SAMPLES would meet
 MAX_TRIALS = 5000
-# report keys that differ from their field names
-_KEYS = {"fmt": "format"}
-
-
-def _plain(value):
-    """A field value as JSON data: records as dicts, tuples as lists."""
-    if is_dataclass(value):
-        return value.to_dict()
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 class _Record:
     """to_dict/from_dict of a report dataclass, one key per field."""
 
     def to_dict(self) -> dict:
-        return {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict):
         """Build from a report dict; unknown keys (such as schema 1's tol) are ignored."""
-        keys = {f.name: _KEYS.get(f.name, f.name) for f in fields(cls)}
-        return cls(**{name: data[key] for name, key in keys.items() if key in data})
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass
@@ -48,9 +36,14 @@ class RunConfig(_Record):
     trials: int = 100
     seed: int = 1
     output: str | None = None
-    fmt: str = "json"
+    format: str = "json"
 
     def __post_init__(self):
+        for name in ("d", "n", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer becomes int
         if self.d not in SUPPORTED_D:
             raise ValueError(f"unsupported d={self.d}; expected one of {SUPPORTED_D}")
         if self.n not in SUPPORTED_N:
@@ -69,8 +62,8 @@ class RunConfig(_Record):
                              f"{2 * MAX_TRIALS} and up, the structured pairs' streams")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
 
 
 @dataclass
@@ -111,12 +104,12 @@ def _fmt_value(v: float | None) -> str:
     return "-" if v is None else f"{v:.6e}"
 
 
-def emit_report(report: VerificationReport, fmt: str = "json") -> str:
+def emit_report(report: VerificationReport, format: str = "json") -> str:
     """Serialize a report; json is the stable sorted-key schema."""
-    if fmt == "json":
+    if format == "json":
         return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
+    if format != "text":
+        raise ValueError(f"unknown format {format!r}")
     cfg = report.config
     lines = [
         f"zecheck {report.version}  d={cfg.d} n={cfg.n} seed={cfg.seed} "

@@ -9,6 +9,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zecheck
@@ -17,6 +18,7 @@ import zecheck.suites
 from zecheck.cli import _build_parser, main, parse_config
 from zecheck.report import (
     MAX_TRIALS,
+    SCHEMA_VERSION,
     SUITE_NAMES,
     SUPPORTED_D,
     SUPPORTED_N,
@@ -72,7 +74,8 @@ def spawn(*args, **env):
 FLAG_SAMPLES = {"d": (["--d", "3"], 3), "n": (["--n", "2"], 2),
                 "suites": (["--suite", "ppt", "--suite", "privacy"], ("privacy", "ppt")),
                 "trials": (["--trials", "7"], 7), "seed": (["--seed", "9"], 9),
-                "output": (["--output", "r.json"], "r.json"), "fmt": (["--format", "text"], "text")}
+                "output": (["--output", "r.json"], "r.json"),
+                "format": (["--format", "text"], "text")}
 
 
 def test_every_verify_option_has_help():
@@ -146,6 +149,21 @@ def test_config_validation():
         RunConfig(seed=2**64)
     with pytest.raises(ValueError):
         RunConfig(suites=("nope",))
+
+
+# none an integer; but for "2", each passes a `SUPPORTED_D`/`SUPPORTED_N` or range check
+@pytest.mark.parametrize("setting,value", [("d", 2.0), ("n", 1.0), ("n", np.bool_(True)),
+                                           ("trials", True), ("seed", True), ("seed", 7.5),
+                                           ("d", "2")])
+def test_settings_must_be_integers(setting, value):
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+        RunConfig(**{setting: value})
+
+
+def test_numpy_integer_settings_are_stored_as_int():
+    cfg = RunConfig(d=np.int64(3), n=np.int32(2), trials=np.int64(7), seed=np.uint64(2**63))
+    assert [type(v) for v in (cfg.d, cfg.n, cfg.trials, cfg.seed)] == [int] * 4
+    assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 2**63
 
 
 def test_trials_stop_where_the_case_ranges_would_meet(capsys):
@@ -379,6 +397,30 @@ def test_schema1_report_still_loads():
     assert VerificationReport.from_dict(data) == report
 
 
+def test_report_keys_are_field_names():
+    # one key per field: no rename table stands between a record and its report
+    report = execute(RunConfig(d=2, suites=("privacy",), trials=5, seed=2))
+    data = report.to_dict()
+    assert data.pop("schema_version") == SCHEMA_VERSION
+    walked = set()
+
+    def walk(record, data):
+        walked.add(type(record).__name__)
+        names = [f.name for f in dataclasses.fields(record)]
+        assert sorted(data) == sorted(names), type(record).__name__
+        for name in names:
+            value = getattr(record, name)
+            if dataclasses.is_dataclass(value):
+                walk(value, data[name])
+            elif isinstance(value, list):
+                for item, item_data in zip(value, data[name], strict=True):
+                    if dataclasses.is_dataclass(item):
+                        walk(item, item_data)
+
+    walk(report, data)
+    assert walked == {"VerificationReport", "RunConfig", "ClaimResult"}
+
+
 def test_text_format_lines():
     report = execute(RunConfig(d=2, suites=("privacy",), trials=5, seed=2))
     text = emit_report(report, "text")
@@ -412,7 +454,7 @@ def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     out.write_text("old report", encoding="utf-8")
     # a lone surrogate cannot be encoded, so the write raises midway
-    monkeypatch.setattr("zecheck.cli.emit_report", lambda report, fmt: '{"a": "\ud800"}')
+    monkeypatch.setattr("zecheck.cli.emit_report", lambda report, format: '{"a": "\ud800"}')
     code = main(["verify", "--d", "2", "--suite", "privacy", "--trials", "5",
                  "--output", str(out)])
     assert code == 3
