@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -306,13 +307,13 @@ def overlap_kernel(
        d^2 x d^2 Grams, Q_j1[delta] = P^dag P per member and G_J'[delta] =
        T T^dag per sub-tuple, and one real GEMM gives every flag's norm.
 
-    Q depends on the design alone, so it is formed once here and every
-    pair the returned function takes reuses it.  Step 2 and the Grams G
-    run over blocks of sub-tuples J' (`_sub_tuple_grams`), so no T of all
-    m^(n-1) sub-tuples is held.  The one real GEMM over all flags comes
-    last: split into column blocks, OpenBLAS's small-matrix kernels (taken
-    at some narrow widths) would sum in another order and move the last
-    bits.
+    Q depends on the design alone, so it is formed once here, as w_f^2 is
+    once per n, and every pair the returned function takes reuses them.
+    Step 2 and the Grams G run over blocks of sub-tuples J'
+    (`_sub_tuple_grams`), so no T of all m^(n-1) sub-tuples is held.  The
+    one real GEMM over all flags comes last: split into column blocks,
+    OpenBLAS's small-matrix kernels (taken at some narrow widths) would sum
+    in another order and move the last bits.
 
     Every flag's ||M_f||_F^2 is still formed on its own and weighted by
     w_f^2 = w_j1^2 w_J'^2 before the flags are summed: summing over j_1 (or
@@ -327,9 +328,11 @@ def overlap_kernel(
     pair = np.multiply(g[:, None, :, :, None], shifted[:, :, :, None, :], order="C")
     design_grams = _packed_grams(pair.reshape(len(g), d, d, d * d).swapaxes(2, 3))
 
+    squared_weights = cache(lambda n: _flag_weights(channel, n) ** 2)
+
     def overlap(x: BlockStateVector, y: BlockStateVector) -> float:
         norms = design_grams @ _sub_tuple_grams(channel, x, y).T  # norms[j_1, J'] = ||M_f||_F^2
-        return float(_flag_weights(channel, x.n) ** 2 @ norms.ravel())
+        return float(squared_weights(x.n) @ norms.ravel())
 
     return overlap
 

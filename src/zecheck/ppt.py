@@ -12,13 +12,13 @@ range through `sampling.draws`, and projects the candidates a window of
 one per CPU, that take them from one shared queue in candidate order
 (`sampling.ForkedMap`, the only forked map of a run), and come back in
 candidate order, so every value is that of a one-CPU run.
-`start_search` forks the workers and returns their map, which the
-ppt_search call given it joins: `suites.execute` starts the search
-before its first claim, and the join has this process take the windows
-still queued.  A window returns only the twirl coefficients p_label =
+A `PPTSearch` forks the workers when it is built, and its `result`
+joins them: `suites.execute` builds the run's search before its first
+claim, and the join has this process take the windows still queued.
+A window returns only the twirl coefficients p_label =
 tr(R_label M) / rank(R_label) of its accepted candidates M; a
 candidate's score tr(M (I-Phi)^{(x)n}) is (d^2-1)^n times its
-all-complement coefficient, so `ppt_search` derives the search floor
+all-complement coefficient, so `PPTSearch.result` derives the search floor
 from the coefficients, and `ppt.search_floor` and
 `ppt.constraint_unreachable` read one number.  Each step of the
 alternation is one call for the whole window (`_project_stack`): round
@@ -121,15 +121,20 @@ def transposed_eigenvalues(coefficients: np.ndarray, d: int, n: int) -> np.ndarr
     return coefficients @ reduce(np.kron, [t] * n).T
 
 
+@cache
 def _twirl_basis(d: int, n: int) -> tuple[np.ndarray, ...]:
     """(entries, values, ranks): the flat matrix entries some R_label touches, and R_label there.
 
     Each R_label is real and symmetric, so Re tr(R m) sums R_ij Re(m_ij) over
     those entries, (2d^2 - d)^n of them: 36 of 256 at (2,2), 225 of 6561 at (3,2).
+    Built once per (d, n) and process, and shared, read-only, by every caller.
     """
     flat = _label_operators(d, n).reshape(2**n, -1).real
     entries = np.flatnonzero(flat.any(axis=0))
-    return entries, flat[:, entries], label_ranks(d, n)
+    basis = entries, flat[:, entries], label_ranks(d, n)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def _twirl_coefficients(ms: np.ndarray, basis: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -339,7 +344,7 @@ def _project_stack(ms: np.ndarray, d: int, n: int, first: int = 0) -> list[np.nd
 
 
 def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """The trace-one PSD matrices ppt_search projects as candidates start..stop-1.
+    """The trace-one PSD matrices `PPTSearch` projects as candidates start..stop-1.
 
     Candidate t is random_psd(d^(2n), rng) on the stream of case t of
     `ppt.search_floor`'s range: the same two draws, with the Wishart
@@ -354,52 +359,50 @@ def _search_candidates(d: int, n: int, seed: int, start: int, stop: int) -> np.n
     return trace_one_gram(re + 1j * im)
 
 
-def start_search(d: int, n: int, trials: int, seed: int) -> ForkedMap:
-    """Fork the workers of ppt_search(d, n, trials, seed) now; returns their map, for that call.
-
-    The workers start taking windows at once.  The ppt_search call given
-    the map joins it: this process takes the windows still queued, then
-    gathers every window in order, so the result is the same.  Closing a
-    map that no call joined kills and reaps its workers.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    side = d ** (2 * n)
-    window = window_length(side * side)
-    # each worker builds the twirl basis at its first window: built before the fork, the
-    # (2^n, side, side) label stack behind it raised the peak RSS of a d=3, n=2 run by
-    # about 1 MiB, since the run holds the search from its start through every claim
-    # before the ppt suite
-    basis = cache(lambda: _twirl_basis(d, n))
-
-    def search_window(start):
-        """The twirl coefficients of the window's accepted candidates: (accepted, 2^n)."""
-        stop = min(start + window, trials)
-        projected = _project_stack(_search_candidates(d, n, seed, start, stop), d, n, first=start)
-        accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
-        return _twirl_coefficients(accepted, basis())
-
-    return ForkedMap(search_window, range(0, trials, window))
-
-
-def ppt_search(d: int, n: int, trials: int, seed: int,
-               started: ForkedMap | None = None) -> PPTSearchResult:
-    """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}.
+class PPTSearch(ForkedMap):
+    """Randomized search for PPT matrices orthogonal to (I-Phi)^{(x)n}, forked when built.
 
     Candidates are random PSD matrices pushed into the PPT cone by
-    alternating clipping, a window of them at a time, the windows spread
-    over forked workers: those of `started`, the map start_search(d, n,
-    trials, seed) returned, or else of a map started here.  Non-convergent
-    candidates are skipped and counted.  The result holds the twirl
-    coefficients of every accepted candidate, in candidate order, and the
-    smallest score tr(M (I-Phi)^{(x)n}) among them, read off each twirl as
-    rank((I-Phi)^{(x)n}) = (d^2-1)^n times the all-complement coefficient.
-    That minimum staying away from zero is the certified prediction.
+    alternating clipping, a window at a time, on workers that start at
+    once; non-convergent ones are skipped and counted.  `result` has this
+    process take the windows still queued and gathers every window in
+    order, so its value does not depend on when it is called.  Closing a
+    search that was never joined kills and reaps its workers.
     """
-    coefficients = np.concatenate((started or start_search(d, n, trials, seed)).join())
-    # the score is rank * the all-complement coefficient; np.min keeps a NaN, which a running
-    # builtin min can drop
-    scores = coefficients[:, -1] * label_ranks(d, n)[-1]
-    return PPTSearchResult(accepted=len(scores), skipped=trials - len(scores),
-                           min_value=float(np.min(scores)) if len(scores) else None,
-                           coefficients=coefficients)
+
+    def __init__(self, d: int, n: int, trials: int, seed: int):
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        self.d, self.n, self.trials = d, n, trials
+        side = d ** (2 * n)
+        window = window_length(side * side)
+
+        def search_window(start):
+            """The twirl coefficients of the window's accepted candidates: (accepted, 2^n)."""
+            stop = min(start + window, trials)
+            candidates = _search_candidates(d, n, seed, start, stop)
+            projected = _project_stack(candidates, d, n, first=start)
+            accepted = np.array([m for m in projected if m is not None]).reshape(-1, side, side)
+            # built here, not before the fork: its label stack added ~1 MiB to a (3,2) peak RSS
+            return _twirl_coefficients(accepted, _twirl_basis(d, n))
+
+        super().__init__(search_window, range(0, trials, window))
+
+    def result(self) -> PPTSearchResult:
+        """Join the workers: the accepted candidates' twirl coefficients, in order, and least score.
+
+        A score tr(M (I-Phi)^{(x)n}) is (d^2-1)^n times the all-complement coefficient;
+        that minimum staying away from zero is the certified prediction.
+        """
+        coefficients = np.concatenate(self.join())
+        # the score is rank * the all-complement coefficient; np.min keeps a NaN, which a
+        # running builtin min can drop
+        scores = coefficients[:, -1] * label_ranks(self.d, self.n)[-1]
+        return PPTSearchResult(accepted=len(scores), skipped=self.trials - len(scores),
+                               min_value=float(np.min(scores)) if len(scores) else None,
+                               coefficients=coefficients)
+
+
+def ppt_search(d: int, n: int, trials: int, seed: int) -> PPTSearchResult:
+    """The result of the search `PPTSearch(d, n, trials, seed)`, started and joined here."""
+    return PPTSearch(d, n, trials, seed).result()

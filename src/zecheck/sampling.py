@@ -233,7 +233,7 @@ class ForkedMap:
     threads, and OpenBLAS shuts its own pool down across a fork; importing
     zecheck keeps that pool at one thread whatever the import order (see
     `zecheck/__init__.py`), so the k workers do not each run one per CPU.
-    A run starts one map, the PPT search's (`ppt.start_search`).
+    A run starts one map, the PPT search (`ppt.PPTSearch`).
     """
 
     def __init__(self, fn: Callable, items):

@@ -7,17 +7,18 @@ tolerance, or is 0 when it has none; a claim with another rule returns
 a `_Verdict`.  Shared objects are cached properties of `_Context`, built
 by the first claim that reads them, so that claim's `runtime_ms`
 includes building them.  The one exception is the PPT search: `execute`
-builds the started map, `_Context.started`, before the first claim, and
-`ppt.search_floor`, which reads the search first, joins it, so its
-`runtime_ms` counts only the part of the search the run waited for.  A
-build that raises is not run again: its exception is kept and raised to
-every later reader, so a start that raises fails the claims that read
-the search.  Exceptions are caught only in the try around each claim and
-in `execute`'s start of the search: one raised in a claim, while building
-a shared object or while starting the search fails exactly the claims
-that need it, with the exception text in `detail`.  There is no
-`<suite>.panic` record.  `execute` closes the search's map, if it was
-built, whatever escapes it, so no forked worker outlives it.
+builds the run's `ppt.PPTSearch`, `_Context.started`, before the first
+claim, and `ppt.search_floor`, which reads the search first, joins it by
+`PPTSearch.result`, so its `runtime_ms` counts only the part of the
+search the run waited for.  A build that raises is not run again: its
+exception is kept and raised to every later reader, so a start that
+raises fails the claims that read the search.  Exceptions are caught
+only in the try around each claim and in `execute`'s start of the
+search: one raised in a claim, while building a shared object or while
+starting the search fails exactly the claims that need it, with the
+exception text in `detail`.  There is no `<suite>.panic` record.
+`execute` closes the search, if it was built, whatever escapes it, so no
+forked worker outlives it.
 
 A claim gets its generators from `_Context.draws` alone (see
 `sampling`), each valid only until the next is drawn, so a pair's states
@@ -87,15 +88,14 @@ from .linalg import (
 from .ncgraph import condition_checks, contains, full_matrix_space, graph_span, operator_span
 from .ppt import (
     IsotropicDecomposition,
+    PPTSearch,
     build_ppt_witness,
     constraint_score,
     isotropic_twirl_n,
     label_ranks,
     pairwise_partial_transpose,
-    ppt_search,
     recursion_certificate,
     recursion_trace,
-    start_search,
     transposed_eigenvalues,
 )
 from .privacy import run_protocol, transpose_trick_residual, verify_secrecy
@@ -139,9 +139,6 @@ class _Context:
         self.config = config
         self.d, self.n = config.d, config.n
         self.failed: dict[str, Exception] = {}  # name -> the error its build raised
-        # the run's one PPT search; start_search and ppt_search must get the same arguments
-        self.search_args = (self.d, self.n, case_count("ppt.search_floor", config.trials),
-                            config.seed)
 
     def draws(self, claim_id: str, part: int = 0):
         """`sampling.draws` over every case of the claim's part-th range at the run's trials."""
@@ -183,12 +180,13 @@ class _Context:
 
     @_shared
     def started(self):
-        """The PPT search's forked map, which `search` joins; `execute` builds it first."""
-        return start_search(*self.search_args)
+        """The run's one `ppt.PPTSearch`, which `search` joins; `execute` builds it first."""
+        trials = case_count("ppt.search_floor", self.config.trials)
+        return PPTSearch(self.d, self.n, trials, self.config.seed)
 
     @_shared
     def search(self):
-        return ppt_search(*self.search_args, self.started)
+        return self.started.result()
 
 
 class _Verdict(NamedTuple):
@@ -718,19 +716,13 @@ def _recursion_refutes(ctx):
     d, n, witness = ctx.d, ctx.n, build_ppt_witness(ctx.d)
     worst_gap = 0.0
     all_refuted = True
-    for label in product((0, 1), repeat=n):
-        if label == (1,) * n:
-            continue
+    for label in list(product((0, 1), repeat=n))[:-1]:  # all but the all-complement label
         coeffs = np.zeros((2,) * n)
         coeffs[label] = 1.0
-        dec = IsotropicDecomposition(d, n, coeffs)
-        if recursion_certificate(dec, witness):
-            all_refuted = False
-            continue
-        rec = next(r for r in recursion_trace(dec, witness) if r.label == label)
+        trace = recursion_trace(IsotropicDecomposition(d, n, coeffs), witness)
+        rec = next(r for r in trace if r.label == label)
         worst_gap = _worst(worst_gap, abs(rec.implied - 1.0))
-        if rec.min_eigenvalue > -1e-9:
-            all_refuted = False
+        all_refuted = all_refuted and rec.min_eigenvalue <= -1e-9
     return _Verdict(worst_gap, all_refuted and worst_gap <= 1e-9)
 
 
@@ -824,7 +816,7 @@ def execute(config: RunConfig) -> VerificationReport:
                 ctx.started
         claims = [_run(spec, ctx) for spec in _CLAIMS if spec.suite in config.suites]
     finally:
-        if "started" in vars(ctx):  # built; a no-op once ppt.search_floor has joined the map
+        if "started" in vars(ctx):  # built; a no-op once ppt.search_floor has joined it
             ctx.started.close()
     warnings = [] if config.suites else ["no suites selected; the result is vacuously passing"]
     return VerificationReport(

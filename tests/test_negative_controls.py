@@ -12,13 +12,16 @@ fail `channel.phase_gate_form`, and a witness with |00><00| added
 whose twirl coefficients are PSD but not PPT must fail
 `ppt.twirl_preserves`, and one with a zero all-complement coefficient
 `ppt.constraint_unreachable`; so must a transposed-eigenvalue map with a
-wrong entry in T, which the dense spectrum contradicts.  A code-pair
-function that returns the pair forms in both rows, or a disjointness
-function that reads the larger row norm, must fail its claim and its
-acceptance-gate helper alike, since both call it.
+wrong entry in T, which the dense spectrum contradicts.  A recursion
+replay that reports a PSD contraction for one label must fail
+`ppt.recursion_refutes`.  A code-pair function that returns the pair
+forms in both rows, or a disjointness function that reads the larger row
+norm, must fail its claim and its acceptance-gate helper alike, since
+both call it.
 """
 
 import json
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -277,7 +280,7 @@ def injected_search_claims(monkeypatch, coefficients):
     """The ppt claims of a (2,1) run whose search accepted candidates with these coefficients."""
     coefficients = np.array(coefficients, dtype=float)
     result = PPTSearchResult(len(coefficients), 0, 0.5, coefficients)
-    monkeypatch.setattr(zecheck.suites, "ppt_search", lambda d, n, trials, seed, started: result)
+    monkeypatch.setattr(zecheck.ppt.PPTSearch, "result", lambda search: result)
     report = execute(RunConfig(d=2, n=1, suites=("ppt",), trials=5))
     return {c.claim_id: c for c in report.claims}
 
@@ -310,6 +313,20 @@ def test_a_wrong_transpose_matrix_fails_twirl_preserves(n, monkeypatch):
     report = execute(RunConfig(d=2, n=n, suites=("ppt",), trials=5))
     claim = {c.claim_id: c for c in report.claims}["ppt.twirl_preserves"]
     assert not claim.passed and claim.value > 0.01
+
+
+def test_a_psd_contraction_fails_recursion_refutes(monkeypatch):
+    trace = zecheck.suites.recursion_trace
+
+    def psd_for_one_label(dec, witness):
+        return [replace(r, min_eigenvalue=0.0) if r.label == (0, 1) else r
+                for r in trace(dec, witness)]
+
+    monkeypatch.setattr(zecheck.suites, "recursion_trace", psd_for_one_label)
+    claims = {c.claim_id: c for c in execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5)).claims}
+    claim = claims.pop("ppt.recursion_refutes")
+    assert not claim.passed and claim.value <= 1e-9  # every implied coefficient is still 1
+    assert len(claims) == 7 and all(c.passed for c in claims.values())
 
 
 def test_the_claims_call_the_conditions_the_gate_reads():

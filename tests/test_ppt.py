@@ -17,6 +17,7 @@ from zecheck.linalg import (
 )
 from zecheck.ppt import (
     IsotropicDecomposition,
+    PPTSearch,
     PPTSearchResult,
     _hermitized,
     _normalized,
@@ -31,7 +32,6 @@ from zecheck.ppt import (
     ppt_search,
     recursion_certificate,
     recursion_trace,
-    start_search,
     transposed_eigenvalues,
 )
 from zecheck.report import SUITE_NAMES, SUPPORTED_D, SUPPORTED_N, RunConfig
@@ -464,11 +464,11 @@ def test_a_worker_failure_fails_search_floor_as_one_cpu_does(monkeypatch, cpus):
 def test_a_search_that_fails_to_start_fails_its_claims_as_one_cpu_does(monkeypatch, cpus):
     calls = []
 
-    def broken(fn, items):
+    def broken(fmap, fn, items):
         calls.append(len(items))
         raise RuntimeError("no window map")
 
-    monkeypatch.setattr(zecheck.ppt, "ForkedMap", broken)
+    monkeypatch.setattr(zecheck.sampling.ForkedMap, "__init__", broken)
     for k in (1, 2, 3):
         cpus(k)
         report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5))
@@ -555,12 +555,13 @@ def test_ppt_search_joins_the_started_search(monkeypatch, cpus):
     alone = ppt_search(2, 2, 50, 7)
     contexts = recorded_contexts(monkeypatch)
     joined = []
+    result = PPTSearch.result
 
-    def recording(*args):
-        joined.append(args[-1])
-        return ppt_search(*args)
+    def recording(search):
+        joined.append(search)
+        return result(search)
 
-    monkeypatch.setattr(zecheck.suites, "ppt_search", recording)
+    monkeypatch.setattr(PPTSearch, "result", recording)
     report = execute(RunConfig(d=2, n=2, suites=("ppt",), trials=5, seed=7))
     started = contexts[0].started
     assert joined == [started] and not started.pids and started.queue is None
@@ -574,9 +575,9 @@ def test_ppt_search_joins_the_started_search(monkeypatch, cpus):
 def test_a_started_search_forks_at_once_and_its_join_matches_ppt_search(cpus):
     cpus(3)
     alone = ppt_search(2, 2, 64, 7)
-    started = start_search(2, 2, 64, 7)
+    started = PPTSearch(2, 2, 64, 7)
     assert len(started.pids) == 2  # the workers search before any join
-    assert_same_search(ppt_search(2, 2, 64, 7, started), alone)
+    assert_same_search(started.result(), alone)
     assert not started.pids and started.queue is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -592,14 +593,14 @@ def test_the_search_is_the_only_map_a_run_forks(suites, forks, monkeypatch, cpus
     callers = []
 
     def recording_fork():
-        callers.append([frame.name for frame in traceback.extract_stack()])
+        callers.append([(os.path.basename(f.filename), f.name) for f in traceback.extract_stack()])
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
     report = execute(RunConfig(d=2, n=2, suites=suites, trials=5, seed=7))
     assert report.overall_pass and len(report.claims) > 20
     assert len(callers) == forks
-    assert all("start_search" in names for names in callers)
+    assert all(("ppt.py", "__init__") in frames for frames in callers)  # PPTSearch's
 
 
 @pytest.mark.parametrize("d,n,trials,windows", [
@@ -693,11 +694,11 @@ SEARCH_CLAIMS = ("ppt.search_floor", "ppt.twirl_preserves", "ppt.constraint_unre
 def test_search_failure_fails_only_search_floor(monkeypatch):
     calls = []
 
-    def broken(d, n, trials, seed, started):
-        calls.append(trials)
+    def broken(search):
+        calls.append(search.trials)
         raise RuntimeError("search diverged")
 
-    monkeypatch.setattr("zecheck.suites.ppt_search", broken)
+    monkeypatch.setattr(PPTSearch, "result", broken)
     claims = {c.claim_id: c for c in execute(RunConfig(d=2, suites=("ppt",), trials=5)).claims}
     assert "ppt.panic" not in claims
     for cid in SEARCH_CLAIMS:
@@ -724,15 +725,19 @@ def test_twirl_checks_fail_when_no_candidate_converges(monkeypatch):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
 def test_three_claims_read_one_sample_set(d, n, monkeypatch):
     calls = []
-    search = zecheck.suites.ppt_search
 
-    def counting(*args):
-        calls.append(args)
-        return search(*args)
+    class Counting(PPTSearch):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr("zecheck.suites.ppt_search", counting)
+        def result(self):
+            calls.append("joined")
+            return super().result()
+
+    monkeypatch.setattr(zecheck.suites, "PPTSearch", Counting)
     claims = {c.claim_id: c for c in execute(RunConfig(d=d, n=n, suites=("ppt",), trials=5)).claims}
-    assert [args[:4] for args in calls] == [(d, n, 50, 1)]  # and the run's started map
+    assert calls == [(d, n, 50, 1), "joined"]  # one search, started and joined once
     accepted = dict(kv.split("=") for kv in claims["ppt.search_floor"].detail.split())["accepted"]
     assert int(accepted) > 0
     for cid in ("ppt.twirl_preserves", "ppt.constraint_unreachable"):
